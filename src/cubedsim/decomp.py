@@ -11,18 +11,34 @@ edge adjacency; the exchange pattern has one message per (owner ->
 halo-holder) pair.  In redundant-compute mode halo values are computed
 locally instead of exchanged, which empties the message list and adds
 the halo cells to each rank's compute extent.
+
+`halo_counts` gives the per-rank ring sizes and the messages, which is
+all the cost model needs, without building cell sets where a closed form
+exists.  Away from the eight cube corners the surface around a block
+unfolds flat, so ring k of a w x h block has 2(w+h) + 4(k-1) cells: four
+straight strips, each split into rectangles on the block's own panel and
+on the panel across an edge (reached by an affine map read off the
+mesh's edge stitching), plus d(d-1)/2 diagonal cells per block corner at
+depth d.  Per-owner counts of a rectangle are overlaps with the
+block-offset intervals.  Blocks whose depth-d neighbourhood reaches a cube corner,
+and every span decomposition, take the frontier expansion of
+`compute_halos` instead.  `compute_halos` followed by `exchange_pattern`
+keeps every halo cell and is the reference the counts are tested
+against.
 """
 
 from __future__ import annotations
 
 import io
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .mesh import PANELS, CellId, CubedSphereMesh
+from .mesh import EAST, NORTH, PANELS, SOUTH, WEST, CellId, CubedSphereMesh
 
 
 class DecompositionError(ValueError):
@@ -139,19 +155,14 @@ class Decomposition:
             bj = bisect_right(j_offsets, cell.j) - 1
             return cell.panel * p * q + bj * p + bi
         index = self.mesh.to_index(cell)
-        # spans are only used for small irregular rank counts; scan
-        for rank, dom in enumerate(self.domains):
-            if dom.start <= index < dom.stop:
-                return rank
+        rank = bisect_right(self._span_starts, index) - 1
+        if rank >= 0 and index < self.domains[rank].stop:
+            return rank
         raise DecompositionError(f"cell {cell} not covered by any rank")
 
-    def halo_cells(self, rank: int) -> Tuple[CellId, ...]:
-        if self.halos is None:
-            raise DecompositionError("halos not computed")
-        out: List[CellId] = []
-        for ring in self.halos[rank]:
-            out.extend(ring)
-        return tuple(out)
+    @cached_property
+    def _span_starts(self) -> List[int]:
+        return [dom.start for dom in self.domains]
 
     def halo_count(self, rank: int) -> int:
         if self.halos is None:
@@ -179,9 +190,6 @@ class ExchangePattern:
     @property
     def total_cells(self) -> int:
         return sum(m.cells for m in self.messages)
-
-    def messages_for(self, rank: int) -> Tuple[Message, ...]:
-        return tuple(m for m in self.messages if m.src == rank or m.dst == rank)
 
     def bytes_out(self, rank: int) -> int:
         return sum(m.bytes for m in self.messages if m.src == rank)
@@ -254,37 +262,46 @@ def local_area(mesh: CubedSphereMesh, total_cores: int) -> Fraction:
     return Fraction(mesh.total_horizontal_cells, total_cores)
 
 
-def compute_halos(mesh: CubedSphereMesh, decomp: Decomposition,
-                  depth: int = 1) -> Decomposition:
-    """Fill per-rank halo rings up to `depth` by frontier expansion."""
+def _check_depth(mesh: CubedSphereMesh, depth: int) -> None:
     if depth < 1:
         raise DecompositionError(f"halo depth must be >= 1, got {depth}")
     if depth > mesh.panel_size:
         raise HaloDepthError(
             f"halo depth {depth} exceeds panel size {mesh.panel_size}")
-    all_halos = []
-    for rank in range(decomp.ranks):
-        dom = decomp.domains[rank]
-        if isinstance(dom, Block):
-            owned_test = dom.contains
-            frontier: Set[CellId] = set(dom.boundary_cells())
-        else:
-            owned = decomp.owned_cells(rank)
-            owned_test = owned.__contains__
-            frontier = owned
-        seen: Set[CellId] = set()
-        rings: List[Tuple[CellId, ...]] = []
-        for _ in range(depth):
-            ring: Set[CellId] = set()
-            for cell in frontier:
-                for nb in mesh.neighbors(cell):
-                    if nb not in seen and not owned_test(nb):
-                        ring.add(nb)
-            seen |= ring
-            rings.append(tuple(sorted(ring, key=mesh.to_index)))
-            frontier = ring
-        all_halos.append(tuple(rings))
-    return replace(decomp, halo_depth=depth, halos=tuple(all_halos))
+
+
+def _rank_rings(mesh: CubedSphereMesh, decomp: Decomposition, rank: int,
+                depth: int) -> Tuple[Tuple[CellId, ...], ...]:
+    """One rank's halo rings up to `depth` by frontier expansion."""
+    dom = decomp.domains[rank]
+    if isinstance(dom, Block):
+        owned_test = dom.contains
+        frontier: Set[CellId] = set(dom.boundary_cells())
+    else:
+        owned = decomp.owned_cells(rank)
+        owned_test = owned.__contains__
+        frontier = owned
+    seen: Set[CellId] = set()
+    rings: List[Tuple[CellId, ...]] = []
+    for _ in range(depth):
+        ring: Set[CellId] = set()
+        for cell in frontier:
+            for nb in mesh.neighbors(cell):
+                if nb not in seen and not owned_test(nb):
+                    ring.add(nb)
+        seen |= ring
+        rings.append(tuple(sorted(ring, key=mesh.to_index)))
+        frontier = ring
+    return tuple(rings)
+
+
+def compute_halos(mesh: CubedSphereMesh, decomp: Decomposition,
+                  depth: int = 1) -> Decomposition:
+    """Fill per-rank halo rings up to `depth` by frontier expansion."""
+    _check_depth(mesh, depth)
+    all_halos = tuple(_rank_rings(mesh, decomp, rank, depth)
+                      for rank in range(decomp.ranks))
+    return replace(decomp, halo_depth=depth, halos=all_halos)
 
 
 def default_bytes_per_cell(mesh: CubedSphereMesh, fields: int = 3,
@@ -320,6 +337,192 @@ def exchange_pattern(decomp: Decomposition,
     messages = tuple(Message(src, dst, c, c * bytes_per_cell)
                      for (src, dst), c in sorted(counts.items()))
     return ExchangePattern(messages=messages, bytes_per_cell=bytes_per_cell)
+
+
+# (di, dj) of one step in each direction, indexed by the mesh's codes
+_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def _edge_maps(mesh: CubedSphereMesh):
+    """Per panel and direction, the affine map that carries cells beyond
+    that panel edge onto the panel across it, read off the mesh's edge
+    stitching.  An entry (panel, origin, along, inward) sends the cell s
+    steps beyond the edge, next to edge cell k, to
+    origin + k * along + s * inward on that panel."""
+    n = mesh.panel_size
+    span = max(n - 1, 1)
+    maps = []
+    for panel in range(PANELS):
+        row = []
+        # first and last cell along each edge, in the mesh's direction order
+        for direction, head, tail in ((EAST, (n - 1, 0), (n - 1, n - 1)),
+                                      (WEST, (0, 0), (0, n - 1)),
+                                      (NORTH, (0, n - 1), (n - 1, n - 1)),
+                                      (SOUTH, (0, 0), (n - 1, 0))):
+            first = CellId(panel, *head)
+            origin = mesh.neighbors(first)[direction]
+            end = mesh.neighbors(CellId(panel, *tail))[direction]
+            di, dj = _STEPS[mesh.neighbors(origin).index(first)]
+            row.append((origin.panel, (origin.i, origin.j),
+                        ((end.i - origin.i) // span, (end.j - origin.j) // span),
+                        (-di, -dj)))
+        maps.append(row)
+    return maps
+
+
+def _fold(maps, n: int, panel: int, i: int, j: int) -> Tuple[int, int, int]:
+    """(panel, i, j) of the cell at (i, j) in `panel`'s coordinates
+    extended past its edges; (i, j) may lie beyond one edge, not two."""
+    if i >= n:
+        direction, s, k = EAST, i - n, j
+    elif i < 0:
+        direction, s, k = WEST, -1 - i, j
+    elif j >= n:
+        direction, s, k = NORTH, j - n, i
+    elif j < 0:
+        direction, s, k = SOUTH, -1 - j, i
+    else:
+        return panel, i, j
+    other, (oi, oj), (ai, aj), (wi, wj) = maps[panel][direction]
+    return other, oi + k * ai + s * wi, oj + k * aj + s * wj
+
+
+def _overlaps(offsets: Sequence[int], a: int, b: int) -> Iterator[Tuple[int, int]]:
+    """(block index, cells in common) of each block interval meeting [a, b)."""
+    if a >= b:
+        return
+    k = bisect_right(offsets, a) - 1
+    while offsets[k] < b:
+        yield k, min(b, offsets[k + 1]) - max(a, offsets[k])
+        k += 1
+
+
+def _near_corner(block: Block, n: int, depth: int) -> bool:
+    """Whether the block's depth-`depth` neighbourhood reaches a cube
+    corner: the cell diagonally beyond the nearest panel corner is at
+    most `depth` steps away in the flat unfolding."""
+    return min(block.i0, n - block.i1) + min(block.j0, n - block.j1) + 2 <= depth
+
+
+def _block_owners(decomp: Decomposition, maps, rank: int,
+                  depth: int) -> Dict[int, int]:
+    """Halo cells per owner rank of a block away from the cube corners:
+    four strips of `depth` rows along the block sides, each split into
+    its part on the block's panel and its part across the panel edge,
+    plus the diagonal cells off the block corners counted one by one."""
+    n = decomp.mesh.panel_size
+    i_off, j_off = decomp.grid
+    p, q = len(i_off) - 1, len(j_off) - 1
+    block = decomp.domains[rank]
+    panel, i0, i1, j0, j1 = block.panel, block.i0, block.i1, block.j0, block.j1
+    bj, bi = divmod(rank - panel * p * q, p)
+    counts: Dict[int, int] = {}
+    # on the block's panel the east and west strips meet only blocks of
+    # its grid row, the north and south strips only blocks of its column
+    row = (panel * q + bj) * p
+    for a, b in ((i1, min(i1 + depth, n)), (max(i0 - depth, 0), i0)):
+        for k, cells in _overlaps(i_off, a, b):
+            counts[row + k] = cells * (j1 - j0)
+    column = panel * p * q + bi
+    for a, b in ((j1, min(j1 + depth, n)), (max(j0 - depth, 0), j0)):
+        for k, cells in _overlaps(j_off, a, b):
+            counts[column + k * p] = cells * (i1 - i0)
+    # strip parts beyond a panel edge, as rectangles [ia, ib) x [ja, jb)
+    # in the panel's coordinates extended past its edges
+    for ia, ib, ja, jb in ((max(i1, n), i1 + depth, j0, j1),
+                           (i0 - depth, min(i0, 0), j0, j1),
+                           (i0, i1, max(j1, n), j1 + depth),
+                           (i0, i1, j0 - depth, min(j0, 0))):
+        if ia >= ib or ja >= jb:
+            continue
+        other, xa, ya = _fold(maps, n, panel, ia, ja)
+        _, xb, yb = _fold(maps, n, panel, ib - 1, jb - 1)
+        for kj, cj in _overlaps(j_off, min(ya, yb), max(ya, yb) + 1):
+            base = (other * q + kj) * p
+            for ki, ci in _overlaps(i_off, min(xa, xb), max(xa, xb) + 1):
+                counts[base + ki] = counts.get(base + ki, 0) + ci * cj
+    for dx in range(1, depth):
+        for dy in range(1, depth - dx + 1):
+            for i, j in ((i1 - 1 + dx, j1 - 1 + dy), (i0 - dx, j1 - 1 + dy),
+                         (i0 - dx, j0 - dy), (i1 - 1 + dx, j0 - dy)):
+                owner = decomp.owner_of(CellId(*_fold(maps, n, panel, i, j)))
+                counts[owner] = counts.get(owner, 0) + 1
+    return counts
+
+
+class HaloCounts(NamedTuple):
+    """Per-rank halo ring sizes of a decomposition, and its exchange
+    messages on request, as `compute_halos` and `exchange_pattern` would
+    give them."""
+
+    # with halos filled in when the decomposition has no block grid
+    decomp: Decomposition
+    depth: int
+    # ring sizes of the blocks of one panel, None near a cube corner
+    closed: List[Optional[Tuple[int, ...]]]
+    # frontier-expansion rings of the blocks near a cube corner, by rank
+    corner_rings: Dict[int, Tuple[Tuple[CellId, ...], ...]]
+
+    def ring_sizes(self, rank: int) -> Tuple[int, ...]:
+        """Cells in each halo ring of `rank`, innermost first."""
+        if self.decomp.grid is None:
+            rings = self.decomp.halos[rank]
+        else:
+            sizes = self.closed[rank % len(self.closed)]
+            if sizes is not None:
+                return sizes
+            rings = self.corner_rings[rank]
+        return tuple(map(len, rings))
+
+    def halo_count(self, rank: int) -> int:
+        return sum(self.ring_sizes(rank))
+
+    def messages(self, bytes_per_cell: int) -> Tuple[Message, ...]:
+        """One message per (owner -> halo-holder) pair, sorted by
+        (src, dst); empty in redundant-compute mode."""
+        decomp = self.decomp
+        if decomp.grid is None:
+            return exchange_pattern(decomp, bytes_per_cell).messages
+        if bytes_per_cell < 1:
+            raise DecompositionError("bytes_per_cell must be positive")
+        if decomp.mode is Mode.REDUNDANT_COMPUTE:
+            return ()
+        maps = _edge_maps(decomp.mesh)
+        counts: Dict[Tuple[int, int], int] = {}
+        for rank in range(decomp.ranks):
+            rings = self.corner_rings.get(rank)
+            if rings is None:
+                owners = _block_owners(decomp, maps, rank, self.depth)
+            else:
+                owners = Counter(decomp.owner_of(cell)
+                                 for ring in rings for cell in ring)
+            for owner, cells in owners.items():
+                counts[(owner, rank)] = cells
+        return tuple(Message(src, dst, c, c * bytes_per_cell)
+                     for (src, dst), c in sorted(counts.items()))
+
+
+def halo_counts(mesh: CubedSphereMesh, decomp: Decomposition,
+                depth: int = 1) -> HaloCounts:
+    """Halo ring sizes per rank without building halo cell sets where the
+    closed form holds: ring k of a w x h block away from the cube corners
+    has 2(w+h) + 4(k-1) cells.  Blocks near a cube corner take the
+    frontier expansion, and a decomposition without a block grid takes
+    `compute_halos`."""
+    _check_depth(mesh, depth)
+    if decomp.grid is None:
+        return HaloCounts(compute_halos(mesh, decomp, depth), depth, [], {})
+    # every panel has the same block grid, and every panel corner is a
+    # cube corner, so the closed form depends on the place in the panel
+    per_panel = decomp.ranks // PANELS
+    closed = [None if _near_corner(block, mesh.panel_size, depth) else
+              tuple(2 * (block.i1 - block.i0 + block.j1 - block.j0) + 4 * k
+                    for k in range(depth))
+              for block in decomp.domains[:per_panel]]
+    corner_rings = {rank: _rank_rings(mesh, decomp, rank, depth)
+                    for rank in range(decomp.ranks)
+                    if closed[rank % per_panel] is None}
+    return HaloCounts(decomp, depth, closed, corner_rings)
 
 
 def redundant_compute_extent(decomp: Decomposition) -> Dict[int, int]:

@@ -96,10 +96,10 @@ def simulate(run: RunSpec) -> TimestepBreakdown:
     threads = run.threads_per_rank
 
     decomposition = dc.partition(mesh, ranks, mode=run.mode)
-    decomposition = dc.compute_halos(mesh, decomposition, depth=run.halo_depth)
+    halos = dc.halo_counts(mesh, decomposition, depth=run.halo_depth)
 
-    # memory guard before any timing is reported
-    worst_cells = max(decomposition.owned_count(r) + decomposition.halo_count(r)
+    # memory guard before any message or timing is built
+    worst_cells = max(decomposition.owned_count(r) + halos.halo_count(r)
                       for r in range(ranks))
     node_bytes = run.memory.node_bytes(run.ranks_per_node, worst_cells,
                                        mesh.levels, ranks)
@@ -112,19 +112,19 @@ def simulate(run: RunSpec) -> TimestepBreakdown:
     bytes_per_cell = run.bytes_per_cell
     if bytes_per_cell is None:
         bytes_per_cell = dc.default_bytes_per_cell(mesh)
-    pattern = dc.exchange_pattern(decomposition, bytes_per_cell=bytes_per_cell)
+    messages = halos.messages(bytes_per_cell)
 
     redundant = run.mode is dc.Mode.REDUNDANT_COMPUTE
     eff = cost.efficiency(threads)
     work = [decomposition.owned_count(r)
-            + (decomposition.halo_count(r) if redundant else 0)
+            + (halos.halo_count(r) if redundant else 0)
             for r in range(ranks)]
     user_times = [w * mesh.levels * cost.c_cell / (threads * eff) for w in work]
     user_s = max(user_times)
     user_mean_s = sum(user_times) / ranks
 
     per_rank_msg_cost = [0.0] * ranks
-    for m in pattern.messages:
+    for m in messages:
         c = cost.p2p_alpha + m.bytes / cost.p2p_beta
         per_rank_msg_cost[m.src] += c
         per_rank_msg_cost[m.dst] += c

@@ -2,15 +2,18 @@
 
 Halo expectations come from an independent breadth-first expansion over
 the fully materialized adjacency map, not from the frontier walk used by
-the implementation.
+the implementation.  The closed-form counts of `halo_counts` are checked
+in turn against that frontier walk (`compute_halos` + `exchange_pattern`).
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cubedsim import decomp as dc
-from cubedsim.mesh import build_mesh
+from cubedsim.mesh import CellId, build_mesh
 
 
 def bfs_halo(mesh, owned, depth):
@@ -73,6 +76,14 @@ def test_owner_of_agrees_with_owned_cells():
         for rank in range(ranks):
             for cell in decomposition.owned_cells(rank):
                 assert decomposition.owner_of(cell) == rank
+
+
+def test_span_owner_of_rejects_uncovered_cells():
+    mesh = build_mesh(6, 1)
+    decomposition = dc.partition(mesh, 7)
+    for cell in (CellId(0, -1, 0), CellId(6, 0, 0)):  # indices -1 and 216
+        with pytest.raises(dc.DecompositionError):
+            decomposition.owner_of(cell)
 
 
 def test_partition_errors():
@@ -197,3 +208,43 @@ def test_summary_csv_shape():
     assert len(lines) == 7
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "64"
+
+
+@given(n=st.integers(1, 24), p=st.integers(1, 24), q=st.integers(1, 24),
+       depth=st.integers(1, 4), mode=st.sampled_from(dc.Mode),
+       bytes_per_cell=st.integers(1, 5760))
+@example(n=8, p=8, q=8, depth=4, mode=dc.Mode.EXCHANGE_HALOS,
+         bytes_per_cell=1)                       # 1 x 1 blocks at depth 4
+@example(n=10, p=4, q=3, depth=3, mode=dc.Mode.EXCHANGE_HALOS,
+         bytes_per_cell=1)                       # uneven 2-3 x 3-4 blocks
+@example(n=24, p=1, q=1, depth=4, mode=dc.Mode.EXCHANGE_HALOS,
+         bytes_per_cell=1)                       # whole panels: corner path
+@settings(max_examples=60, deadline=None)
+def test_halo_counts_match_bfs_oracle(n, p, q, depth, mode, bytes_per_cell):
+    # the closed form, its corner fallback and the cross-edge maps against
+    # compute_halos + exchange_pattern, including blocks thinner than the
+    # depth whose strips span several neighbour blocks
+    p, q, depth = min(p, n), min(q, n), min(depth, n)
+    mesh = build_mesh(n, 1)
+    decomposition = dc.partition(mesh, 6 * p * q, mode=mode)
+    assert decomposition.grid is not None
+    fast = dc.halo_counts(mesh, decomposition, depth=depth)
+    oracle = dc.compute_halos(mesh, decomposition, depth=depth)
+    assert [fast.ring_sizes(r) for r in range(decomposition.ranks)] \
+        == [tuple(len(ring) for ring in rings) for rings in oracle.halos]
+    assert [fast.halo_count(r) for r in range(decomposition.ranks)] \
+        == [oracle.halo_count(r) for r in range(decomposition.ranks)]
+    assert fast.messages(bytes_per_cell) \
+        == dc.exchange_pattern(oracle, bytes_per_cell).messages
+
+
+def test_halo_counts_errors():
+    mesh = build_mesh(4, 1)
+    for ranks in (24, 7):
+        decomposition = dc.partition(mesh, ranks)
+        with pytest.raises(dc.DecompositionError):
+            dc.halo_counts(mesh, decomposition, depth=0)
+        with pytest.raises(dc.HaloDepthError):
+            dc.halo_counts(mesh, decomposition, depth=5)
+        with pytest.raises(dc.DecompositionError):
+            dc.halo_counts(mesh, decomposition, depth=1).messages(0)

@@ -70,6 +70,24 @@ def test_simulate_matches_closed_form(mode, threads, ranks_per_node):
     assert result.run_total_s == result.total_s * run.timesteps
 
 
+@pytest.mark.parametrize("n,nodes,ranks_per_node,threads,depth,mode", [
+    (8, 24, 4, 1, 3, dc.Mode.EXCHANGE_HALOS),      # 2 x 2 blocks, depth 3
+    (6, 54, 4, 1, 4, dc.Mode.REDUNDANT_COMPUTE),   # 1 x 1 blocks, depth 4
+    (10, 18, 4, 1, 2, dc.Mode.EXCHANGE_HALOS),     # uneven 4 x 3 grid
+    (10, 18, 2, 2, 3, dc.Mode.EXCHANGE_HALOS),     # uneven 3 x 2 grid
+    (12, 6, 1, 4, 4, dc.Mode.EXCHANGE_HALOS),      # whole panels, corners
+    (8, 7, 4, 1, 2, dc.Mode.EXCHANGE_HALOS),       # 28 ranks: spans
+])
+def test_simulate_equals_oracle(n, nodes, ranks_per_node, threads, depth,
+                                mode):
+    run = RunSpec(mesh=build_mesh(n, 10), machine=TOY, nodes=nodes,
+                  ranks_per_node=ranks_per_node, threads_per_rank=threads,
+                  halo_depth=depth, mode=mode, memory=BIG_MEMORY)
+    result = simulate(run)
+    assert (result.user_s, result.mpi_p2p_s, result.mpi_coll_s,
+            result.etc_s) == oracle_breakdown(run)
+
+
 def test_redundant_compute_has_no_p2p():
     run = RunSpec(mesh=build_mesh(8, 10), machine=TOY, nodes=6,
                   ranks_per_node=4, threads_per_rank=1,
@@ -108,6 +126,18 @@ def test_memory_guard_trips_widest_single_thread_layout():
     threaded = RunSpec(mesh=mesh, machine=archer2, nodes=192,
                        ranks_per_node=32, threads_per_rank=4)
     assert simulate(threaded).total_s > 0
+
+
+@pytest.mark.parametrize("n,nodes", [(1024, 192), (80, 192)])
+def test_memory_guard_needs_no_halo_geometry(monkeypatch, n, nodes):
+    def no_halos(*_args, **_kwargs):
+        raise AssertionError("the guard must not need halo cells")
+
+    monkeypatch.setattr(dc, "compute_halos", no_halos)
+    wide = RunSpec(mesh=build_mesh(n, 120), machine=builtin_machine("archer2"),
+                   nodes=nodes, ranks_per_node=128, threads_per_rank=1)
+    with pytest.raises(MemoryLimitError):
+        simulate(wide)
 
 
 def test_weak_scaling_attribution():
