@@ -1,6 +1,7 @@
 """Desk-scale performance model of a cubed-sphere dynamical core and its
 parallel diagnostic output servers."""
 
+from .errors import ConfigError, CubedsimError
 from .mesh import CubedSphereMesh, MeshError, build_mesh
 from .decomp import (Decomposition, HaloDepthError, Mode, compute_halos,
                      exchange_pattern, local_area, partition)
@@ -16,11 +17,12 @@ from .dyncore import (MemoryLimitError, RunSpec, SimulationError,
 from .iosim import (IoMetrics, IoScenario, IoConfigError, ServerMemoryError,
                     UnwritableFieldError, buffer_sweep, pool_sweep,
                     server_sweep, simulate_io, striping_compare)
-from .config import ConfigError, Scenario, load_scenario, parse_scenario
+from .config import Scenario, load_scenario, parse_scenario
 
 __version__ = "1.0.0"
 
 __all__ = [
+    "ConfigError", "CubedsimError",
     "CubedSphereMesh", "MeshError", "build_mesh",
     "Decomposition", "HaloDepthError", "Mode", "compute_halos",
     "exchange_pattern", "local_area", "partition",
@@ -34,5 +36,5 @@ __all__ = [
     "IoMetrics", "IoScenario", "IoConfigError", "ServerMemoryError",
     "UnwritableFieldError", "buffer_sweep", "pool_sweep", "server_sweep",
     "simulate_io", "striping_compare",
-    "ConfigError", "Scenario", "load_scenario", "parse_scenario",
+    "Scenario", "load_scenario", "parse_scenario",
 ]

@@ -6,8 +6,9 @@ Three subcommands:
     sweep   one scenario axis -> one CSV row per axis value
     report  combine previously written CSVs (2 -> ratio, 3+ -> mean/std)
 
-Exit status: 0 on success, 2 for configuration problems, 3 for
-simulation failures (memory guard, unwritable field, server overflow).
+Exit status (`CubedsimError.exit_code`): 0 on success, 2 for configuration
+problems and unusable paths, 3 for simulation failures (memory guard,
+unwritable field, server overflow).
 Output files are written atomically (temp file then rename).
 """
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import statistics
 import sys
@@ -24,7 +24,8 @@ from pathlib import Path
 from typing import Dict, List, Sequence
 
 from . import dyncore, iosim
-from .config import ConfigError, Scenario, load_scenario
+from .config import Scenario, load_scenario
+from .errors import ConfigError, CubedsimError, located
 from .mesh import build_mesh
 
 DYNCORE_COLUMNS = ["panel_size", "nodes", "ranks", "threads",
@@ -71,6 +72,8 @@ def read_csv(path: Path) -> List[Dict[str, object]]:
                 except ValueError:
                     row[key] = value
             rows.append(row)
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
     return rows
 
 
@@ -103,10 +106,6 @@ def _io_summary(row: Dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _repeat_rows(rows_fn, repeat: int) -> List[List[Dict[str, object]]]:
-    return [rows_fn() for _ in range(repeat)]
-
-
 def _stats_rows(samples: List[List[Dict[str, object]]],
                 columns: Sequence[str]) -> List[Dict[str, object]]:
     """Per-cell mean and standard deviation across repeated tables."""
@@ -117,31 +116,26 @@ def _stats_rows(samples: List[List[Dict[str, object]]],
             values = [s[row_idx][col] for s in samples]
             if all(isinstance(v, (int, float)) for v in values):
                 row[f"{col}_mean"] = statistics.fmean(values)
-                row[f"{col}_std"] = (statistics.pstdev(values)
-                                     if len(values) > 1 else 0.0)
+                row[f"{col}_std"] = statistics.pstdev(values)
             else:
                 row[col] = values[0]
         out.append(row)
     return out
 
 
-def _dyncore_rows(scenario: Scenario) -> List[Dict[str, object]]:
-    if scenario.grid is not None:
-        rows = []
-        for point in scenario.grid.points:
-            mesh = build_mesh(point["panel_size"],
-                              point.get("levels",
-                                        scenario.mesh.levels
-                                        if scenario.mesh else 120))
-            threads = scenario.grid.threads or \
-                [scenario.layout["threads_per_rank"]]
-            for t in threads:
-                run = scenario.run_spec(mesh=mesh, nodes=point["nodes"],
-                                        threads=t)
-                rows.append(dyncore.breakdown_row(run, dyncore.simulate(run)))
-        return rows
-    run = scenario.run_spec()
-    return [dyncore.breakdown_row(run, dyncore.simulate(run))]
+def _timestep_runs(scenario: Scenario) -> List[dyncore.RunSpec]:
+    """The runs of a timestep scenario, all built (so checked) first."""
+    if scenario.grid is None:
+        return [scenario.run_spec()]
+    levels = scenario.mesh.levels if scenario.mesh is not None else 120
+    runs = []
+    for k, point in enumerate(scenario.grid.points):
+        with located(f"{scenario.source}.grid.points[{k}]"):
+            mesh = build_mesh(point.panel_size,
+                              levels if point.levels is None else point.levels)
+            runs += [scenario.run_spec(mesh, point.nodes, threads)
+                     for threads in scenario.grid.threads or [None]]
+    return runs
 
 
 def cmd_run(args) -> int:
@@ -154,11 +148,13 @@ def cmd_run(args) -> int:
         csv_name, stats_name = "io.csv", "io_stats.csv"
         summary = _io_summary
     else:
-        rows_fn = lambda: _dyncore_rows(scenario)
+        runs = _timestep_runs(scenario)
+        rows_fn = lambda: [dyncore.breakdown_row(run, dyncore.simulate(run))
+                           for run in runs]
         columns = DYNCORE_COLUMNS
         csv_name, stats_name = "dyncore.csv", "dyncore_stats.csv"
         summary = _breakdown_summary
-    samples = _repeat_rows(rows_fn, max(1, args.repeat))
+    samples = [rows_fn() for _ in range(args.repeat)]
     write_csv(out / csv_name, samples[0], columns)
     if args.repeat > 1:
         stats = _stats_rows(samples, columns)
@@ -168,40 +164,32 @@ def cmd_run(args) -> int:
     return 0
 
 
-_IO_AXES = {"buffer_bytes", "servers", "pools"}
+_IO_SWEEPS = {"buffer_bytes": iosim.buffer_sweep, "servers": iosim.server_sweep,
+              "pools": iosim.pool_sweep}
 
 
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.config)
     axis = args.axis
     if axis not in scenario.sweep:
-        raise ConfigError(f"sweep axis {axis!r} not in config "
+        raise ConfigError(f"{scenario.source}.sweep: no axis {axis!r} "
                           f"(available: {sorted(scenario.sweep) or 'none'})")
     values = scenario.sweep[axis]
-    if axis in _IO_AXES:
-        if scenario.io_scenario is None:
-            raise ConfigError(f"sweep axis {axis!r} needs an io_scenario "
-                              "section")
-        sweep_fn = {"buffer_bytes": iosim.buffer_sweep,
-                    "servers": iosim.server_sweep,
-                    "pools": iosim.pool_sweep}[axis]
-        rows = sweep_fn(scenario.io_scenario, [int(v) for v in values])
+    if axis in _IO_SWEEPS:
+        rows = _IO_SWEEPS[axis](scenario.io_scenario, values)
         columns = [axis] + IO_COLUMNS
     elif axis == "threads":
         run = scenario.run_spec()
-        rows = dyncore.thread_sweep(run.mesh, run.machine, run.nodes,
-                                    [int(v) for v in values],
+        rows = dyncore.thread_sweep(run.mesh, run.machine, run.nodes, values,
                                     cost=run.cost_model, memory=run.memory)
         columns = DYNCORE_COLUMNS + ["best"]
-    elif axis == "nodes":
+    else:
         run = scenario.run_spec()
         rows = dyncore.strong_scaling_study(
-            run.mesh, run.machine, [int(v) for v in values],
+            run.mesh, run.machine, values,
             run.ranks_per_node, run.threads_per_rank,
             cost=run.cost_model, memory=run.memory)
         columns = DYNCORE_COLUMNS + ["ideal_s"]
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
     out = Path(args.out)
     write_csv(out / f"sweep_{axis}.csv", rows, columns)
     print(f"wrote {out / f'sweep_{axis}.csv'}")
@@ -225,6 +213,13 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _repeat_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubedsim",
@@ -235,10 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate one scenario")
     run.add_argument("--config", required=True, help="scenario JSON file")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--repeat", type=int, default=1,
+    run.add_argument("--repeat", type=_repeat_count, default=1,
                      help="repetitions; >1 adds a mean/std table")
-    run.add_argument("--seed", type=int, default=0,
-                     help="reserved for stochastic extensions")
     run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="sweep one axis of a scenario")
@@ -246,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--axis", required=True,
                        help="threads, nodes, buffer_bytes, servers or pools")
     sweep.add_argument("--out", required=True, help="output directory")
-    sweep.add_argument("--seed", type=int, default=0,
-                       help="reserved for stochastic extensions")
     sweep.set_defaults(func=cmd_sweep)
 
     report = sub.add_parser("report", help="combine result CSVs")
@@ -262,13 +253,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, dyncore.TableMismatchError, FileNotFoundError) as exc:
+    except CubedsimError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (dyncore.SimulationError, iosim.IoConfigError,
-            iosim.ServerMemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -1,317 +1,307 @@
 """Scenario configuration files.
 
-A scenario is a single JSON document with optional sections:
-
-    machine      builtin name or full custom description
-    cost_model   cost-coefficient overrides
-    memory       memory-guard overrides
-    mesh         {"panel_size": N, "levels": L}
-    layout       {"nodes", "ranks_per_node", "threads_per_rank", ...}
-    grid         {"points": [{"panel_size", "nodes", ...}], "threads": [...]}
-    schedule     {"run_hours", "entries": [{"field_count", ...}]}
-    io_scenario  client/server/buffer configuration
-    sweep        axis value lists for the sweep command
-
-Unknown keys are rejected with their location.  parse -> serialize ->
-parse round-trips to an identical scenario.
+A scenario is one JSON document of optional sections: machine, cost_model,
+memory, mesh, layout, grid, schedule, io_scenario and sweep.  One reader
+serves them all: a section's keys are the fields of the dataclass it
+builds (the layout's are RunSpec's own), a field without a default is
+required, and each value is checked against the field's annotation.
+Defaults live only in the dataclasses and rules only in constructors;
+this module adds the location, so every error is a ConfigError reading
+`<file>.<section>[.key|[k]]: ...`.  The layout is checked against the
+machine and mesh, and each sweep value by building what it stands for.
+parse -> canonical_dict -> parse round-trips to an identical scenario.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields as dc_fields
+import sys
+from collections import abc
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from enum import Enum
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import (Any, Dict, List, Optional, Tuple, Union, get_args,
+                    get_origin, get_type_hints)
 
+from . import iosim
 from .dyncore import RunSpec
-from .decomp import Mode
+from .errors import ConfigError, located
 from .iosim import IoScenario
 from .machine import (CostModel, MachineConfig, MemoryModel, builtin_machine,
                       default_cost_model)
 from .mesh import CubedSphereMesh, build_mesh
-from .workload import DiagnosticSchedule, make_schedule
+from .workload import DiagnosticSchedule
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; the message carries the offending location."""
-
-
-def _require(mapping: Dict[str, Any], where: str, required: List[str],
-             optional: List[str]) -> None:
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{where}: expected an object")
-    for key in mapping:
-        if key not in required and key not in optional:
-            raise ConfigError(f"{where}.{key}: unknown key")
-    for key in required:
-        if key not in mapping:
-            raise ConfigError(f"{where}.{key}: missing required key")
-
-
-def _number(mapping: Dict[str, Any], where: str, key: str, kind=float):
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-    if kind is int and int(value) != value:
-        raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
-    return kind(value)
+@dataclass
+class GridPoint:
+    panel_size: int
+    nodes: int
+    levels: Optional[int] = None        # None: the mesh section's levels
 
 
 @dataclass
 class GridSpec:
-    points: List[Dict[str, int]]
-    threads: List[int]
+    points: Tuple[GridPoint, ...]
+    threads: Tuple[int, ...] = ()       # empty: the layout's threads_per_rank
+
+
+@dataclass(init=False, repr=False, eq=False)
+class _Mesh:
+    """Schema only: the arguments of build_mesh."""
+    panel_size: int
+    levels: int
+
+
+@dataclass(init=False, repr=False, eq=False)
+class _Sweep:
+    """Schema only: one value list per axis."""
+    threads: Optional[List[int]] = None
+    nodes: Optional[List[int]] = None
+    buffer_bytes: Optional[List[int]] = None
+    servers: Optional[List[int]] = None
+    pools: Optional[List[int]] = None
+
+
+_SECTIONS = ("machine", "cost_model", "memory", "mesh", "layout", "grid",
+             "schedule", "io_scenario", "sweep")
+# RunSpec fields that other sections supply; the rest are the layout's
+_SUPPLIED = frozenset({"mesh", "machine", "cost", "memory"})
+_KINDS = {int: "an integer", float: "a finite number", str: "a string",
+          list: "a list", dict: "an object"}
+
+
+def _expect(kind: type, value: Any, where: str):
+    """`value` as `kind`; an int also takes an integral float such as 8.0."""
+    if type(value) is kind and kind is not float:
+        return value
+    if kind in (int, float) and type(value) in (int, float) \
+            and abs(value) <= sys.float_info.max \
+            and (kind is float or value.is_integer()):
+        return kind(value)
+    raise ConfigError(f"{where}: expected {_KINDS[kind]}, got {value!r}")
+
+
+@lru_cache(maxsize=None)
+def _reader(tp):
+    """The checking converter of one annotation, built once per type."""
+    origin, args = get_origin(tp), get_args(tp)
+    if tp in _KINDS:
+        return lambda value, where: _expect(tp, value, where)
+    if origin is Union:                                 # Optional[X]
+        inner = _reader(args[0])
+        return lambda value, where: \
+            None if value is None else inner(value, where)
+    if origin in (list, tuple):                         # List[X], Tuple[X, ...]
+        item = _reader(args[0])
+        return lambda value, where: origin(
+            item(v, f"{where}[{k}]")
+            for k, v in enumerate(_expect(list, value, where)))
+    if origin is abc.Mapping:                           # Mapping[int, X]
+        entry = _reader(args[1])
+        return lambda value, where: {
+            _int_key(k, where): entry(v, f"{where}[{k}]")
+            for k, v in _expect(dict, value, where).items()}
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        def read_enum(value, where):
+            for member in tp:
+                if member.value == value:
+                    return member
+            raise ConfigError(f"{where}: expected one of "
+                              f"{[m.value for m in tp]}, got {value!r}")
+        return read_enum
+    if is_dataclass(tp):
+        return lambda value, where: _build(tp, value, where)
+    raise TypeError(f"no configuration reader for {tp!r}")
+
+
+def _int_key(key: Any, where: str) -> int:
+    try:
+        return int(key)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}[{key}]: expected an integer key") from None
+
+
+@lru_cache(maxsize=None)
+def _schema(cls, skip: frozenset = frozenset()):
+    """Readers of the fields of `cls` not in `skip`, and the required ones."""
+    hints = get_type_hints(cls)
+    own = [f for f in fields(cls) if f.name not in skip]
+    return ({f.name: _reader(hints[f.name]) for f in own},
+            [f.name for f in own
+             if f.default is MISSING and f.default_factory is MISSING])
+
+
+def _read(cls, section: Any, where: str,
+          skip: frozenset = frozenset()) -> Dict[str, Any]:
+    """The keys `section` gives, checked against the fields of `cls`."""
+    readers, required = _schema(cls, skip)
+    for key in _expect(dict, section, where):
+        if key not in readers:
+            raise ConfigError(f"{where}.{key}: unknown key")
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"{where}.{key}: missing required key")
+    return {key: readers[key](value, f"{where}.{key}")
+            for key, value in section.items()}
+
+
+def _build(cls, section: Any, where: str, **supplied):
+    kwargs = _read(cls, section, where, frozenset(supplied))
+    with located(where):
+        return cls(**kwargs, **supplied)
+
+
+def _plain(value: Any) -> Any:
+    """The JSON form of a value the reader returns: its inverse."""
+    if isinstance(value, Enum):
+        return value.value
+    if is_dataclass(value):
+        return _emit(type(value), value)
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, abc.Mapping):
+        return {str(k): _plain(v) for k, v in value.items()}
+    return value
+
+
+def _emit(cls, obj: Any, skip: frozenset = frozenset()) -> Dict[str, Any]:
+    values = ((name, getattr(obj, name)) for name in _schema(cls, skip)[0])
+    return {name: _plain(v) for name, v in values if v is not None}
 
 
 @dataclass
 class Scenario:
     """Parsed and validated configuration bundle."""
 
+    source: str = "config"
     machine: Optional[MachineConfig] = None
     cost_overrides: Dict[str, Any] = field(default_factory=dict)
     memory: Optional[MemoryModel] = None
     mesh: Optional[CubedSphereMesh] = None
-    layout: Optional[Dict[str, Any]] = None
+    layout: Optional[Dict[str, Any]] = None     # RunSpec keyword arguments
     grid: Optional[GridSpec] = None
     schedule: Optional[DiagnosticSchedule] = None
     io_scenario: Optional[IoScenario] = None
-    sweep: Dict[str, List[Any]] = field(default_factory=dict)
+    sweep: Dict[str, List[int]] = field(default_factory=dict)
 
     def cost_model(self) -> CostModel:
-        base = default_cost_model(self.machine)
-        if not self.cost_overrides:
-            return base
-        values = {f.name: getattr(base, f.name) for f in dc_fields(CostModel)}
-        values.update(self.cost_overrides)
-        return CostModel(**values)
+        return replace(default_cost_model(self.machine), **self.cost_overrides)
 
     def run_spec(self, mesh: Optional[CubedSphereMesh] = None,
                  nodes: Optional[int] = None,
                  threads: Optional[int] = None) -> RunSpec:
-        if self.machine is None or self.layout is None:
-            raise ConfigError("machine and layout sections are required "
-                              "for a timestep run")
+        """The layout's run, or one on another mesh, node or thread count."""
         mesh = mesh if mesh is not None else self.mesh
-        if mesh is None:
-            raise ConfigError("mesh section is required for a timestep run")
-        lay = dict(self.layout)
+        if self.machine is None or self.layout is None or mesh is None:
+            raise ConfigError(f"{self.source}: machine, mesh and layout "
+                              "sections are required for a timestep run")
+        kwargs = dict(self.layout, mesh=mesh, machine=self.machine,
+                      cost=self.cost_model())
         if nodes is not None:
-            lay["nodes"] = nodes
+            kwargs["nodes"] = nodes
         if threads is not None:
-            lay["threads_per_rank"] = threads
-            lay["ranks_per_node"] = self.machine.cores_per_node // threads
-        kwargs = dict(mesh=mesh, machine=self.machine, cost=self.cost_model(),
-                      nodes=lay["nodes"], ranks_per_node=lay["ranks_per_node"],
-                      threads_per_rank=lay["threads_per_rank"])
-        for key in ("timesteps", "halo_depth", "bytes_per_cell"):
-            if key in lay:
-                kwargs[key] = lay[key]
-        if "mode" in lay:
-            kwargs["mode"] = Mode(lay["mode"])
+            kwargs["threads_per_rank"] = threads
+            kwargs["ranks_per_node"] = (self.machine.cores_per_node // threads
+                                        if threads > 0 else 0)
         if self.memory is not None:
             kwargs["memory"] = self.memory
         return RunSpec(**kwargs)
 
 
-_MACHINE_KEYS = ["name", "cores_per_node", "cpus_per_node", "clock_ghz",
-                 "numa_domains_per_cpu", "l3_mb_per_cpu", "interconnect",
-                 "max_nodes"]
-_COST_KEYS = ["c_cell", "p2p_alpha", "p2p_beta", "coll_alpha", "coll_beta",
-              "barrier_cost", "etc_fixed", "parallel_regions_per_step",
-              "allreduces_per_step", "halo_exchanges_per_step", "reduce_bytes",
-              "thread_efficiency"]
-_MEMORY_KEYS = ["node_memory_bytes", "words_per_cell_level",
-                "rank_table_bytes_per_rank", "fixed_rank_bytes"]
-_LAYOUT_KEYS = ["nodes", "ranks_per_node", "threads_per_rank", "timesteps",
-                "mode", "halo_depth", "bytes_per_cell"]
-_IO_KEYS = ["clients", "servers_level1", "servers_level2", "pools",
-            "buffer_bytes", "base_write_rate", "striping_factor", "files",
-            "compute_rate", "gather_rate_factor", "pool_penalty",
-            "stripe_cap", "server_memory_bytes"]
-_SWEEP_KEYS = ["threads", "nodes", "buffer_bytes", "servers", "pools"]
-
-
-def _parse_machine(section: Any, where: str) -> MachineConfig:
-    if isinstance(section, dict) and list(section) == ["builtin"]:
-        try:
-            return builtin_machine(section["builtin"])
-        except ValueError as exc:
-            raise ConfigError(f"{where}.builtin: {exc}") from exc
-    _require(section, where, _MACHINE_KEYS, [])
-    try:
-        return MachineConfig(
-            name=str(section["name"]),
-            cores_per_node=_number(section, where, "cores_per_node", int),
-            cpus_per_node=_number(section, where, "cpus_per_node", int),
-            clock_ghz=_number(section, where, "clock_ghz"),
-            numa_domains_per_cpu=_number(section, where,
-                                         "numa_domains_per_cpu", int),
-            l3_mb_per_cpu=_number(section, where, "l3_mb_per_cpu"),
-            interconnect=str(section["interconnect"]),
-            max_nodes=_number(section, where, "max_nodes", int))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_schedule(section: Any, where: str) -> DiagnosticSchedule:
-    _require(section, where, ["run_hours", "entries"], [])
-    entries = section["entries"]
-    if not isinstance(entries, list):
-        raise ConfigError(f"{where}.entries: expected a list")
-    parsed = []
-    for idx, entry in enumerate(entries):
-        ew = f"{where}.entries[{idx}]"
-        _require(entry, ew, ["field_count", "period_hours", "bytes_per_field"], [])
-        parsed.append((_number(entry, ew, "field_count", int),
-                       _number(entry, ew, "period_hours"),
-                       _number(entry, ew, "bytes_per_field", int)))
-    try:
-        return make_schedule(parsed, _number(section, where, "run_hours"))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def _vary(s: Scenario, axis: str, value: int) -> None:
+    """Build what a sweep value stands for, for its constructor to check."""
+    if axis in ("threads", "nodes"):
+        s.run_spec(**{axis: value})
+    elif s.io_scenario is None:
+        raise ConfigError(f"{s.source}.sweep.{axis}: needs an io_scenario "
+                          "section")
+    elif axis == "servers":
+        iosim.with_servers(s.io_scenario, value)
+    else:
+        replace(s.io_scenario, **{axis: value})
 
 
 def parse_scenario(doc: Dict[str, Any], source: str = "config") -> Scenario:
-    _require(doc, source, [],
-             ["machine", "cost_model", "memory", "mesh", "layout", "grid",
-              "schedule", "io_scenario", "sweep"])
-    scenario = Scenario()
-
+    for key in _expect(dict, doc, source):
+        if key not in _SECTIONS:
+            raise ConfigError(f"{source}.{key}: unknown key")
+    at = {key: f"{source}.{key}" for key in doc}
+    s = Scenario(source=source)
     if "machine" in doc:
-        scenario.machine = _parse_machine(doc["machine"], f"{source}.machine")
-
+        section = doc["machine"]
+        if isinstance(section, dict) and list(section) == ["builtin"]:
+            name = _expect(str, section["builtin"], f"{at['machine']}.builtin")
+            with located(f"{at['machine']}.builtin"):
+                s.machine = builtin_machine(name)
+        else:
+            s.machine = _build(MachineConfig, section, at["machine"])
     if "cost_model" in doc:
-        section = doc["cost_model"]
-        _require(section, f"{source}.cost_model", [], _COST_KEYS)
-        overrides = dict(section)
-        if "thread_efficiency" in overrides:
-            eff = overrides["thread_efficiency"]
-            if not isinstance(eff, dict):
-                raise ConfigError(f"{source}.cost_model.thread_efficiency: "
-                                  "expected an object")
-            overrides["thread_efficiency"] = {int(k): float(v)
-                                              for k, v in eff.items()}
-        scenario.cost_overrides = overrides
-
+        s.cost_overrides = _read(CostModel, doc["cost_model"],
+                                 at["cost_model"])
+        with located(at["cost_model"]):
+            s.cost_model()
     if "memory" in doc:
-        section = doc["memory"]
-        _require(section, f"{source}.memory", [], _MEMORY_KEYS)
-        scenario.memory = MemoryModel(**{k: int(v) for k, v in section.items()})
-
+        s.memory = _build(MemoryModel, doc["memory"], at["memory"])
     if "mesh" in doc:
-        section = doc["mesh"]
-        _require(section, f"{source}.mesh", ["panel_size", "levels"], [])
-        try:
-            scenario.mesh = build_mesh(
-                _number(section, f"{source}.mesh", "panel_size", int),
-                _number(section, f"{source}.mesh", "levels", int))
-        except ValueError as exc:
-            raise ConfigError(f"{source}.mesh: {exc}") from exc
-
+        mesh = _read(_Mesh, doc["mesh"], at["mesh"])
+        with located(at["mesh"]):
+            s.mesh = build_mesh(mesh["panel_size"], mesh["levels"])
     if "layout" in doc:
-        section = doc["layout"]
-        _require(section, f"{source}.layout",
-                 ["nodes", "ranks_per_node", "threads_per_rank"],
-                 [k for k in _LAYOUT_KEYS
-                  if k not in ("nodes", "ranks_per_node", "threads_per_rank")])
-        if "mode" in section and section["mode"] not in \
-                [m.value for m in Mode]:
-            raise ConfigError(f"{source}.layout.mode: unknown mode "
-                              f"{section['mode']!r}")
-        scenario.layout = dict(section)
-
+        s.layout = _read(RunSpec, doc["layout"], at["layout"], _SUPPLIED)
+        if s.machine is not None and s.mesh is not None:
+            with located(at["layout"]):
+                s.run_spec()
     if "grid" in doc:
-        section = doc["grid"]
-        _require(section, f"{source}.grid", ["points"], ["threads"])
-        points = []
-        for idx, pt in enumerate(section["points"]):
-            pw = f"{source}.grid.points[{idx}]"
-            _require(pt, pw, ["panel_size", "nodes"], ["levels"])
-            points.append({k: _number(pt, pw, k, int) for k in pt})
-        threads = [int(t) for t in section.get("threads", [])]
-        scenario.grid = GridSpec(points=points, threads=threads)
-
+        s.grid = _build(GridSpec, doc["grid"], at["grid"])
+        if not s.grid.points:
+            raise ConfigError(f"{at['grid']}.points: expected a non-empty "
+                              "list")
     if "schedule" in doc:
-        scenario.schedule = _parse_schedule(doc["schedule"],
-                                            f"{source}.schedule")
-
+        s.schedule = _build(DiagnosticSchedule, doc["schedule"],
+                            at["schedule"])
     if "io_scenario" in doc:
-        section = doc["io_scenario"]
-        required = ["clients", "servers_level1", "servers_level2", "pools",
-                    "buffer_bytes", "base_write_rate", "striping_factor",
-                    "files", "compute_rate"]
-        _require(section, f"{source}.io_scenario", required,
-                 [k for k in _IO_KEYS if k not in required])
-        if scenario.schedule is None:
-            raise ConfigError(f"{source}.io_scenario: requires a schedule "
+        if s.schedule is None:
+            raise ConfigError(f"{at['io_scenario']}: requires a schedule "
                               "section")
-        kwargs = dict(section)
-        try:
-            scenario.io_scenario = IoScenario(schedule=scenario.schedule,
-                                              **kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"{source}.io_scenario: {exc}") from exc
-
+        s.io_scenario = _build(IoScenario, doc["io_scenario"],
+                               at["io_scenario"], schedule=s.schedule)
     if "sweep" in doc:
-        section = doc["sweep"]
-        _require(section, f"{source}.sweep", [], _SWEEP_KEYS)
-        for axis, values in section.items():
-            if not isinstance(values, list) or not values:
-                raise ConfigError(f"{source}.sweep.{axis}: expected a "
+        s.sweep = _read(_Sweep, doc["sweep"], at["sweep"])
+        for axis, values in s.sweep.items():
+            if not values:
+                raise ConfigError(f"{at['sweep']}.{axis}: expected a "
                                   "non-empty list")
-        scenario.sweep = {axis: list(values)
-                         for axis, values in section.items()}
-
-    return scenario
+            for k, value in enumerate(values):
+                with located(f"{at['sweep']}.{axis}[{k}]"):
+                    _vary(s, axis, value)
+    return s
 
 
 def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return parse_scenario(doc, source=path.name)
 
 
 def canonical_dict(scenario: Scenario) -> Dict[str, Any]:
     """Canonical plain-dict form; parse(canonical_dict(s)) == s."""
-    doc: Dict[str, Any] = {}
-    if scenario.machine is not None:
-        m = scenario.machine
-        doc["machine"] = {k: getattr(m, k) for k in _MACHINE_KEYS}
-    if scenario.cost_overrides:
-        overrides = dict(scenario.cost_overrides)
-        if "thread_efficiency" in overrides:
-            overrides["thread_efficiency"] = {
-                str(k): v for k, v in overrides["thread_efficiency"].items()}
-        doc["cost_model"] = overrides
-    if scenario.memory is not None:
-        doc["memory"] = {k: getattr(scenario.memory, k) for k in _MEMORY_KEYS}
-    if scenario.mesh is not None:
-        doc["mesh"] = {"panel_size": scenario.mesh.panel_size,
-                       "levels": scenario.mesh.levels}
-    if scenario.layout is not None:
-        doc["layout"] = dict(scenario.layout)
-    if scenario.grid is not None:
-        doc["grid"] = {"points": scenario.grid.points,
-                       "threads": scenario.grid.threads}
-    if scenario.schedule is not None:
-        doc["schedule"] = {
-            "run_hours": scenario.schedule.run_hours,
-            "entries": [{"field_count": e.field_count,
-                         "period_hours": e.period_hours,
-                         "bytes_per_field": e.bytes_per_field}
-                        for e in scenario.schedule.entries]}
-    if scenario.io_scenario is not None:
-        io = scenario.io_scenario
-        doc["io_scenario"] = {k: getattr(io, k) for k in _IO_KEYS
-                              if getattr(io, k) is not None}
-    if scenario.sweep:
-        doc["sweep"] = {k: list(v) for k, v in scenario.sweep.items()}
-    return doc
+    s = scenario
+    sections = {
+        "machine": s.machine, "cost_model": s.cost_overrides or None,
+        "memory": s.memory, "mesh": s.mesh and _emit(_Mesh, s.mesh),
+        "layout": s.layout, "grid": s.grid, "schedule": s.schedule,
+        "io_scenario": s.io_scenario and _emit(IoScenario, s.io_scenario,
+                                               frozenset({"schedule"})),
+        "sweep": s.sweep or None}
+    return {key: _plain(value) for key, value in sections.items()
+            if value is not None}
 
 
 def dump_scenario(scenario: Scenario) -> str:

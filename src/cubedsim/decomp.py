@@ -38,10 +38,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from .errors import CubedsimError
 from .mesh import EAST, NORTH, PANELS, SOUTH, WEST, CellId, CubedSphereMesh
 
 
-class DecompositionError(ValueError):
+class DecompositionError(CubedsimError, ValueError):
     """Invalid partition request."""
 
 
@@ -187,10 +188,6 @@ class ExchangePattern:
     def total_bytes(self) -> int:
         return sum(m.bytes for m in self.messages)
 
-    @property
-    def total_cells(self) -> int:
-        return sum(m.cells for m in self.messages)
-
     def bytes_out(self, rank: int) -> int:
         return sum(m.bytes for m in self.messages if m.src == rank)
 
@@ -262,7 +259,8 @@ def local_area(mesh: CubedSphereMesh, total_cores: int) -> Fraction:
     return Fraction(mesh.total_horizontal_cells, total_cores)
 
 
-def _check_depth(mesh: CubedSphereMesh, depth: int) -> None:
+def check_halo_depth(mesh: CubedSphereMesh, depth: int) -> None:
+    """Halos are 1 to panel-size cells deep."""
     if depth < 1:
         raise DecompositionError(f"halo depth must be >= 1, got {depth}")
     if depth > mesh.panel_size:
@@ -298,7 +296,7 @@ def _rank_rings(mesh: CubedSphereMesh, decomp: Decomposition, rank: int,
 def compute_halos(mesh: CubedSphereMesh, decomp: Decomposition,
                   depth: int = 1) -> Decomposition:
     """Fill per-rank halo rings up to `depth` by frontier expansion."""
-    _check_depth(mesh, depth)
+    check_halo_depth(mesh, depth)
     all_halos = tuple(_rank_rings(mesh, decomp, rank, depth)
                       for rank in range(decomp.ranks))
     return replace(decomp, halo_depth=depth, halos=all_halos)
@@ -509,7 +507,7 @@ def halo_counts(mesh: CubedSphereMesh, decomp: Decomposition,
     has 2(w+h) + 4(k-1) cells.  Blocks near a cube corner take the
     frontier expansion, and a decomposition without a block grid takes
     `compute_halos`."""
-    _check_depth(mesh, depth)
+    check_halo_depth(mesh, depth)
     if decomp.grid is None:
         return HaloCounts(compute_halos(mesh, decomp, depth), depth, [], {})
     # every panel has the same block grid, and every panel corner is a
@@ -523,16 +521,6 @@ def halo_counts(mesh: CubedSphereMesh, decomp: Decomposition,
                     for rank in range(decomp.ranks)
                     if closed[rank % per_panel] is None}
     return HaloCounts(decomp, depth, closed, corner_rings)
-
-
-def redundant_compute_extent(decomp: Decomposition) -> Dict[int, int]:
-    """Extra cells each rank computes instead of receiving."""
-    if decomp.mode is not Mode.REDUNDANT_COMPUTE:
-        raise DecompositionError(
-            "redundant_compute_extent requires redundant-compute mode")
-    if decomp.halos is None:
-        raise DecompositionError("halos not computed")
-    return {rank: decomp.halo_count(rank) for rank in range(decomp.ranks)}
 
 
 def summary_csv(decomp: Decomposition, pattern: ExchangePattern) -> str:

@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from . import decomp as dc
+from .errors import ConfigError, CubedsimError
 from .machine import (CostModel, MachineConfig, MemoryModel,
                       default_cost_model, validate_layout)
 from .mesh import CubedSphereMesh
 
 
-class SimulationError(ValueError):
+class SimulationError(CubedsimError, ValueError):
     """Invalid run specification."""
 
 
@@ -30,7 +31,7 @@ class MemoryLimitError(SimulationError):
     """Configuration exceeds the per-node memory guard."""
 
 
-class TableMismatchError(ValueError):
+class TableMismatchError(ConfigError):
     """Ratio requested between tables with different axes."""
 
 
@@ -49,14 +50,19 @@ class RunSpec:
     memory: MemoryModel = field(default_factory=MemoryModel)
 
     def __post_init__(self):
-        if self.nodes < 1:
-            raise SimulationError(f"nodes must be >= 1, got {self.nodes}")
+        if not 1 <= self.nodes <= self.machine.max_nodes:
+            raise SimulationError(f"nodes must be in 1..max_nodes "
+                                  f"{self.machine.max_nodes}, got {self.nodes}")
         if self.timesteps < 1:
             raise SimulationError(f"timesteps must be >= 1, got {self.timesteps}")
         validate_layout(self.machine, self.ranks_per_node, self.threads_per_rank)
         if self.ranks > self.mesh.total_horizontal_cells:
             raise SimulationError(
                 f"{self.ranks} ranks exceed {self.mesh.total_horizontal_cells} cells")
+        dc.check_halo_depth(self.mesh, self.halo_depth)
+        if self.bytes_per_cell is not None and self.bytes_per_cell < 1:
+            raise SimulationError(
+                f"bytes_per_cell must be >= 1, got {self.bytes_per_cell}")
 
     @property
     def ranks(self) -> int:

@@ -38,13 +38,14 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import workload
+from .errors import CubedsimError
 from .workload import DiagnosticSchedule
 
 MIB = 1024.0 * 1024.0
 _EPS = 1e-6  # bytes; absorbs float rounding in buffer bookkeeping
 
 
-class IoConfigError(ValueError):
+class IoConfigError(CubedsimError, ValueError):
     """Invalid I/O scenario."""
 
 
@@ -52,7 +53,7 @@ class UnwritableFieldError(IoConfigError):
     """UNWRITABLE_FIELD: a single field share exceeds the client buffer."""
 
 
-class ServerMemoryError(RuntimeError):
+class ServerMemoryError(CubedsimError, RuntimeError):
     """OUT_OF_MEMORY: aggregate server-side staging exceeds the limit."""
 
 
@@ -164,7 +165,6 @@ class _StageOneResult:
 
 def _simulate_stage_one(chunks: Sequence[Tuple[float, float]], n_clients: int,
                         rate: float, cap: float, compute_rate: float,
-                        run_hours: float,
                         collect_arrivals: bool) -> _StageOneResult:
     """One server draining n identical clients.
 
@@ -312,7 +312,7 @@ def simulate_io(scenario: IoScenario) -> IoMetrics:
     for key in multiplicity:
         k, rate = key
         classes[key] = _simulate_stage_one(
-            chunks, k, rate, cap, scenario.compute_rate, sched.run_hours,
+            chunks, k, rate, cap, scenario.compute_rate,
             collect_arrivals=two_level)
 
     wait_total = 0.0
@@ -395,29 +395,27 @@ def buffer_sweep(scenario: IoScenario,
     return rows
 
 
+def with_servers(scenario: IoScenario, count: int) -> IoScenario:
+    """The scenario with `count` writing (level-2 if two-level) servers."""
+    if scenario.two_level:
+        return replace(scenario, servers_level2=count)
+    return replace(scenario, servers_level1=count, servers_level2=0)
+
+
 def server_sweep(scenario: IoScenario,
                  server_counts: Sequence[int]) -> List[Dict[str, object]]:
     """Sensitivity to the number of writing servers."""
     rows = []
     for count in server_counts:
-        if scenario.two_level:
-            s = replace(scenario, servers_level2=count)
-        else:
-            s = replace(scenario, servers_level1=count, servers_level2=0)
-        m = simulate_io(s)
+        m = simulate_io(with_servers(scenario, count))
         rows.append({"servers": count, **metrics_row(m)})
     return rows
 
 
 def pool_sweep(scenario: IoScenario,
                pool_counts: Sequence[int]) -> List[Dict[str, object]]:
-    """Sensitivity to pool count at a fixed total number of servers."""
-    writers = scenario.writer_count
-    for count in pool_counts:
-        if writers % count:
-            raise IoConfigError(
-                f"pool count {count} does not divide the {writers} "
-                f"writing servers")
+    """Sensitivity to pool count at a fixed total number of servers; the
+    scenario rejects a count that does not divide its writing servers."""
     rows = []
     for count in pool_counts:
         m = simulate_io(replace(scenario, pools=count))

@@ -11,17 +11,19 @@ scenario configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
+
+from .errors import CubedsimError
 
 GIB = 1024 ** 3
 
 
-class LayoutError(ValueError):
+class LayoutError(CubedsimError, ValueError):
     """ranks-per-node x threads-per-rank does not fill the node."""
 
 
-class MachineConfigError(ValueError):
+class MachineConfigError(CubedsimError, ValueError):
     """Inconsistent machine description."""
 
 
@@ -153,18 +155,9 @@ class CostModel:
 
 def default_cost_model(machine: Optional[MachineConfig] = None) -> CostModel:
     """Shipped calibration; user compute scales inversely with clock."""
-    base = CostModel()
     if machine is None:
-        return base
-    return replace(base, c_cell=base.c_cell * 2.0 / machine.clock_ghz)
-
-
-def mutex_heavy_cost_model(base: CostModel) -> CostModel:
-    """Alternate preset for runtimes with heavy lock/unlock overhead in
-    threaded regions; compiler differences are expressed only through
-    presets like this one."""
-    return replace(base, etc_fixed=base.etc_fixed * 4.0,
-                   barrier_cost=base.barrier_cost * 3.0)
+        return CostModel()
+    return CostModel(c_cell=CostModel.c_cell * 2.0 / machine.clock_ghz)
 
 
 @dataclass(frozen=True)

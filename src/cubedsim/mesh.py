@@ -29,13 +29,15 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, Iterator, NamedTuple, Tuple
 
+from .errors import CubedsimError
+
 PANELS = 6
 
 # direction codes: east, west, north, south
 EAST, WEST, NORTH, SOUTH = 0, 1, 2, 3
 
 
-class MeshError(ValueError):
+class MeshError(CubedsimError, ValueError):
     """Invalid mesh parameters."""
 
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
+from .errors import CubedsimError
+
 _EPS = 1e-9
 
 
-class ScheduleError(ValueError):
+class ScheduleError(CubedsimError, ValueError):
     """Invalid schedule parameters."""
 
 

@@ -1,9 +1,14 @@
 """Command line driver tests: exit codes, output files, determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubedsim.cli import main
 
@@ -147,3 +152,212 @@ def test_reruns_are_byte_identical(tmp_path):
         outputs.append({p.name: p.read_bytes()
                         for p in sorted(out.iterdir())})
     assert outputs[0] == outputs[1]
+
+
+# --- the exit-code contract ----------------------------------------------
+
+MINIMAL = json.loads((CONFIG_DIR / "minimal.json").read_text())
+IO_RIG = json.loads((CONFIG_DIR / "io-dev-rig.json").read_text())
+
+
+def edited(doc, **sections):
+    """`doc` with the given sections' keys replaced or added."""
+    doc = copy.deepcopy(doc)
+    for section, keys in sections.items():
+        doc[section] = dict(doc.get(section, {}), **keys)
+    return doc
+
+
+# (id, document, sweep axis or None, location, text the message holds)
+CONTRACT = [
+    ("cost-negative", edited(MINIMAL, cost_model={"c_cell": -1}), None,
+     "c.json.cost_model", "c_cell"),
+    ("efficiency-key", edited(MINIMAL, cost_model={
+        "thread_efficiency": {"x": 1.0}}), None,
+     "c.json.cost_model.thread_efficiency[x]", "integer key"),
+    ("memory-string", edited(MINIMAL, memory={"node_memory_bytes": "big"}),
+     None, "c.json.memory.node_memory_bytes", "integer"),
+    ("nodes-string", edited(MINIMAL, layout={"nodes": "3"}), None,
+     "c.json.layout.nodes", "integer"),
+    ("ranks-threads", edited(MINIMAL, layout={"ranks_per_node": 8,
+                                              "threads_per_rank": 4}),
+     None, "c.json.layout", "cores_per_node"),
+    ("depth-zero", edited(MINIMAL, layout={"halo_depth": 0}), None,
+     "c.json.layout", "halo depth"),
+    ("depth-too-deep", edited(MINIMAL, layout={"halo_depth": 99}), None,
+     "c.json.layout", "halo depth"),
+    ("bytes-zero", edited(MINIMAL, layout={"bytes_per_cell": 0}), None,
+     "c.json.layout", "bytes_per_cell"),
+    ("timesteps-fraction", edited(MINIMAL, layout={"timesteps": 1.5}), None,
+     "c.json.layout.timesteps", "integer"),
+    ("nodes-above-max", edited(MINIMAL, layout={"nodes": 6000}), None,
+     "c.json.layout", "max_nodes"),
+    ("ranks-above-cells", edited(MINIMAL, mesh={"panel_size": 2},
+                                 layout={"nodes": 4}), None,
+     "c.json.layout", "cells"),
+    ("grid-points-number", edited(MINIMAL, grid={"points": 5}), None,
+     "c.json.grid.points", "list"),
+    ("grid-threads", edited(MINIMAL, grid={
+        "points": [{"panel_size": 24, "nodes": 3}], "threads": [3]}), None,
+     "c.json.grid.points[0]", "threads_per_rank (3)"),
+    ("sweep-threads", edited(MINIMAL, sweep={"threads": [3]}), "threads",
+     "c.json.sweep.threads[0]", "cores_per_node"),
+    ("sweep-nodes-string", edited(MINIMAL, sweep={"nodes": ["a"]}), "nodes",
+     "c.json.sweep.nodes[0]", "integer"),
+    ("sweep-pools", edited(IO_RIG, sweep={"pools": [1, 3]}), "pools",
+     "c.json.sweep.pools[1]", "pools (3)"),
+    ("write-rate-string", edited(IO_RIG, io_scenario={
+        "base_write_rate": "fast"}), None,
+     "c.json.io_scenario.base_write_rate", "number"),
+    ("clients-fraction", edited(IO_RIG, io_scenario={"clients": 8.5}), None,
+     "c.json.io_scenario.clients", "integer"),
+]
+
+
+@pytest.mark.parametrize("doc,axis,location,text",
+                         [case[1:] for case in CONTRACT],
+                         ids=[case[0] for case in CONTRACT])
+def test_config_problem_exits_2_naming_its_location(tmp_path, capsys, doc,
+                                                    axis, location, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = ["sweep", "--axis", axis] if axis else ["run"]
+    code = run_cli(*argv, "--config", str(cfg), "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {location}: ")
+    assert text in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    # a field share larger than the client buffer
+    edited(IO_RIG, io_scenario={"buffer_bytes": 1024}),
+    # two-level staging beyond the server memory
+    edited(IO_RIG, io_scenario={"servers_level1": 2, "servers_level2": 2,
+                                "server_memory_bytes": 1}),
+], ids=["unwritable-field", "staging-overflow"])
+def test_io_simulation_failure_exits_3(tmp_path, capsys, doc):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("extra", [["--repeat", "0"], ["--repeat", "-1"],
+                                   ["--repeat", "x"], ["--seed", "1"]])
+def test_argument_errors_exit_2(tmp_path, extra):
+    with pytest.raises(SystemExit) as info:
+        run_cli("run", "--config", str(CONFIG_DIR / "minimal.json"),
+                "--out", str(tmp_path), *extra)
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("text", ["", "wall_clock_s,wait_pct\n"],
+                         ids=["empty", "header-only"])
+def test_report_rejects_tables_without_rows(tmp_path, capsys, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    good = tmp_path / "a"
+    run_cli("run", "--config", str(CONFIG_DIR / "io-dev-rig.json"),
+            "--out", str(good))
+    capsys.readouterr()
+    code = run_cli("report", str(good / "io.csv"), str(bad),
+                   "--out", str(tmp_path / "r"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+def test_out_path_on_a_file_exits_2(tmp_path, capsys, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / below if below else blocker
+    code = run_cli("run", "--config", str(CONFIG_DIR / "minimal.json"),
+                   "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
+    assert blocker.read_text() == ""
+
+
+# --- any malformed input: exit 0, 2 or 3, never a traceback ----------------
+
+SMALL_GRID = {
+    "machine": {"builtin": "XC40"},
+    "mesh": {"panel_size": 6, "levels": 4},
+    "layout": {"nodes": 1, "ranks_per_node": 36, "threads_per_rank": 1,
+               "halo_depth": 2, "mode": "redundant_compute"},
+    "cost_model": {"thread_efficiency": {"1": 1.0, "2": 0.9}},
+    "grid": {"points": [{"panel_size": 6, "nodes": 1},
+                        {"panel_size": 12, "nodes": 2, "levels": 5}],
+             "threads": [1, 2]},
+}
+SMALL_SWEEP = {
+    "machine": {"builtin": "XC40"},
+    "mesh": {"panel_size": 8, "levels": 4},
+    "memory": {"node_memory_bytes": 2 ** 36},
+    "layout": {"nodes": 1, "ranks_per_node": 36, "threads_per_rank": 1,
+               "timesteps": 24, "bytes_per_cell": 96},
+    "sweep": {"threads": [1, 2, 4], "nodes": [1, 2]},
+}
+# (document, argv before --config)
+MUTABLE = [(MINIMAL, ["run"]), (IO_RIG, ["run"]), (SMALL_GRID, ["run"]),
+           (SMALL_SWEEP, ["sweep", "--axis", "threads"]),
+           (SMALL_SWEEP, ["sweep", "--axis", "nodes"])]
+ODD_VALUES = [-1, 0, 0.5, "x", True, None, [], {}]
+
+
+def _paths(node, prefix=()):
+    """The path of every value under `node`, with whether it is an object."""
+    yield prefix, isinstance(node, dict)
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutations(draw):
+    doc, argv = draw(st.sampled_from(MUTABLE))
+    doc = copy.deepcopy(doc)
+    paths = list(_paths(doc))
+    action = draw(st.sampled_from(("drop", "add", "set")))
+    if action == "add":
+        path = draw(st.sampled_from([p for p, is_object in paths if is_object]))
+    else:
+        path = draw(st.sampled_from([p for p, _ in paths[1:]]))
+    target = doc
+    for key in path[:-1] if action != "add" else path:
+        target = target[key]
+    if action == "drop":
+        del target[path[-1]]
+    elif action == "add":
+        target["unknown"] = draw(st.sampled_from(ODD_VALUES))
+    else:
+        target[path[-1]] = draw(st.sampled_from(ODD_VALUES))
+    return doc, argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutations())
+def test_mutated_configs_exit_0_2_or_3(case):
+    doc, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.json"
+        cfg.write_text(json.dumps(doc))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = run_cli(*argv, "--config", str(cfg), "--out", str(out))
+        assert code in (0, 2, 3)
+        if code:
+            # a config problem names its place; a simulation failure its cause
+            assert err.getvalue().startswith(
+                "error: c.json" if code == 2 else "error: ")
+            assert not out.exists()

@@ -129,3 +129,63 @@ def test_sweep_section_validation():
         parse_scenario({"sweep": {"voltage": [1, 2]}})
     with pytest.raises(ConfigError, match="sweep.nodes"):
         parse_scenario({"sweep": {"nodes": []}})
+
+
+def test_library_errors_get_one_location():
+    with pytest.raises(ConfigError) as info:
+        parse_scenario({"mesh": {"panel_size": 0, "levels": 10}})
+    assert str(info.value) == "config.mesh: panel_size must be >= 1, got 0"
+    with pytest.raises(ConfigError) as info:
+        parse_scenario({"mesh": {"panel_size": "big", "levels": 10}})
+    assert str(info.value) == \
+        "config.mesh.panel_size: expected an integer, got 'big'"
+
+
+@pytest.mark.parametrize("value", [True, None, [], {}, float("nan"),
+                                   float("inf"), 10 ** 400, "1"])
+def test_float_fields_take_finite_numbers_only(value):
+    doc = json.loads(open(f"{CONFIG_DIR}/io-dev-rig.json").read())
+    doc["io_scenario"]["compute_rate"] = value
+    with pytest.raises(ConfigError, match="io_scenario.compute_rate"):
+        parse_scenario(doc)
+
+
+def test_layout_and_grid_round_trip_with_defaults_left_out():
+    doc = {"machine": {"builtin": "xc40"},
+           "mesh": {"panel_size": 12, "levels": 8},
+           "layout": {"nodes": 2, "ranks_per_node": 18, "threads_per_rank": 2,
+                      "mode": "redundant_compute", "bytes_per_cell": 64},
+           "grid": {"points": [{"panel_size": 12, "nodes": 2},
+                               {"panel_size": 24, "nodes": 8, "levels": 4}]}}
+    scenario = parse_scenario(doc)
+    run = scenario.run_spec()
+    assert run.mode.value == "redundant_compute"
+    assert (run.timesteps, run.halo_depth, run.bytes_per_cell) == (96, 1, 64)
+    assert scenario.grid.points[1].levels == 4
+    assert scenario.grid.points[0].levels is None
+    canonical = canonical_dict(scenario)
+    assert canonical["layout"] == doc["layout"]
+    assert canonical["grid"] == dict(doc["grid"], threads=[])
+    assert canonical_dict(parse_scenario(canonical)) == canonical
+
+
+def test_layout_checked_against_machine_and_mesh():
+    doc = {"machine": {"builtin": "archer2"},
+           "mesh": {"panel_size": 4, "levels": 8},
+           "layout": {"nodes": 1, "ranks_per_node": 64,
+                      "threads_per_rank": 2, "halo_depth": 5}}
+    with pytest.raises(ConfigError, match="config.layout: halo depth 5"):
+        parse_scenario(doc)
+    # without a mesh the layout waits for one (a grid point's)
+    del doc["mesh"]
+    assert parse_scenario(doc).layout["halo_depth"] == 5
+
+
+def test_sweep_values_checked_by_the_scenario_they_build():
+    doc = json.loads(open(f"{CONFIG_DIR}/io-dev-rig.json").read())
+    doc["sweep"] = {"servers": [1, 0]}
+    with pytest.raises(ConfigError, match=r"config.sweep.servers\[1\]"):
+        parse_scenario(doc)
+    doc["sweep"] = {"buffer_bytes": [0]}
+    with pytest.raises(ConfigError, match=r"config.sweep.buffer_bytes\[0\]"):
+        parse_scenario(doc)

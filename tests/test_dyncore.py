@@ -116,6 +116,25 @@ def test_run_spec_validation():
                 ranks_per_node=4, threads_per_rank=1)
 
 
+def test_run_spec_checks_machine_and_mesh_limits():
+    mesh = build_mesh(8, 10)
+    with pytest.raises(SimulationError, match="max_nodes"):
+        RunSpec(mesh=mesh, machine=TOY, nodes=65, ranks_per_node=4,
+                threads_per_rank=1)
+    with pytest.raises(dc.DecompositionError):
+        RunSpec(mesh=mesh, machine=TOY, nodes=1, ranks_per_node=4,
+                threads_per_rank=1, halo_depth=0)
+    with pytest.raises(dc.HaloDepthError):
+        RunSpec(mesh=mesh, machine=TOY, nodes=1, ranks_per_node=4,
+                threads_per_rank=1, halo_depth=9)
+    with pytest.raises(SimulationError, match="bytes_per_cell"):
+        RunSpec(mesh=mesh, machine=TOY, nodes=1, ranks_per_node=4,
+                threads_per_rank=1, bytes_per_cell=0)
+    edge = RunSpec(mesh=mesh, machine=TOY, nodes=64, ranks_per_node=4,
+                   threads_per_rank=1, halo_depth=8, bytes_per_cell=1)
+    assert edge.ranks == 256
+
+
 def test_memory_guard_trips_widest_single_thread_layout():
     archer2 = builtin_machine("archer2")
     mesh = build_mesh(1024, 120)

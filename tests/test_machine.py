@@ -7,8 +7,7 @@ import pytest
 from cubedsim.machine import (CostModel, LayoutError, MachineConfig,
                               MachineConfigError, MemoryModel,
                               builtin_machine, builtin_machines,
-                              default_cost_model, mutex_heavy_cost_model,
-                              validate_layout)
+                              default_cost_model, validate_layout)
 
 
 def test_builtin_preset_values():
@@ -89,14 +88,6 @@ def test_default_cost_model_clock_scaling():
     setonix = default_cost_model(builtin_machine("setonix"))
     assert setonix.c_cell == pytest.approx(1.6e-5 * 2.0 / 2.45)
     assert setonix.p2p_alpha == base.p2p_alpha
-
-
-def test_mutex_heavy_preset():
-    base = default_cost_model()
-    heavy = mutex_heavy_cost_model(base)
-    assert heavy.etc_fixed == base.etc_fixed * 4.0
-    assert heavy.barrier_cost == base.barrier_cost * 3.0
-    assert heavy.c_cell == base.c_cell
 
 
 def test_memory_model_closed_form():
