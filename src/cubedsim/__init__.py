@@ -12,8 +12,8 @@ from .workload import (DiagnosticSchedule, ScheduleEntry, c192_schedule,
                        emission_events, make_schedule, total_bytes,
                        total_fields)
 from .dyncore import (MemoryLimitError, RunSpec, SimulationError,
-                      TimestepBreakdown, ratio_report, simulate,
-                      strong_scaling_study, thread_sweep)
+                      TimestepBreakdown, simulate, strong_scaling_study,
+                      thread_sweep)
 from .iosim import (IoMetrics, IoScenario, IoConfigError, ServerMemoryError,
                     UnwritableFieldError, buffer_sweep, pool_sweep,
                     server_sweep, simulate_io, striping_compare)
@@ -38,3 +38,12 @@ __all__ = [
     "simulate_io", "striping_compare",
     "Scenario", "load_scenario", "parse_scenario",
 ]
+
+
+def __getattr__(name):
+    # the report layer lives in the command-line module, which is imported
+    # on first use so that `python -m cubedsim.cli` runs it only once
+    if name == "ratio_report":
+        from .cli import ratio_report
+        return ratio_report
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

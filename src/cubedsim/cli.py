@@ -28,9 +28,15 @@ from .config import Scenario, load_scenario
 from .errors import ConfigError, CubedsimError, located
 from .mesh import build_mesh
 
+
+class TableMismatchError(ConfigError):
+    """Tables combined by `report` differ in shape or axes."""
+
+
 DYNCORE_COLUMNS = ["panel_size", "nodes", "ranks", "threads",
                    "user_s", "p2p_s", "coll_s", "etc_s", "total_s"]
 IO_COLUMNS = ["wall_clock_s", "wait_pct", "write_rate_mib_s", "bytes_written"]
+AXIS_COLUMNS = ("panel_size", "nodes", "ranks", "threads")
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -59,19 +65,31 @@ def write_csv(path: Path, rows: Sequence[Dict[str, object]],
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _parse_cell(value: str) -> object:
+    try:
+        num = float(value)
+    except ValueError:
+        return value
+    return int(num) if num.is_integer() and "." not in value else num
+
+
 def read_csv(path: Path) -> List[Dict[str, object]]:
     rows = []
-    with open(path, newline="") as handle:
-        for raw in csv.DictReader(handle):
-            row: Dict[str, object] = {}
-            for key, value in raw.items():
-                try:
-                    num = float(value)
-                    row[key] = int(num) if num.is_integer() and "." not in value \
-                        else num
-                except ValueError:
-                    row[key] = value
-            rows.append(row)
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            for fields in reader:
+                if not fields:
+                    continue
+                if len(fields) != len(header):
+                    raise ConfigError(
+                        f"{path}: line {reader.line_num} has {len(fields)} "
+                        f"fields, the header {len(header)}")
+                rows.append({key: _parse_cell(value)
+                             for key, value in zip(header, fields)})
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path}: not a readable CSV file: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     return rows
@@ -107,10 +125,18 @@ def _io_summary(row: Dict[str, object]) -> str:
 
 
 def _stats_rows(samples: List[List[Dict[str, object]]],
-                columns: Sequence[str]) -> List[Dict[str, object]]:
-    """Per-cell mean and standard deviation across repeated tables."""
+                columns: Sequence[str],
+                names: Sequence[str]) -> List[Dict[str, object]]:
+    """Per-cell mean and standard deviation across repeated tables; an
+    error names the first table, by `names`, whose shape differs."""
+    first = samples[0]
+    for name, sample in zip(names, samples):
+        if len(sample) != len(first) or list(sample[0]) != list(first[0]):
+            raise TableMismatchError(
+                f"{name}: {len(sample)} rows of {list(sample[0])}, expected "
+                f"{len(first)} rows of {list(first[0])}")
     out = []
-    for row_idx in range(len(samples[0])):
+    for row_idx in range(len(first)):
         row: Dict[str, object] = {}
         for col in columns:
             values = [s[row_idx][col] for s in samples]
@@ -119,6 +145,31 @@ def _stats_rows(samples: List[List[Dict[str, object]]],
                 row[f"{col}_std"] = statistics.pstdev(values)
             else:
                 row[col] = values[0]
+        out.append(row)
+    return out
+
+
+def ratio_report(table_a: Sequence[Dict[str, object]],
+                 table_b: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
+    """Elementwise a/b over the time columns; values above one mean the
+    b table is faster.  Tables must share their configuration axes."""
+    if len(table_a) != len(table_b):
+        raise TableMismatchError(
+            f"tables have {len(table_a)} vs {len(table_b)} rows")
+    out: List[Dict[str, object]] = []
+    for ra, rb in zip(table_a, table_b):
+        axes_a = {k: ra[k] for k in AXIS_COLUMNS if k in ra}
+        axes_b = {k: rb[k] for k in AXIS_COLUMNS if k in rb}
+        if axes_a != axes_b:
+            raise TableMismatchError(f"axis mismatch: {axes_a} vs {axes_b}")
+        row = dict(axes_a)
+        for key, va in ra.items():
+            if key in AXIS_COLUMNS or isinstance(va, bool) \
+                    or not isinstance(va, (int, float)):
+                continue
+            vb = rb.get(key)
+            if isinstance(vb, (int, float)) and not isinstance(vb, bool):
+                row[key] = va / vb if vb else float("inf")
         out.append(row)
     return out
 
@@ -157,7 +208,7 @@ def cmd_run(args) -> int:
     samples = [rows_fn() for _ in range(args.repeat)]
     write_csv(out / csv_name, samples[0], columns)
     if args.repeat > 1:
-        stats = _stats_rows(samples, columns)
+        stats = _stats_rows(samples, columns, [csv_name] * args.repeat)
         write_csv(out / stats_name, stats, list(stats[0]))
     _write_atomic(out / "summary.txt", summary(samples[0][0]))
     print(f"wrote {out / csv_name}")
@@ -202,11 +253,10 @@ def cmd_report(args) -> int:
     if len(tables) < 2:
         raise ConfigError("report needs at least two input CSVs")
     if len(tables) == 2:
-        rows = dyncore.ratio_report(tables[0], tables[1])
+        rows = ratio_report(tables[0], tables[1])
         name = "ratio.csv"
     else:
-        columns = list(tables[0][0])
-        rows = _stats_rows(tables, columns)
+        rows = _stats_rows(tables, list(tables[0][0]), args.inputs)
         name = "stats.csv"
     write_csv(out / name, rows, list(rows[0]))
     print(f"wrote {out / name}")

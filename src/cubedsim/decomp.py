@@ -17,14 +17,13 @@ all the cost model needs, without building cell sets where a closed form
 exists.  Away from the eight cube corners the surface around a block
 unfolds flat, so ring k of a w x h block has 2(w+h) + 4(k-1) cells: four
 straight strips, each split into rectangles on the block's own panel and
-on the panel across an edge (reached by an affine map read off the
-mesh's edge stitching), plus d(d-1)/2 diagonal cells per block corner at
-depth d.  Per-owner counts of a rectangle are overlaps with the
-block-offset intervals.  Blocks whose depth-d neighbourhood reaches a cube corner,
-and every span decomposition, take the frontier expansion of
-`compute_halos` instead.  `compute_halos` followed by `exchange_pattern`
-keeps every halo cell and is the reference the counts are tested
-against.
+on the panel across an edge (reached through `mesh.fold`), plus d(d-1)/2
+diagonal cells per block corner at depth d.  Per-owner counts of a
+rectangle are overlaps with the block-offset intervals.  Blocks whose
+depth-d neighbourhood reaches a cube corner, and every span
+decomposition, take the frontier expansion of `compute_halos` instead.
+`compute_halos` followed by `exchange_pattern` keeps every halo cell and
+is the reference the counts are tested against.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from functools import cached_property
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import CubedsimError
-from .mesh import EAST, NORTH, PANELS, SOUTH, WEST, CellId, CubedSphereMesh
+from .mesh import PANELS, CellId, CubedSphereMesh
 
 
 class DecompositionError(CubedsimError, ValueError):
@@ -337,54 +336,6 @@ def exchange_pattern(decomp: Decomposition,
     return ExchangePattern(messages=messages, bytes_per_cell=bytes_per_cell)
 
 
-# (di, dj) of one step in each direction, indexed by the mesh's codes
-_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
-
-def _edge_maps(mesh: CubedSphereMesh):
-    """Per panel and direction, the affine map that carries cells beyond
-    that panel edge onto the panel across it, read off the mesh's edge
-    stitching.  An entry (panel, origin, along, inward) sends the cell s
-    steps beyond the edge, next to edge cell k, to
-    origin + k * along + s * inward on that panel."""
-    n = mesh.panel_size
-    span = max(n - 1, 1)
-    maps = []
-    for panel in range(PANELS):
-        row = []
-        # first and last cell along each edge, in the mesh's direction order
-        for direction, head, tail in ((EAST, (n - 1, 0), (n - 1, n - 1)),
-                                      (WEST, (0, 0), (0, n - 1)),
-                                      (NORTH, (0, n - 1), (n - 1, n - 1)),
-                                      (SOUTH, (0, 0), (n - 1, 0))):
-            first = CellId(panel, *head)
-            origin = mesh.neighbors(first)[direction]
-            end = mesh.neighbors(CellId(panel, *tail))[direction]
-            di, dj = _STEPS[mesh.neighbors(origin).index(first)]
-            row.append((origin.panel, (origin.i, origin.j),
-                        ((end.i - origin.i) // span, (end.j - origin.j) // span),
-                        (-di, -dj)))
-        maps.append(row)
-    return maps
-
-
-def _fold(maps, n: int, panel: int, i: int, j: int) -> Tuple[int, int, int]:
-    """(panel, i, j) of the cell at (i, j) in `panel`'s coordinates
-    extended past its edges; (i, j) may lie beyond one edge, not two."""
-    if i >= n:
-        direction, s, k = EAST, i - n, j
-    elif i < 0:
-        direction, s, k = WEST, -1 - i, j
-    elif j >= n:
-        direction, s, k = NORTH, j - n, i
-    elif j < 0:
-        direction, s, k = SOUTH, -1 - j, i
-    else:
-        return panel, i, j
-    other, (oi, oj), (ai, aj), (wi, wj) = maps[panel][direction]
-    return other, oi + k * ai + s * wi, oj + k * aj + s * wj
-
-
 def _overlaps(offsets: Sequence[int], a: int, b: int) -> Iterator[Tuple[int, int]]:
     """(block index, cells in common) of each block interval meeting [a, b)."""
     if a >= b:
@@ -402,13 +353,14 @@ def _near_corner(block: Block, n: int, depth: int) -> bool:
     return min(block.i0, n - block.i1) + min(block.j0, n - block.j1) + 2 <= depth
 
 
-def _block_owners(decomp: Decomposition, maps, rank: int,
+def _block_owners(decomp: Decomposition, rank: int,
                   depth: int) -> Dict[int, int]:
     """Halo cells per owner rank of a block away from the cube corners:
     four strips of `depth` rows along the block sides, each split into
     its part on the block's panel and its part across the panel edge,
     plus the diagonal cells off the block corners counted one by one."""
-    n = decomp.mesh.panel_size
+    mesh = decomp.mesh
+    n = mesh.panel_size
     i_off, j_off = decomp.grid
     p, q = len(i_off) - 1, len(j_off) - 1
     block = decomp.domains[rank]
@@ -433,8 +385,8 @@ def _block_owners(decomp: Decomposition, maps, rank: int,
                            (i0, i1, j0 - depth, min(j0, 0))):
         if ia >= ib or ja >= jb:
             continue
-        other, xa, ya = _fold(maps, n, panel, ia, ja)
-        _, xb, yb = _fold(maps, n, panel, ib - 1, jb - 1)
+        other, xa, ya = mesh.fold(panel, ia, ja)
+        _, xb, yb = mesh.fold(panel, ib - 1, jb - 1)
         for kj, cj in _overlaps(j_off, min(ya, yb), max(ya, yb) + 1):
             base = (other * q + kj) * p
             for ki, ci in _overlaps(i_off, min(xa, xb), max(xa, xb) + 1):
@@ -443,7 +395,7 @@ def _block_owners(decomp: Decomposition, maps, rank: int,
         for dy in range(1, depth - dx + 1):
             for i, j in ((i1 - 1 + dx, j1 - 1 + dy), (i0 - dx, j1 - 1 + dy),
                          (i0 - dx, j0 - dy), (i1 - 1 + dx, j0 - dy)):
-                owner = decomp.owner_of(CellId(*_fold(maps, n, panel, i, j)))
+                owner = decomp.owner_of(mesh.fold(panel, i, j))
                 counts[owner] = counts.get(owner, 0) + 1
     return counts
 
@@ -485,12 +437,11 @@ class HaloCounts(NamedTuple):
             raise DecompositionError("bytes_per_cell must be positive")
         if decomp.mode is Mode.REDUNDANT_COMPUTE:
             return ()
-        maps = _edge_maps(decomp.mesh)
         counts: Dict[Tuple[int, int], int] = {}
         for rank in range(decomp.ranks):
             rings = self.corner_rings.get(rank)
             if rings is None:
-                owners = _block_owners(decomp, maps, rank, self.depth)
+                owners = _block_owners(decomp, rank, self.depth)
             else:
                 owners = Counter(decomp.owner_of(cell)
                                  for ring in rings for cell in ring)

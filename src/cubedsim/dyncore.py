@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from . import decomp as dc
-from .errors import ConfigError, CubedsimError
+from .errors import CubedsimError
 from .machine import (CostModel, MachineConfig, MemoryModel,
                       default_cost_model, validate_layout)
 from .mesh import CubedSphereMesh
@@ -29,10 +29,6 @@ class SimulationError(CubedsimError, ValueError):
 
 class MemoryLimitError(SimulationError):
     """Configuration exceeds the per-node memory guard."""
-
-
-class TableMismatchError(ConfigError):
-    """Ratio requested between tables with different axes."""
 
 
 @dataclass(frozen=True)
@@ -217,31 +213,3 @@ def thread_sweep(mesh: CubedSphereMesh, machine: MachineConfig, nodes: int,
         row["best"] = (not flagged) and row["total_s"] == best_total
         flagged = flagged or row["best"]
     return rows
-
-
-AXIS_COLUMNS = ("panel_size", "nodes", "ranks", "threads")
-
-
-def ratio_report(table_a: Sequence[Dict[str, object]],
-                 table_b: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
-    """Elementwise a/b over the time columns; values above one mean the
-    b table is faster.  Tables must share their configuration axes."""
-    if len(table_a) != len(table_b):
-        raise TableMismatchError(
-            f"tables have {len(table_a)} vs {len(table_b)} rows")
-    out: List[Dict[str, object]] = []
-    for ra, rb in zip(table_a, table_b):
-        axes_a = {k: ra[k] for k in AXIS_COLUMNS if k in ra}
-        axes_b = {k: rb[k] for k in AXIS_COLUMNS if k in rb}
-        if axes_a != axes_b:
-            raise TableMismatchError(f"axis mismatch: {axes_a} vs {axes_b}")
-        row = dict(axes_a)
-        for key, va in ra.items():
-            if key in AXIS_COLUMNS or isinstance(va, bool) \
-                    or not isinstance(va, (int, float)):
-                continue
-            vb = rb.get(key)
-            if isinstance(vb, (int, float)) and not isinstance(vb, bool):
-                row[key] = va / vb if vb else float("inf")
-        out.append(row)
-    return out

@@ -171,6 +171,16 @@ class MemoryModel:
     rank_table_bytes_per_rank: int = 100_000
     fixed_rank_bytes: int = 100 * 1024 * 1024
 
+    def __post_init__(self):
+        if self.node_memory_bytes < 1:
+            raise MachineConfigError(f"node_memory_bytes must be >= 1, "
+                                     f"got {self.node_memory_bytes}")
+        for attr in ("words_per_cell_level", "rank_table_bytes_per_rank",
+                     "fixed_rank_bytes"):
+            if getattr(self, attr) < 0:
+                raise MachineConfigError(
+                    f"{attr} must be >= 0, got {getattr(self, attr)}")
+
     def node_bytes(self, ranks_per_node: int, cells_per_rank: int,
                    levels: int, total_ranks: int) -> int:
         per_rank = (cells_per_rank * levels * self.words_per_cell_level * 8

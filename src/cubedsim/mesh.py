@@ -11,7 +11,7 @@ Panels 0..3 form an equatorial ring (east edge of panel p meets the west
 edge of panel (p+1) % 4), panel 4 is the top cap and panel 5 the bottom
 cap.  Within a panel, ``i`` increases eastward and ``j`` northward.
 Cross-panel neighbours are derived by embedding each panel on a face of
-the cube [0,N]^3 and matching cell edges geometrically, which fixes the
+the cube [0,N]^3 and matching panel edges geometrically, which fixes the
 index orientation on every shared edge:
 
     panel 0 (front):  (i, j) -> (i,     0,     j)
@@ -64,25 +64,19 @@ def _corner(panel: int, i: int, j: int, n: int) -> Tuple[int, int, int]:
     raise MeshError(f"panel index out of range: {panel}")
 
 
-def _side_edge(panel: int, i: int, j: int, direction: int, n: int):
-    """Geometric key (unordered corner pair) of one side of cell (i, j)."""
-    if direction == EAST:
-        a, b = _corner(panel, i + 1, j, n), _corner(panel, i + 1, j + 1, n)
-    elif direction == WEST:
-        a, b = _corner(panel, i, j, n), _corner(panel, i, j + 1, n)
-    elif direction == NORTH:
-        a, b = _corner(panel, i, j + 1, n), _corner(panel, i + 1, j + 1, n)
-    else:
-        a, b = _corner(panel, i, j, n), _corner(panel, i + 1, j, n)
-    return (a, b) if a <= b else (b, a)
+# per direction, the (i, j) corners where that edge of a panel starts and
+# ends, the panel scaled to size one (the stitching does not depend on N);
+# along an edge, j runs east and west, i north and south
+_EDGE_ENDS = {EAST: ((1, 0), (1, 1)), WEST: ((0, 0), (0, 1)),
+              NORTH: ((0, 1), (1, 1)), SOUTH: ((0, 0), (1, 0))}
 
 
 class CubedSphereMesh:
     """Six-panel cubed-sphere mesh with 4-regular cell adjacency.
 
     Immutable after construction; safe to share between concurrently
-    evaluated scenarios.  Only the cross-panel boundary stitching is
-    materialized up front (O(N) storage); panel-interior neighbours are
+    evaluated scenarios.  Only the panel-edge stitching is materialized up
+    front, one entry per panel edge (24 in all); every neighbour is
     computed arithmetically on demand.
     """
 
@@ -93,29 +87,26 @@ class CubedSphereMesh:
             raise MeshError(f"levels must be >= 1, got {levels}")
         self.panel_size = panel_size
         self.levels = levels
-        self._cross = self._build_cross_panel_map()
+        self._edges = self._build_stitching()
 
-    def _build_cross_panel_map(self) -> Dict[Tuple[CellId, int], CellId]:
-        n = self.panel_size
-        by_edge: Dict[tuple, list] = {}
+    def _build_stitching(self) -> Dict[Tuple[int, int], Tuple[int, int, bool]]:
+        """Per (panel, direction) of an edge: the panel across it, that
+        panel's edge, and whether the two edges run the same way."""
+        by_edge: Dict[frozenset, list] = {}
         for panel in range(PANELS):
-            for k in range(n):
-                for cell, direction in (
-                    (CellId(panel, n - 1, k), EAST),
-                    (CellId(panel, 0, k), WEST),
-                    (CellId(panel, k, n - 1), NORTH),
-                    (CellId(panel, k, 0), SOUTH),
-                ):
-                    key = _side_edge(cell.panel, cell.i, cell.j, direction, n)
-                    by_edge.setdefault(key, []).append((cell, direction))
-        cross: Dict[Tuple[CellId, int], CellId] = {}
+            for direction, (a, b) in _EDGE_ENDS.items():
+                start, end = _corner(panel, *a, 1), _corner(panel, *b, 1)
+                by_edge.setdefault(frozenset((start, end)), []).append(
+                    (panel, direction, start))
+        edges = {}
         for key, holders in by_edge.items():
             if len(holders) != 2:
-                raise MeshError(f"panel stitching failed on edge {key}")
-            (ca, da), (cb, db) = holders
-            cross[(ca, da)] = cb
-            cross[(cb, db)] = ca
-        return cross
+                raise MeshError(
+                    f"panel stitching failed on edge {sorted(key)}")
+            (pa, da, sa), (pb, db, sb) = holders
+            edges[pa, da] = (pb, db, sa == sb)
+            edges[pb, db] = (pa, da, sa == sb)
+        return edges
 
     @property
     def total_horizontal_cells(self) -> int:
@@ -147,17 +138,36 @@ class CubedSphereMesh:
 
     def neighbors(self, cell: CellId) -> Tuple[CellId, ...]:
         """The four edge-adjacent cells, in (E, W, N, S) order."""
-        n = self.panel_size
         panel, i, j = cell
-        out = []
-        for di, dj, direction in ((1, 0, EAST), (-1, 0, WEST),
-                                  (0, 1, NORTH), (0, -1, SOUTH)):
-            ni, nj = i + di, j + dj
-            if 0 <= ni < n and 0 <= nj < n:
-                out.append(CellId(panel, ni, nj))
-            else:
-                out.append(self._cross[(cell, direction)])
-        return tuple(out)
+        if 0 < i < self.panel_size - 1 and 0 < j < self.panel_size - 1:
+            return (CellId(panel, i + 1, j), CellId(panel, i - 1, j),
+                    CellId(panel, i, j + 1), CellId(panel, i, j - 1))
+        return (self.fold(panel, i + 1, j), self.fold(panel, i - 1, j),
+                self.fold(panel, i, j + 1), self.fold(panel, i, j - 1))
+
+    def fold(self, panel: int, i: int, j: int) -> CellId:
+        """The cell at (i, j) in `panel`'s coordinates extended past its
+        edges, which may lie beyond one edge, up to N cells deep."""
+        n = self.panel_size
+        if i >= n:
+            direction, s, k = EAST, i - n, j
+        elif i < 0:
+            direction, s, k = WEST, -1 - i, j
+        elif j >= n:
+            direction, s, k = NORTH, j - n, i
+        elif j < 0:
+            direction, s, k = SOUTH, -1 - j, i
+        else:
+            return CellId(panel, i, j)
+        if not (0 <= k < n and s < n):
+            raise MeshError(
+                f"({i}, {j}) is not within one edge of panel {panel}")
+        other, edge, same = self._edges[panel, direction]
+        if not same:
+            k = n - 1 - k
+        # s cells in from the edge of `other`, k along it
+        return CellId(other, *((n - 1 - s, k), (s, k),
+                               (k, n - 1 - s), (k, s))[edge])
 
     @cached_property
     def adjacency(self) -> Dict[CellId, Tuple[CellId, ...]]:

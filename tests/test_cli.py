@@ -4,13 +4,17 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubedsim.cli import main
+import cubedsim
+from cubedsim.cli import TableMismatchError, main, ratio_report
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -131,6 +135,32 @@ def test_report_three_inputs_stats(tmp_path):
     assert "wall_clock_s_mean" in lines[0]
 
 
+def test_module_entry_point_warns_nothing():
+    # the package does not import the command-line module, so running it
+    # with -m executes it once, without runpy's double-import warning
+    src = Path(cubedsim.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "cubedsim.cli", "--help"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_ratio_report():
+    assert cubedsim.ratio_report is ratio_report
+    row_a = {"panel_size": 16, "nodes": 6, "ranks": 24, "threads": 1,
+             "user_s": 2.0, "p2p_s": 0.5, "total_s": 3.0}
+    row_b = dict(row_a, user_s=1.0, p2p_s=0.0, total_s=1.5)
+    rows = ratio_report([row_a], [row_b])
+    assert rows == [{"panel_size": 16, "nodes": 6, "ranks": 24, "threads": 1,
+                     "user_s": 2.0, "p2p_s": float("inf"), "total_s": 2.0}]
+    assert ratio_report([row_a], [row_a])[0]["total_s"] == 1.0
+    with pytest.raises(TableMismatchError):
+        ratio_report([row_a], [dict(row_a, ranks=12, threads=2)])
+    with pytest.raises(TableMismatchError):
+        ratio_report([row_a], [row_a, row_a])
+
+
 def test_report_too_few_inputs(tmp_path, capsys):
     out = tmp_path / "a"
     run_cli("run", "--config", str(CONFIG_DIR / "io-dev-rig.json"),
@@ -177,6 +207,8 @@ CONTRACT = [
      "c.json.cost_model.thread_efficiency[x]", "integer key"),
     ("memory-string", edited(MINIMAL, memory={"node_memory_bytes": "big"}),
      None, "c.json.memory.node_memory_bytes", "integer"),
+    ("memory-negative", edited(MINIMAL, memory={"node_memory_bytes": -1}),
+     None, "c.json.memory", "node_memory_bytes must be >= 1"),
     ("nodes-string", edited(MINIMAL, layout={"nodes": "3"}), None,
      "c.json.layout.nodes", "integer"),
     ("ranks-threads", edited(MINIMAL, layout={"ranks_per_node": 8,
@@ -256,11 +288,14 @@ def test_argument_errors_exit_2(tmp_path, extra):
     assert info.value.code == 2
 
 
-@pytest.mark.parametrize("text", ["", "wall_clock_s,wait_pct\n"],
-                         ids=["empty", "header-only"])
-def test_report_rejects_tables_without_rows(tmp_path, capsys, text):
+# no data rows, a row that does not fit the header, or bytes that are not text
+@pytest.mark.parametrize("data", [
+    b"", b"wall_clock_s,wait_pct\n", b"wall_clock_s,wait_pct\n1,2,3\n",
+    b"wall_clock_s,wait_pct\n1,2\n3\n", b"\xff\xfe",
+], ids=["empty", "header-only", "ragged-row", "short-row", "undecodable"])
+def test_report_rejects_tables_without_rows(tmp_path, capsys, data):
     bad = tmp_path / "bad.csv"
-    bad.write_text(text)
+    bad.write_bytes(data)
     good = tmp_path / "a"
     run_cli("run", "--config", str(CONFIG_DIR / "io-dev-rig.json"),
             "--out", str(good))
@@ -269,6 +304,27 @@ def test_report_rejects_tables_without_rows(tmp_path, capsys, text):
                    "--out", str(tmp_path / "r"))
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("odd", ["columns", "rows"])
+def test_report_rejects_tables_of_different_shape(tmp_path, capsys, odd):
+    io_csv = tmp_path / "a" / "io.csv"
+    run_cli("run", "--config", str(CONFIG_DIR / "io-dev-rig.json"),
+            "--out", str(io_csv.parent))
+    if odd == "columns":
+        run_cli("run", "--config", str(CONFIG_DIR / "minimal.json"),
+                "--out", str(tmp_path / "b"))
+        other = tmp_path / "b" / "dyncore.csv"
+    else:
+        header, row = io_csv.read_text().splitlines()
+        other = tmp_path / "long.csv"
+        other.write_text(f"{header}\n{row}\n{row}\n")
+    capsys.readouterr()
+    code = run_cli("report", str(io_csv), str(io_csv), str(other),
+                   "--out", str(tmp_path / "r"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {other}: ")
     assert not (tmp_path / "r").exists()
 
 

@@ -10,8 +10,8 @@ import pytest
 
 from cubedsim import decomp as dc
 from cubedsim.dyncore import (MemoryLimitError, RunSpec, SimulationError,
-                              TableMismatchError, breakdown_row, ratio_report,
-                              simulate, strong_scaling_study, thread_sweep)
+                              breakdown_row, simulate, strong_scaling_study,
+                              thread_sweep)
 from cubedsim.machine import (MachineConfig, MemoryModel, builtin_machine,
                               default_cost_model)
 from cubedsim.mesh import build_mesh
@@ -216,23 +216,6 @@ def test_clock_scaling_between_machines():
         results[name] = simulate(run)
     ratio = results["archer2"].user_s / results["setonix"].user_s
     assert ratio == pytest.approx(2.45 / 2.0, rel=1e-9)
-
-
-def test_ratio_report():
-    mesh = build_mesh(16, 10)
-    run_a = RunSpec(mesh=mesh, machine=TOY, nodes=6, ranks_per_node=4,
-                    threads_per_rank=1, memory=BIG_MEMORY)
-    run_b = RunSpec(mesh=mesh, machine=TOY, nodes=6, ranks_per_node=2,
-                    threads_per_rank=2, memory=BIG_MEMORY)
-    table_a = [breakdown_row(run_a, simulate(run_a))]
-    rows = ratio_report(table_a, table_a)
-    assert rows[0]["total_s"] == 1.0
-    assert rows[0]["user_s"] == 1.0
-    table_b = [breakdown_row(run_b, simulate(run_b))]
-    with pytest.raises(TableMismatchError):
-        ratio_report(table_a, table_b)  # different thread axis
-    with pytest.raises(TableMismatchError):
-        ratio_report(table_a, table_a + table_a)
 
 
 def test_simulate_is_deterministic():

@@ -98,6 +98,17 @@ def test_memory_model_closed_form():
     assert model.node_bytes(ranks_per_node, cells, levels, total) == expected
 
 
+@pytest.mark.parametrize("field,value", [
+    ("node_memory_bytes", 0), ("node_memory_bytes", -1),
+    ("words_per_cell_level", -1), ("rank_table_bytes_per_rank", -1),
+    ("fixed_rank_bytes", -1)])
+def test_memory_model_rejects_negative_sizes(field, value):
+    with pytest.raises(MachineConfigError, match=field):
+        MemoryModel(**{field: value})
+    assert MemoryModel(node_memory_bytes=1, words_per_cell_level=0,
+                       rank_table_bytes_per_rank=0, fixed_rank_bytes=0)
+
+
 def test_memory_model_rank_table_dominates_wide_runs():
     # fully populated single-thread layouts fail first because the
     # per-rank rank table grows with the total rank count

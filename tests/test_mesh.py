@@ -2,13 +2,15 @@
 
 The cross-panel expectations below are derived by hand from the cube
 unfolding (equatorial ring 0-3 west-to-east, panel 4 on top, panel 5 on
-the bottom), independently of the edge-matching code.
+the bottom), or from the 3-D corner embedding the mesh module documents,
+independently of the edge-matching code.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubedsim import mesh as mesh_module
 from cubedsim.mesh import CellId, CubedSphereMesh, MeshError, build_mesh
 
 
@@ -82,6 +84,75 @@ def test_cap_stitching_front_panel(n):
         assert north == CellId(4, k, 0)
         south = mesh.neighbors(CellId(0, k, 0))[3]
         assert south == CellId(5, k, n - 1)
+
+
+def cube_corner(panel, i, j, n):
+    """Where corner (i, j) of a panel grid lies on the cube [0, n]^3."""
+    return ((i, 0, j), (n, i, j), (n - i, n, j), (0, n - i, j), (i, j, n),
+            (i, n - j, 0))[panel]
+
+
+def cube_sides(cell, n):
+    """The sides of a cell on the cube in (E, W, N, S) order, each the
+    set of its two end corners."""
+    panel, i, j = cell
+
+    def side(a, b):
+        return frozenset((cube_corner(panel, *a, n),
+                          cube_corner(panel, *b, n)))
+
+    return (side((i + 1, j), (i + 1, j + 1)), side((i, j), (i, j + 1)),
+            side((i, j + 1), (i + 1, j + 1)), side((i, j), (i + 1, j)))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_neighbours_share_a_cell_side_on_the_cube(n):
+    mesh = build_mesh(n, 1)
+    crossings = 0
+    for cell in mesh.cells():
+        for side, nb in zip(cube_sides(cell, n), mesh.neighbors(cell)):
+            assert nb != cell and side in cube_sides(nb, n)
+            crossings += nb.panel != cell.panel
+    assert crossings == 24 * n
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_fold_walks_straight_past_every_edge(n):
+    mesh = build_mesh(n, 1)
+    for panel in range(6):
+        for k in range(n):
+            # direction, edge cell, and the point s steps past that edge
+            for direction, edge, past in (
+                    (0, (n - 1, k), lambda s: (n + s, k)),
+                    (1, (0, k), lambda s: (-1 - s, k)),
+                    (2, (k, n - 1), lambda s: (k, n + s)),
+                    (3, (k, 0), lambda s: (k, -1 - s))):
+                walk = [CellId(panel, *edge)] + \
+                    [mesh.fold(panel, *past(s)) for s in range(n)]
+                assert walk[1] == mesh.neighbors(walk[0])[direction]
+                assert len({cell.panel for cell in walk[1:]}) == 1
+                for back, here, ahead in zip(walk, walk[1:], walk[2:]):
+                    around = mesh.neighbors(here)
+                    # one step on, in the direction opposite the last one
+                    assert ahead in around
+                    assert around.index(ahead) == around.index(back) ^ 1
+
+
+def test_fold_rejects_points_beyond_one_edge():
+    mesh = build_mesh(4, 1)
+    assert mesh.fold(2, 1, 3) == CellId(2, 1, 3)
+    for i, j in ((4, 4), (-1, -1), (8, 0), (0, -5)):
+        with pytest.raises(MeshError):
+            mesh.fold(0, i, j)
+
+
+def test_stitching_rejects_an_embedding_with_unpaired_edges(monkeypatch):
+    corner = mesh_module._corner
+    # the bottom cap laid onto the top cap: its edges find three holders
+    monkeypatch.setattr(mesh_module, "_corner", lambda panel, i, j, n:
+                        corner(4 if panel == 5 else panel, i, j, n))
+    with pytest.raises(MeshError, match="stitching"):
+        build_mesh(3, 1)
 
 
 def test_n1_is_octahedron_like():
