@@ -8,15 +8,13 @@ from .decomp import (Decomposition, HaloDepthError, Mode, compute_halos,
 from .machine import (CostModel, LayoutError, MachineConfig, MemoryModel,
                       builtin_machine, builtin_machines, default_cost_model,
                       validate_layout)
-from .workload import (DiagnosticSchedule, ScheduleEntry, c192_schedule,
-                       emission_events, make_schedule, total_bytes,
-                       total_fields)
+from .workload import (DiagnosticSchedule, ScheduleEntry, emission_events,
+                       make_schedule, total_bytes, total_fields)
 from .dyncore import (MemoryLimitError, RunSpec, SimulationError,
                       TimestepBreakdown, simulate, strong_scaling_study,
                       thread_sweep)
 from .iosim import (IoMetrics, IoScenario, IoConfigError, ServerMemoryError,
-                    UnwritableFieldError, buffer_sweep, pool_sweep,
-                    server_sweep, simulate_io, striping_compare)
+                    UnwritableFieldError, simulate_io, striping_compare)
 from .config import Scenario, load_scenario, parse_scenario
 
 __version__ = "1.0.0"
@@ -29,13 +27,12 @@ __all__ = [
     "CostModel", "LayoutError", "MachineConfig", "MemoryModel",
     "builtin_machine", "builtin_machines", "default_cost_model",
     "validate_layout",
-    "DiagnosticSchedule", "ScheduleEntry", "c192_schedule",
-    "emission_events", "make_schedule", "total_bytes", "total_fields",
+    "DiagnosticSchedule", "ScheduleEntry", "emission_events",
+    "make_schedule", "total_bytes", "total_fields",
     "MemoryLimitError", "RunSpec", "SimulationError", "TimestepBreakdown",
     "ratio_report", "simulate", "strong_scaling_study", "thread_sweep",
     "IoMetrics", "IoScenario", "IoConfigError", "ServerMemoryError",
-    "UnwritableFieldError", "buffer_sweep", "pool_sweep", "server_sweep",
-    "simulate_io", "striping_compare",
+    "UnwritableFieldError", "simulate_io", "striping_compare",
     "Scenario", "load_scenario", "parse_scenario",
 ]
 

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence
 
 from . import dyncore, iosim
-from .config import Scenario, load_scenario
+from .config import SWEEP_AXES, Scenario, load_scenario, vary
 from .errors import ConfigError, CubedsimError, located
 from .mesh import build_mesh
 
@@ -124,19 +124,27 @@ def _io_summary(row: Dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_shape(tables: Sequence[Sequence[Dict[str, object]]],
+                 names: Sequence[str], columns: bool) -> None:
+    """Raise naming the first table, by `names`, whose row count (and,
+    with `columns`, whose header) differs from the first table's."""
+    first = tables[0]
+    for name, table in zip(names, tables):
+        if len(table) != len(first) \
+                or columns and list(table[0]) != list(first[0]):
+            raise TableMismatchError(
+                f"{name}: {len(table)} rows of {list(table[0])}, expected "
+                f"{len(first)} rows of {list(first[0])}")
+
+
 def _stats_rows(samples: List[List[Dict[str, object]]],
                 columns: Sequence[str],
                 names: Sequence[str]) -> List[Dict[str, object]]:
-    """Per-cell mean and standard deviation across repeated tables; an
-    error names the first table, by `names`, whose shape differs."""
-    first = samples[0]
-    for name, sample in zip(names, samples):
-        if len(sample) != len(first) or list(sample[0]) != list(first[0]):
-            raise TableMismatchError(
-                f"{name}: {len(sample)} rows of {list(sample[0])}, expected "
-                f"{len(first)} rows of {list(first[0])}")
+    """Per-cell mean and standard deviation across repeated tables of one
+    shape, named by `names`."""
+    _check_shape(samples, names, columns=True)
     out = []
-    for row_idx in range(len(first)):
+    for row_idx in range(len(samples[0])):
         row: Dict[str, object] = {}
         for col in columns:
             values = [s[row_idx][col] for s in samples]
@@ -150,18 +158,21 @@ def _stats_rows(samples: List[List[Dict[str, object]]],
 
 
 def ratio_report(table_a: Sequence[Dict[str, object]],
-                 table_b: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
+                 table_b: Sequence[Dict[str, object]],
+                 names: Sequence[str] = ("table a", "table b"),
+                 ) -> List[Dict[str, object]]:
     """Elementwise a/b over the time columns; values above one mean the
-    b table is faster.  Tables must share their configuration axes."""
-    if len(table_a) != len(table_b):
-        raise TableMismatchError(
-            f"tables have {len(table_a)} vs {len(table_b)} rows")
+    b table is faster.  Tables must share their row count and, row by
+    row, their configuration axes; an error names the odd table."""
+    _check_shape([table_a, table_b], names, columns=False)
     out: List[Dict[str, object]] = []
-    for ra, rb in zip(table_a, table_b):
+    for number, (ra, rb) in enumerate(zip(table_a, table_b), start=1):
         axes_a = {k: ra[k] for k in AXIS_COLUMNS if k in ra}
         axes_b = {k: rb[k] for k in AXIS_COLUMNS if k in rb}
         if axes_a != axes_b:
-            raise TableMismatchError(f"axis mismatch: {axes_a} vs {axes_b}")
+            raise TableMismatchError(
+                f"{names[1]}: row {number} has axes {axes_b}, {names[0]} "
+                f"{axes_a}")
         row = dict(axes_a)
         for key, va in ra.items():
             if key in AXIS_COLUMNS or isinstance(va, bool) \
@@ -215,10 +226,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-_IO_SWEEPS = {"buffer_bytes": iosim.buffer_sweep, "servers": iosim.server_sweep,
-              "pools": iosim.pool_sweep}
-
-
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.config)
     axis = args.axis
@@ -226,21 +233,23 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"{scenario.source}.sweep: no axis {axis!r} "
                           f"(available: {sorted(scenario.sweep) or 'none'})")
     values = scenario.sweep[axis]
-    if axis in _IO_SWEEPS:
-        rows = _IO_SWEEPS[axis](scenario.io_scenario, values)
-        columns = [axis] + IO_COLUMNS
-    elif axis == "threads":
+    if axis == "threads":
         run = scenario.run_spec()
         rows = dyncore.thread_sweep(run.mesh, run.machine, run.nodes, values,
                                     cost=run.cost_model, memory=run.memory)
         columns = DYNCORE_COLUMNS + ["best"]
-    else:
+    elif axis == "nodes":
         run = scenario.run_spec()
         rows = dyncore.strong_scaling_study(
             run.mesh, run.machine, values,
             run.ranks_per_node, run.threads_per_rank,
             cost=run.cost_model, memory=run.memory)
         columns = DYNCORE_COLUMNS + ["ideal_s"]
+    else:
+        rows = [{axis: v, **iosim.metrics_row(
+                    iosim.simulate_io(vary(scenario, axis, v)))}
+                for v in values]
+        columns = [axis] + IO_COLUMNS
     out = Path(args.out)
     write_csv(out / f"sweep_{axis}.csv", rows, columns)
     print(f"wrote {out / f'sweep_{axis}.csv'}")
@@ -253,7 +262,7 @@ def cmd_report(args) -> int:
     if len(tables) < 2:
         raise ConfigError("report needs at least two input CSVs")
     if len(tables) == 2:
-        rows = ratio_report(tables[0], tables[1])
+        rows = ratio_report(tables[0], tables[1], args.inputs)
         name = "ratio.csv"
     else:
         rows = _stats_rows(tables, list(tables[0][0]), args.inputs)
@@ -287,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="sweep one axis of a scenario")
     sweep.add_argument("--config", required=True, help="scenario JSON file")
     sweep.add_argument("--axis", required=True,
-                       help="threads, nodes, buffer_bytes, servers or pools")
+                       help="one of " + ", ".join(SWEEP_AXES))
     sweep.add_argument("--out", required=True, help="output directory")
     sweep.set_defaults(func=cmd_sweep)
 

@@ -8,7 +8,10 @@ required, and each value is checked against the field's annotation.
 Defaults live only in the dataclasses and rules only in constructors;
 this module adds the location, so every error is a ConfigError reading
 `<file>.<section>[.key|[k]]: ...`.  The layout is checked against the
-machine and mesh, and each sweep value by building what it stands for.
+machine and mesh.  `vary` turns a sweep value into the run or I/O
+scenario it stands for; the loader builds each one to check it and the
+`sweep` command simulates what it returns.  `nodes` and `buffer_bytes`
+lists must not decrease.
 parse -> canonical_dict -> parse round-trips to an identical scenario.
 """
 
@@ -24,7 +27,6 @@ from pathlib import Path
 from typing import (Any, Dict, List, Optional, Tuple, Union, get_args,
                     get_origin, get_type_hints)
 
-from . import iosim
 from .dyncore import RunSpec
 from .errors import ConfigError, located
 from .iosim import IoScenario
@@ -64,6 +66,10 @@ class _Sweep:
     pools: Optional[List[int]] = None
 
 
+SWEEP_AXES = tuple(f.name for f in fields(_Sweep))
+# axes whose tables read as a progression: a strong-scaling anchor, a
+# buffer-size sensitivity curve
+_ASCENDING = frozenset({"nodes", "buffer_bytes"})
 _SECTIONS = ("machine", "cost_model", "memory", "mesh", "layout", "grid",
              "schedule", "io_scenario", "sweep")
 # RunSpec fields that other sections supply; the rest are the layout's
@@ -210,17 +216,22 @@ class Scenario:
         return RunSpec(**kwargs)
 
 
-def _vary(s: Scenario, axis: str, value: int) -> None:
-    """Build what a sweep value stands for, for its constructor to check."""
+def vary(s: Scenario, axis: str, value: int) -> Union[RunSpec, IoScenario]:
+    """What one sweep value stands for: the layout's run on `value` threads
+    or nodes, or the I/O scenario with `value` as its buffer size, pool
+    count or writing-server count (level 2 in a two-level layout).  Its
+    constructor checks it."""
     if axis in ("threads", "nodes"):
-        s.run_spec(**{axis: value})
-    elif s.io_scenario is None:
+        return s.run_spec(**{axis: value})
+    io = s.io_scenario
+    if io is None:
         raise ConfigError(f"{s.source}.sweep.{axis}: needs an io_scenario "
                           "section")
-    elif axis == "servers":
-        iosim.with_servers(s.io_scenario, value)
-    else:
-        replace(s.io_scenario, **{axis: value})
+    if axis != "servers":
+        return replace(io, **{axis: value})
+    if io.two_level:
+        return replace(io, servers_level2=value)
+    return replace(io, servers_level1=value, servers_level2=0)
 
 
 def parse_scenario(doc: Dict[str, Any], source: str = "config") -> Scenario:
@@ -273,9 +284,12 @@ def parse_scenario(doc: Dict[str, Any], source: str = "config") -> Scenario:
             if not values:
                 raise ConfigError(f"{at['sweep']}.{axis}: expected a "
                                   "non-empty list")
+            if axis in _ASCENDING and values != sorted(values):
+                raise ConfigError(f"{at['sweep']}.{axis}: values must not "
+                                  f"decrease, got {values}")
             for k, value in enumerate(values):
                 with located(f"{at['sweep']}.{axis}[{k}]"):
-                    _vary(s, axis, value)
+                    vary(s, axis, value)
     return s
 
 

@@ -27,7 +27,8 @@ The event loop is deterministic: ties are broken by (time, client id,
 event order), and identical scenarios produce identical metrics.
 Independent subsystems (a server and its clients; a pool) are simulated
 independently and identical ones are deduplicated, which is exact
-because nothing couples them.
+because nothing couples them.  A sweep point is a whole scenario, built
+by `config.vary` and simulated like any other.
 """
 
 from __future__ import annotations
@@ -380,47 +381,6 @@ def metrics_row(metrics: IoMetrics) -> Dict[str, object]:
         "write_rate_mib_s": metrics.server_write_rate,
         "bytes_written": metrics.bytes_written,
     }
-
-
-def buffer_sweep(scenario: IoScenario,
-                 buffer_sizes: Sequence[int]) -> List[Dict[str, object]]:
-    """Client-wait sensitivity to the per-client buffer size."""
-    sizes = list(buffer_sizes)
-    if sizes != sorted(sizes) or any(s < 1 for s in sizes):
-        raise IoConfigError("buffer sizes must be positive and ascending")
-    rows = []
-    for size in sizes:
-        m = simulate_io(replace(scenario, buffer_bytes=size))
-        rows.append({"buffer_bytes": size, **metrics_row(m)})
-    return rows
-
-
-def with_servers(scenario: IoScenario, count: int) -> IoScenario:
-    """The scenario with `count` writing (level-2 if two-level) servers."""
-    if scenario.two_level:
-        return replace(scenario, servers_level2=count)
-    return replace(scenario, servers_level1=count, servers_level2=0)
-
-
-def server_sweep(scenario: IoScenario,
-                 server_counts: Sequence[int]) -> List[Dict[str, object]]:
-    """Sensitivity to the number of writing servers."""
-    rows = []
-    for count in server_counts:
-        m = simulate_io(with_servers(scenario, count))
-        rows.append({"servers": count, **metrics_row(m)})
-    return rows
-
-
-def pool_sweep(scenario: IoScenario,
-               pool_counts: Sequence[int]) -> List[Dict[str, object]]:
-    """Sensitivity to pool count at a fixed total number of servers; the
-    scenario rejects a count that does not divide its writing servers."""
-    rows = []
-    for count in pool_counts:
-        m = simulate_io(replace(scenario, pools=count))
-        rows.append({"pools": count, **metrics_row(m)})
-    return rows
 
 
 def striping_compare(scenario: IoScenario):

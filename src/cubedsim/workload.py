@@ -94,15 +94,3 @@ def make_schedule(entries: List[Tuple[int, float, int]],
     return DiagnosticSchedule(
         entries=tuple(ScheduleEntry(*e) for e in entries),
         run_hours=run_hours)
-
-
-def c192_schedule(bytes_per_field: int = 78_704_252) -> DiagnosticSchedule:
-    """Shipped 48-hour diagnostic load for the C192 test case: 5329
-    field writes, about 400 GiB at the default uniform field size."""
-    return make_schedule(
-        [(38, 18.0, bytes_per_field),
-         (6, 12.0, bytes_per_field),
-         (9, 9.0, bytes_per_field),
-         (27, 3.0, bytes_per_field),
-         (99, 1.0, bytes_per_field)],
-        run_hours=48.0)

@@ -16,16 +16,19 @@ import pytest
 
 from cubedsim import decomp as dc
 from cubedsim.cli import main as cli_main
+from cubedsim.config import load_scenario
 from cubedsim.dyncore import RunSpec, breakdown_row, simulate, thread_sweep
 from cubedsim.iosim import IoScenario, simulate_io, striping_compare
 from cubedsim.machine import builtin_machine
 from cubedsim.mesh import build_mesh
-from cubedsim.presets import (c192_baseline_scenario, c192_tuned_scenario,
-                              c896_scenario, iodev_scenario)
-from cubedsim.workload import (c192_schedule, make_schedule, total_bytes,
-                               total_fields)
+from cubedsim.workload import make_schedule, total_bytes, total_fields
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped(name):
+    """The scenario of a shipped config file."""
+    return load_scenario(CONFIG_DIR / name)
 
 
 def ok(number, text):
@@ -131,7 +134,8 @@ def test_criterion_06_thread_sweep_shape():
 
 
 def test_criterion_07_diagnostic_schedule_count():
-    assert total_fields(c192_schedule()) == 5329      # exact
+    schedule = shipped("io-c192-baseline.json").schedule
+    assert total_fields(schedule) == 5329             # exact
     ok(7, "C192 diagnostic schedule yields exactly 5329 fields")
 
 
@@ -184,8 +188,8 @@ def test_criterion_08_io_conservation_and_bounds():
 
 
 def test_criterion_09_c192_tuning_fixture():
-    baseline = simulate_io(c192_baseline_scenario())
-    tuned = simulate_io(c192_tuned_scenario())
+    baseline = simulate_io(shipped("io-c192-baseline.json").io_scenario)
+    tuned = simulate_io(shipped("io-c192-tuned.json").io_scenario)
     speedup = baseline.wall_clock_s / tuned.wall_clock_s
     wait_reduction = baseline.client_wait_s / tuned.client_wait_s
     assert speedup >= 1.8
@@ -195,7 +199,7 @@ def test_criterion_09_c192_tuning_fixture():
 
 
 def test_criterion_10_c896_striping_fixture(tmp_path):
-    off, on, summary = striping_compare(c896_scenario())
+    off, on, summary = striping_compare(shipped("io-c896.json").io_scenario)
     assert 2.1 <= summary["write_rate_ratio"] <= 2.9
     assert 6.0 <= summary["wait_pct_off"] <= 9.0       # the 6-9% band
     assert summary["wait_pct_on"] < 2.5

@@ -17,6 +17,8 @@ import cubedsim
 from cubedsim.cli import TableMismatchError, main, ratio_report
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+MINIMAL = json.loads((CONFIG_DIR / "minimal.json").read_text())
+IO_RIG = json.loads((CONFIG_DIR / "io-dev-rig.json").read_text())
 
 
 def run_cli(*argv):
@@ -110,6 +112,56 @@ def test_sweep_buffer(tmp_path):
     assert len(lines) == 8
 
 
+SMALL_POOLS = {
+    "schedule": {"run_hours": 6.0, "entries": [
+        {"field_count": 6, "period_hours": 1.0, "bytes_per_field": 3000},
+        {"field_count": 2, "period_hours": 3.0, "bytes_per_field": 5000}]},
+    "io_scenario": {"clients": 6, "servers_level1": 2, "servers_level2": 4,
+                    "pools": 1, "buffer_bytes": 2500,
+                    "base_write_rate": 400.0, "striping_factor": 2.0,
+                    "files": 8, "compute_rate": 10.0},
+    "sweep": {"pools": [1, 2, 4], "servers": [4, 8]},
+}
+
+
+def _varied(doc, axis, value):
+    """`doc` as the single run that one sweep value stands for."""
+    io = dict(doc["io_scenario"])
+    if axis != "servers":
+        io[axis] = value
+    elif io["servers_level1"] and io["servers_level2"]:
+        io["servers_level2"] = value
+    else:
+        io.update(servers_level1=value, servers_level2=0)
+    return {"schedule": doc["schedule"], "io_scenario": io}
+
+
+@pytest.mark.parametrize("doc,axis", [
+    (IO_RIG, "buffer_bytes"),
+    (IO_RIG, "servers"),
+    (SMALL_POOLS, "pools"),
+    (SMALL_POOLS, "servers"),
+], ids=["rig-buffer_bytes", "rig-servers", "pools", "two-level-servers"])
+def test_io_sweep_rows_equal_the_runs_they_vary(tmp_path, doc, axis):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("sweep", "--config", str(cfg), "--axis", axis,
+                   "--out", str(tmp_path / "sweep")) == 0
+    header, *rows = (tmp_path / "sweep" / f"sweep_{axis}.csv") \
+        .read_text().splitlines()
+    assert header.startswith(f"{axis},")
+    assert [int(row.split(",")[0]) for row in rows] == doc["sweep"][axis]
+    for k, value in enumerate(doc["sweep"][axis]):
+        point = tmp_path / f"point{k}"
+        point.with_suffix(".json").write_text(
+            json.dumps(_varied(doc, axis, value)))
+        assert run_cli("run", "--config", str(point.with_suffix(".json")),
+                       "--out", str(point)) == 0
+        run_header, run_row = (point / "io.csv").read_text().splitlines()
+        assert header == f"{axis},{run_header}"
+        assert rows[k] == f"{value},{run_row}"
+
+
 def test_report_two_inputs_ratio(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -186,9 +238,6 @@ def test_reruns_are_byte_identical(tmp_path):
 
 # --- the exit-code contract ----------------------------------------------
 
-MINIMAL = json.loads((CONFIG_DIR / "minimal.json").read_text())
-IO_RIG = json.loads((CONFIG_DIR / "io-dev-rig.json").read_text())
-
 
 def edited(doc, **sections):
     """`doc` with the given sections' keys replaced or added."""
@@ -238,6 +287,11 @@ CONTRACT = [
      "c.json.sweep.nodes[0]", "integer"),
     ("sweep-pools", edited(IO_RIG, sweep={"pools": [1, 3]}), "pools",
      "c.json.sweep.pools[1]", "pools (3)"),
+    ("sweep-buffer-descending", edited(IO_RIG, sweep={
+        "buffer_bytes": [4194304, 2097152]}), "buffer_bytes",
+     "c.json.sweep.buffer_bytes", "must not decrease"),
+    ("sweep-nodes-descending", edited(MINIMAL, sweep={"nodes": [2, 1]}),
+     "nodes", "c.json.sweep.nodes", "must not decrease"),
     ("write-rate-string", edited(IO_RIG, io_scenario={
         "base_write_rate": "fast"}), None,
      "c.json.io_scenario.base_write_rate", "number"),
@@ -322,6 +376,27 @@ def test_report_rejects_tables_of_different_shape(tmp_path, capsys, odd):
         other.write_text(f"{header}\n{row}\n{row}\n")
     capsys.readouterr()
     code = run_cli("report", str(io_csv), str(io_csv), str(other),
+                   "--out", str(tmp_path / "r"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {other}: ")
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("odd", ["rows", "axes"])
+def test_two_input_report_names_the_odd_input(tmp_path, capsys, odd):
+    base = tmp_path / "a" / "dyncore.csv"
+    run_cli("run", "--config", str(CONFIG_DIR / "minimal.json"),
+            "--out", str(base.parent))
+    header, row = base.read_text().splitlines()
+    if odd == "rows":
+        rows = [row, row]
+    else:
+        panel_size, nodes, rest = row.split(",", 2)
+        rows = [f"{panel_size},{2 * int(nodes)},{rest}"]
+    other = tmp_path / "other.csv"
+    other.write_text("\n".join([header] + rows) + "\n")
+    capsys.readouterr()
+    code = run_cli("report", str(base), str(other),
                    "--out", str(tmp_path / "r"))
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {other}: ")

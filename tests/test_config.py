@@ -1,13 +1,12 @@
 """Configuration parsing, validation diagnostics and round-tripping."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from cubedsim.config import (ConfigError, canonical_dict, dump_scenario,
-                             load_scenario, parse_scenario)
-from cubedsim.presets import (c192_baseline_scenario, c192_tuned_scenario,
-                              c896_scenario, iodev_scenario)
+                             load_scenario, parse_scenario, vary)
 
 CONFIG_DIR = __file__.rsplit("/", 2)[0] + "/configs"
 
@@ -84,17 +83,6 @@ def test_shipped_configs_round_trip(name):
     again = parse_scenario(doc)
     assert canonical_dict(again) == doc
     assert json.loads(dump_scenario(scenario)) == doc
-
-
-@pytest.mark.parametrize("name,preset", [
-    ("io-c192-baseline.json", c192_baseline_scenario),
-    ("io-c192-tuned.json", c192_tuned_scenario),
-    ("io-c896.json", c896_scenario),
-    ("io-dev-rig.json", iodev_scenario),
-])
-def test_shipped_io_configs_match_presets(name, preset):
-    scenario = load_scenario(f"{CONFIG_DIR}/{name}")
-    assert scenario.io_scenario == preset()
 
 
 def test_cost_model_overrides():
@@ -189,3 +177,36 @@ def test_sweep_values_checked_by_the_scenario_they_build():
     doc["sweep"] = {"buffer_bytes": [0]}
     with pytest.raises(ConfigError, match=r"config.sweep.buffer_bytes\[0\]"):
         parse_scenario(doc)
+
+
+def test_node_and_buffer_sweeps_must_not_decrease():
+    minimal = json.loads(open(f"{CONFIG_DIR}/minimal.json").read())
+    rig = json.loads(open(f"{CONFIG_DIR}/io-dev-rig.json").read())
+    for doc, axis, values in ((minimal, "nodes", [4, 2]),
+                              (rig, "buffer_bytes", [200, 100])):
+        doc["sweep"] = {axis: values}
+        with pytest.raises(ConfigError) as info:
+            parse_scenario(doc)
+        assert str(info.value) == \
+            f"config.sweep.{axis}: values must not decrease, got {values}"
+        # repeated values keep their order
+        doc["sweep"] = {axis: [values[1], values[1], values[0]]}
+        assert parse_scenario(doc).sweep[axis] == doc["sweep"][axis]
+    # the other axes are tables, not progressions
+    rig["sweep"] = {"servers": [4, 2, 1]}
+    assert parse_scenario(rig).sweep["servers"] == [4, 2, 1]
+
+
+def test_vary_builds_what_a_sweep_value_stands_for():
+    rig = load_scenario(f"{CONFIG_DIR}/io-dev-rig.json")
+    io = rig.io_scenario
+    assert vary(rig, "buffer_bytes", 4096) == replace(io, buffer_bytes=4096)
+    assert vary(rig, "pools", 2) == replace(io, pools=2)
+    assert vary(rig, "servers", 4) == replace(io, servers_level1=4)
+    two_level = replace(io, servers_level1=2, servers_level2=2)
+    rig.io_scenario = two_level
+    assert vary(rig, "servers", 4) == replace(two_level, servers_level2=4)
+    minimal = load_scenario(f"{CONFIG_DIR}/minimal.json")
+    assert vary(minimal, "nodes", 6) == replace(minimal.run_spec(), nodes=6)
+    assert vary(minimal, "threads", 4) == replace(
+        minimal.run_spec(), threads_per_rank=4, ranks_per_node=32)

@@ -10,8 +10,8 @@ from dataclasses import replace
 import pytest
 
 from cubedsim.iosim import (IoConfigError, IoScenario, ServerMemoryError,
-                            UnwritableFieldError, buffer_sweep, pool_sweep,
-                            server_sweep, simulate_io, striping_compare)
+                            UnwritableFieldError, metrics_row, simulate_io,
+                            striping_compare)
 from cubedsim.workload import make_schedule
 
 MIB = 1024 * 1024
@@ -126,23 +126,29 @@ def test_clients_share_fields_equally():
     assert one.bytes_written == two.bytes_written == 100
 
 
+def sweep(scenario, **axis):
+    """One row per value of the single keyword's list, as `sweep` writes."""
+    [(name, values)] = axis.items()
+    return [{name: v, **metrics_row(simulate_io(replace(scenario,
+                                                        **{name: v})))}
+            for v in values]
+
+
 def test_buffer_sweep_monotone_wait():
     scenario = tiny(schedule=make_schedule([(8, 1.0, 100)], 4.0),
                     buffer_bytes=100)
-    rows = buffer_sweep(scenario, [100, 200, 400, 800, 1600, 3200])
+    rows = sweep(scenario, buffer_bytes=[100, 200, 400, 800, 1600, 3200])
     waits = [row["wait_pct"] for row in rows]
     assert waits == sorted(waits, reverse=True)
     assert waits[0] > 0
     assert waits[-1] == 0.0
     assert len({row["bytes_written"] for row in rows}) == 1
-    with pytest.raises(IoConfigError):
-        buffer_sweep(scenario, [200, 100])
 
 
 def test_server_sweep_improves_then_saturates():
     scenario = tiny(clients=8, schedule=make_schedule([(8, 1.0, 100)], 4.0),
                     buffer_bytes=100, files=16)
-    rows = server_sweep(scenario, [1, 2, 4, 8])
+    rows = sweep(scenario, servers_level1=[1, 2, 4, 8])
     walls = [row["wall_clock_s"] for row in rows]
     assert walls == sorted(walls, reverse=True)
     waits = [row["wait_pct"] for row in rows]
@@ -151,11 +157,11 @@ def test_server_sweep_improves_then_saturates():
 
 def test_pool_sweep_requires_divisibility():
     scenario = tiny(servers_level1=2, servers_level2=4, pools=1, files=8)
-    rows = pool_sweep(scenario, [1, 2, 4])
+    rows = sweep(scenario, pools=[1, 2, 4])
     assert [row["pools"] for row in rows] == [1, 2, 4]
     assert len({row["bytes_written"] for row in rows}) == 1
     with pytest.raises(IoConfigError):
-        pool_sweep(scenario, [3])
+        replace(scenario, pools=3)
 
 
 def test_striping_compare_at_factor_one_is_identity():

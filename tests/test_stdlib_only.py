@@ -1,7 +1,10 @@
 """The runtime stays stdlib-only: every module of the package imports
-only the standard library and the package itself."""
+only the standard library and the package itself, and the command line
+imports every module of the package."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,3 +27,16 @@ def test_imports_are_stdlib_or_cubedsim(path):
             top = name.partition(".")[0]
             assert top in sys.stdlib_module_names or top == "cubedsim", \
                 f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_the_command_line_imports_every_module():
+    """Each module serves the program: no fixtures or helpers kept as
+    code that only tests reach."""
+    modules = {"cubedsim" if path.stem == "__init__" else
+               f"cubedsim.{path.stem}" for path in SRC.glob("*.py")}
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    shown = subprocess.run(
+        [sys.executable, "-c", "import sys, cubedsim.cli; print(*sorted("
+         "m for m in sys.modules if m.partition('.')[0] == 'cubedsim'))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert modules - set(shown) == set()

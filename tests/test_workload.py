@@ -1,12 +1,22 @@
 """Diagnostic schedule counts, volumes and emission ordering."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubedsim.config import load_scenario
 from cubedsim.workload import (DiagnosticSchedule, ScheduleError,
-                               c192_schedule, emission_events, make_schedule,
-                               total_bytes, total_fields)
+                               emission_events, make_schedule, total_bytes,
+                               total_fields)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def c192_schedule():
+    """The shipped 48-hour C192 diagnostic load."""
+    return load_scenario(CONFIG_DIR / "io-c192-baseline.json").schedule
 
 
 def enumerate_outputs(entries, run_hours):
