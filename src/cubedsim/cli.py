@@ -20,6 +20,7 @@ import os
 import statistics
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from typing import Dict, List, Sequence
 
@@ -30,12 +31,10 @@ from .mesh import build_mesh
 
 
 class TableMismatchError(ConfigError):
-    """Tables combined by `report` differ in shape or axes."""
+    """Tables combined by `report` differ in shape or axes, or share no
+    numeric column."""
 
 
-DYNCORE_COLUMNS = ["panel_size", "nodes", "ranks", "threads",
-                   "user_s", "p2p_s", "coll_s", "etc_s", "total_s"]
-IO_COLUMNS = ["wall_clock_s", "wait_pct", "write_rate_mib_s", "bytes_written"]
 AXIS_COLUMNS = ("panel_size", "nodes", "ranks", "threads")
 
 
@@ -57,8 +56,9 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, rows: Sequence[Dict[str, object]],
-              columns: Sequence[str]) -> None:
+def write_csv(path: Path, rows: Sequence[Dict[str, object]]) -> None:
+    """Rows under the first row's keys, in its order."""
+    columns = list(rows[0])
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_format_cell(row[c]) for c in columns))
@@ -137,8 +137,7 @@ def _check_shape(tables: Sequence[Sequence[Dict[str, object]]],
                 f"{len(first)} rows of {list(first[0])}")
 
 
-def _stats_rows(samples: List[List[Dict[str, object]]],
-                columns: Sequence[str],
+def _stats_rows(samples: Sequence[Sequence[Dict[str, object]]],
                 names: Sequence[str]) -> List[Dict[str, object]]:
     """Per-cell mean and standard deviation across repeated tables of one
     shape, named by `names`."""
@@ -146,7 +145,7 @@ def _stats_rows(samples: List[List[Dict[str, object]]],
     out = []
     for row_idx in range(len(samples[0])):
         row: Dict[str, object] = {}
-        for col in columns:
+        for col in samples[0][0]:
             values = [s[row_idx][col] for s in samples]
             if all(isinstance(v, (int, float)) for v in values):
                 row[f"{col}_mean"] = statistics.fmean(values)
@@ -162,10 +161,12 @@ def ratio_report(table_a: Sequence[Dict[str, object]],
                  names: Sequence[str] = ("table a", "table b"),
                  ) -> List[Dict[str, object]]:
     """Elementwise a/b over the time columns; values above one mean the
-    b table is faster.  Tables must share their row count and, row by
-    row, their configuration axes; an error names the odd table."""
+    b table is faster.  Tables must share their row count, row by row
+    their configuration axes, and at least one time column; an error
+    names the odd table."""
     _check_shape([table_a, table_b], names, columns=False)
     out: List[Dict[str, object]] = []
+    ratios = 0
     for number, (ra, rb) in enumerate(zip(table_a, table_b), start=1):
         axes_a = {k: ra[k] for k in AXIS_COLUMNS if k in ra}
         axes_b = {k: rb[k] for k in AXIS_COLUMNS if k in rb}
@@ -181,7 +182,11 @@ def ratio_report(table_a: Sequence[Dict[str, object]],
             vb = rb.get(key)
             if isinstance(vb, (int, float)) and not isinstance(vb, bool):
                 row[key] = va / vb if vb else float("inf")
+        ratios += len(row) - len(axes_a)
         out.append(row)
+    if not ratios:
+        raise TableMismatchError(
+            f"{names[1]}: no numeric column in common with {names[0]}")
     return out
 
 
@@ -204,24 +209,20 @@ def cmd_run(args) -> int:
     scenario = load_scenario(args.config)
     out = Path(args.out)
     if scenario.io_scenario is not None:
-        rows_fn = lambda: [iosim.metrics_row(
-            iosim.simulate_io(scenario.io_scenario))]
-        columns = IO_COLUMNS
+        rows = [iosim.metrics_row(iosim.simulate_io(scenario.io_scenario))]
         csv_name, stats_name = "io.csv", "io_stats.csv"
         summary = _io_summary
     else:
-        runs = _timestep_runs(scenario)
-        rows_fn = lambda: [dyncore.breakdown_row(run, dyncore.simulate(run))
-                           for run in runs]
-        columns = DYNCORE_COLUMNS
+        rows = [dyncore.breakdown_row(run, dyncore.simulate(run))
+                for run in _timestep_runs(scenario)]
         csv_name, stats_name = "dyncore.csv", "dyncore_stats.csv"
         summary = _breakdown_summary
-    samples = [rows_fn() for _ in range(args.repeat)]
-    write_csv(out / csv_name, samples[0], columns)
+    write_csv(out / csv_name, rows)
     if args.repeat > 1:
-        stats = _stats_rows(samples, columns, [csv_name] * args.repeat)
-        write_csv(out / stats_name, stats, list(stats[0]))
-    _write_atomic(out / "summary.txt", summary(samples[0][0]))
+        # the model is deterministic: every repeat is this same table
+        write_csv(out / stats_name, _stats_rows([rows] * args.repeat,
+                                                [csv_name] * args.repeat))
+    _write_atomic(out / "summary.txt", summary(rows[0]))
     print(f"wrote {out / csv_name}")
     return 0
 
@@ -237,21 +238,26 @@ def cmd_sweep(args) -> int:
         run = scenario.run_spec()
         rows = dyncore.thread_sweep(run.mesh, run.machine, run.nodes, values,
                                     cost=run.cost_model, memory=run.memory)
-        columns = DYNCORE_COLUMNS + ["best"]
     elif axis == "nodes":
         run = scenario.run_spec()
-        rows = dyncore.strong_scaling_study(
-            run.mesh, run.machine, values,
-            run.ranks_per_node, run.threads_per_rank,
-            cost=run.cost_model, memory=run.memory)
-        columns = DYNCORE_COLUMNS + ["ideal_s"]
+        with warnings.catch_warnings(record=True) as skipped:
+            warnings.simplefilter("always")
+            rows = dyncore.strong_scaling_study(
+                run.mesh, run.machine, values,
+                run.ranks_per_node, run.threads_per_rank,
+                cost=run.cost_model, memory=run.memory)
+        where = f"{scenario.source}.sweep.nodes"
+        for warning in skipped:
+            print(f"warning: {where}: {warning.message}", file=sys.stderr)
+        if not rows:
+            raise dyncore.MemoryLimitError(
+                f"{where}: every value trips the memory guard")
     else:
         rows = [{axis: v, **iosim.metrics_row(
                     iosim.simulate_io(vary(scenario, axis, v)))}
                 for v in values]
-        columns = [axis] + IO_COLUMNS
     out = Path(args.out)
-    write_csv(out / f"sweep_{axis}.csv", rows, columns)
+    write_csv(out / f"sweep_{axis}.csv", rows)
     print(f"wrote {out / f'sweep_{axis}.csv'}")
     return 0
 
@@ -265,9 +271,9 @@ def cmd_report(args) -> int:
         rows = ratio_report(tables[0], tables[1], args.inputs)
         name = "ratio.csv"
     else:
-        rows = _stats_rows(tables, list(tables[0][0]), args.inputs)
+        rows = _stats_rows(tables, args.inputs)
         name = "stats.csv"
-    write_csv(out / name, rows, list(rows[0]))
+    write_csv(out / name, rows)
     print(f"wrote {out / name}")
     return 0
 

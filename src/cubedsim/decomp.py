@@ -7,31 +7,30 @@ contiguous runs of the linearized cell ordering (a documented fallback
 with imbalance at most one cell).
 
 Halos are rings of non-owned cells reachable from the owned block by
-edge adjacency; the exchange pattern has one message per (owner ->
-halo-holder) pair.  In redundant-compute mode halo values are computed
-locally instead of exchanged, which empties the message list and adds
-the halo cells to each rank's compute extent.
+edge adjacency.  `HaloCounts` is the one halo result: per rank, the
+frontier-expansion rings, or None where a closed form gives their sizes.
+`compute_halos` expands every rank and is the reference.  `halo_counts`
+expands only where it must: away from the eight cube corners the surface
+around a block unfolds flat, so ring k of a w x h block has
+2(w+h) + 4(k-1) cells, and only blocks whose depth-d neighbourhood
+reaches a cube corner, and every span decomposition, are expanded.
 
-`halo_counts` gives the per-rank ring sizes and the messages, which is
-all the cost model needs, without building cell sets where a closed form
-exists.  Away from the eight cube corners the surface around a block
-unfolds flat, so ring k of a w x h block has 2(w+h) + 4(k-1) cells: four
-straight strips, each split into rectangles on the block's own panel and
-on the panel across an edge (reached through `mesh.fold`), plus d(d-1)/2
-diagonal cells per block corner at depth d.  Per-owner counts of a
-rectangle are overlaps with the block-offset intervals.  Blocks whose
-depth-d neighbourhood reaches a cube corner, and every span
-decomposition, take the frontier expansion of `compute_halos` instead.
-`compute_halos` followed by `exchange_pattern` keeps every halo cell and
-is the reference the counts are tested against.
+`exchange_pattern` builds one message per (owner -> halo-holder) pair
+from either result.  Expanded rings give each cell's owner directly.  A
+closed-form block's halo is four straight strips, each split into
+rectangles on the block's own panel and on the panel across an edge
+(reached through `mesh.fold`), plus d(d-1)/2 diagonal cells per block
+corner at depth d; per-owner counts of a rectangle are overlaps with the
+block-offset intervals.  In redundant-compute mode halo values are
+computed locally instead of exchanged, which empties the message list
+and adds the halo cells to each rank's compute extent.
 """
 
 from __future__ import annotations
 
-import io
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -59,6 +58,10 @@ class Message(NamedTuple):
     dst: int
     cells: int
     bytes: int
+
+
+# halo rings of one rank, innermost first, each sorted by linear index
+Rings = Tuple[Tuple[CellId, ...], ...]
 
 
 def _split_sizes(total: int, parts: int) -> List[int]:
@@ -131,9 +134,6 @@ class Decomposition:
     ranks: int
     domains: Tuple[object, ...]  # Block or Span per rank
     mode: Mode = Mode.EXCHANGE_HALOS
-    halo_depth: Optional[int] = None
-    # per rank: tuple of depth rings, each a sorted tuple of CellId
-    halos: Optional[Tuple[Tuple[Tuple[CellId, ...], ...], ...]] = None
     # block-grid metadata (None for span fallback)
     grid: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
 
@@ -164,11 +164,6 @@ class Decomposition:
     def _span_starts(self) -> List[int]:
         return [dom.start for dom in self.domains]
 
-    def halo_count(self, rank: int) -> int:
-        if self.halos is None:
-            raise DecompositionError("halos not computed")
-        return sum(len(ring) for ring in self.halos[rank])
-
     @property
     def max_owned(self) -> int:
         return max(d.size for d in self.domains)
@@ -178,23 +173,9 @@ class Decomposition:
         return min(d.size for d in self.domains)
 
 
-@dataclass(frozen=True)
-class ExchangePattern:
+class ExchangePattern(NamedTuple):
+    # one per (owner -> halo-holder) pair, sorted by (src, dst)
     messages: Tuple[Message, ...]
-    bytes_per_cell: int
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(m.bytes for m in self.messages)
-
-    def bytes_out(self, rank: int) -> int:
-        return sum(m.bytes for m in self.messages if m.src == rank)
-
-    def bytes_in(self, rank: int) -> int:
-        return sum(m.bytes for m in self.messages if m.dst == rank)
-
-    def neighbor_count(self, rank: int) -> int:
-        return len({m.dst for m in self.messages if m.src == rank})
 
 
 def _squarest_factor_pair(m: int) -> Tuple[int, int]:
@@ -268,7 +249,7 @@ def check_halo_depth(mesh: CubedSphereMesh, depth: int) -> None:
 
 
 def _rank_rings(mesh: CubedSphereMesh, decomp: Decomposition, rank: int,
-                depth: int) -> Tuple[Tuple[CellId, ...], ...]:
+                depth: int) -> Rings:
     """One rank's halo rings up to `depth` by frontier expansion."""
     dom = decomp.domains[rank]
     if isinstance(dom, Block):
@@ -292,15 +273,6 @@ def _rank_rings(mesh: CubedSphereMesh, decomp: Decomposition, rank: int,
     return tuple(rings)
 
 
-def compute_halos(mesh: CubedSphereMesh, decomp: Decomposition,
-                  depth: int = 1) -> Decomposition:
-    """Fill per-rank halo rings up to `depth` by frontier expansion."""
-    check_halo_depth(mesh, depth)
-    all_halos = tuple(_rank_rings(mesh, decomp, rank, depth)
-                      for rank in range(decomp.ranks))
-    return replace(decomp, halo_depth=depth, halos=all_halos)
-
-
 def default_bytes_per_cell(mesh: CubedSphereMesh, fields: int = 3,
                            word_bytes: int = 8) -> int:
     """Bytes exchanged per halo cell: levels x word size x field count.
@@ -308,32 +280,6 @@ def default_bytes_per_cell(mesh: CubedSphereMesh, fields: int = 3,
     The field count per exchange is a configuration default, not a
     measured quantity."""
     return mesh.levels * word_bytes * fields
-
-
-def exchange_pattern(decomp: Decomposition,
-                     bytes_per_cell: Optional[int] = None) -> ExchangePattern:
-    """One message per (owner -> halo-holder) pair with shared cells.
-
-    Redundant-compute mode eliminates every exchange up to the redundant
-    depth, which equals the halo depth, so the pattern is empty.
-    """
-    if decomp.halos is None:
-        raise DecompositionError("halos not computed")
-    if bytes_per_cell is None:
-        bytes_per_cell = default_bytes_per_cell(decomp.mesh)
-    if bytes_per_cell < 1:
-        raise DecompositionError("bytes_per_cell must be positive")
-    if decomp.mode is Mode.REDUNDANT_COMPUTE:
-        return ExchangePattern(messages=(), bytes_per_cell=bytes_per_cell)
-    counts: Dict[Tuple[int, int], int] = {}
-    for rank in range(decomp.ranks):
-        for ring in decomp.halos[rank]:
-            for cell in ring:
-                owner = decomp.owner_of(cell)
-                counts[(owner, rank)] = counts.get((owner, rank), 0) + 1
-    messages = tuple(Message(src, dst, c, c * bytes_per_cell)
-                     for (src, dst), c in sorted(counts.items()))
-    return ExchangePattern(messages=messages, bytes_per_cell=bytes_per_cell)
 
 
 def _overlaps(offsets: Sequence[int], a: int, b: int) -> Iterator[Tuple[int, int]]:
@@ -401,54 +347,35 @@ def _block_owners(decomp: Decomposition, rank: int,
 
 
 class HaloCounts(NamedTuple):
-    """Per-rank halo ring sizes of a decomposition, and its exchange
-    messages on request, as `compute_halos` and `exchange_pattern` would
-    give them."""
+    """Per-rank halo rings of a decomposition up to `depth`."""
 
-    # with halos filled in when the decomposition has no block grid
     decomp: Decomposition
     depth: int
-    # ring sizes of the blocks of one panel, None near a cube corner
+    # ring sizes of the blocks of one panel, None near a cube corner;
+    # empty when every rank is expanded
     closed: List[Optional[Tuple[int, ...]]]
-    # frontier-expansion rings of the blocks near a cube corner, by rank
-    corner_rings: Dict[int, Tuple[Tuple[CellId, ...], ...]]
+    # per rank: frontier-expansion rings, or None where `closed` gives
+    # the ring sizes
+    halos: List[Optional[Rings]]
 
     def ring_sizes(self, rank: int) -> Tuple[int, ...]:
         """Cells in each halo ring of `rank`, innermost first."""
-        if self.decomp.grid is None:
-            rings = self.decomp.halos[rank]
-        else:
-            sizes = self.closed[rank % len(self.closed)]
-            if sizes is not None:
-                return sizes
-            rings = self.corner_rings[rank]
+        rings = self.halos[rank]
+        if rings is None:
+            return self.closed[rank % len(self.closed)]
         return tuple(map(len, rings))
 
     def halo_count(self, rank: int) -> int:
         return sum(self.ring_sizes(rank))
 
-    def messages(self, bytes_per_cell: int) -> Tuple[Message, ...]:
-        """One message per (owner -> halo-holder) pair, sorted by
-        (src, dst); empty in redundant-compute mode."""
-        decomp = self.decomp
-        if decomp.grid is None:
-            return exchange_pattern(decomp, bytes_per_cell).messages
-        if bytes_per_cell < 1:
-            raise DecompositionError("bytes_per_cell must be positive")
-        if decomp.mode is Mode.REDUNDANT_COMPUTE:
-            return ()
-        counts: Dict[Tuple[int, int], int] = {}
-        for rank in range(decomp.ranks):
-            rings = self.corner_rings.get(rank)
-            if rings is None:
-                owners = _block_owners(decomp, rank, self.depth)
-            else:
-                owners = Counter(decomp.owner_of(cell)
-                                 for ring in rings for cell in ring)
-            for owner, cells in owners.items():
-                counts[(owner, rank)] = cells
-        return tuple(Message(src, dst, c, c * bytes_per_cell)
-                     for (src, dst), c in sorted(counts.items()))
+
+def compute_halos(mesh: CubedSphereMesh, decomp: Decomposition,
+                  depth: int = 1) -> HaloCounts:
+    """Every rank's halo rings up to `depth` by frontier expansion."""
+    check_halo_depth(mesh, depth)
+    return HaloCounts(decomp, depth, [],
+                      [_rank_rings(mesh, decomp, rank, depth)
+                       for rank in range(decomp.ranks)])
 
 
 def halo_counts(mesh: CubedSphereMesh, decomp: Decomposition,
@@ -460,7 +387,7 @@ def halo_counts(mesh: CubedSphereMesh, decomp: Decomposition,
     `compute_halos`."""
     check_halo_depth(mesh, depth)
     if decomp.grid is None:
-        return HaloCounts(compute_halos(mesh, decomp, depth), depth, [], {})
+        return compute_halos(mesh, decomp, depth)
     # every panel has the same block grid, and every panel corner is a
     # cube corner, so the closed form depends on the place in the panel
     per_panel = decomp.ranks // PANELS
@@ -468,19 +395,33 @@ def halo_counts(mesh: CubedSphereMesh, decomp: Decomposition,
               tuple(2 * (block.i1 - block.i0 + block.j1 - block.j0) + 4 * k
                     for k in range(depth))
               for block in decomp.domains[:per_panel]]
-    corner_rings = {rank: _rank_rings(mesh, decomp, rank, depth)
-                    for rank in range(decomp.ranks)
-                    if closed[rank % per_panel] is None}
-    return HaloCounts(decomp, depth, closed, corner_rings)
+    halos = [None if closed[rank % per_panel] is not None
+             else _rank_rings(mesh, decomp, rank, depth)
+             for rank in range(decomp.ranks)]
+    return HaloCounts(decomp, depth, closed, halos)
 
 
-def summary_csv(decomp: Decomposition, pattern: ExchangePattern) -> str:
-    """Per-rank decomposition summary: rank,owned,halo,neighbors,bytes_out."""
-    out = io.StringIO()
-    out.write("rank,owned,halo,neighbors,bytes_out\n")
-    for rank in range(decomp.ranks):
-        out.write(f"{rank},{decomp.owned_count(rank)},"
-                  f"{decomp.halo_count(rank)},"
-                  f"{pattern.neighbor_count(rank)},"
-                  f"{pattern.bytes_out(rank)}\n")
-    return out.getvalue()
+def exchange_pattern(halos: HaloCounts,
+                     bytes_per_cell: int) -> ExchangePattern:
+    """One message per (owner -> halo-holder) pair with shared cells.
+
+    Redundant-compute mode eliminates every exchange up to the redundant
+    depth, which equals the halo depth, so the pattern is empty.
+    """
+    if bytes_per_cell < 1:
+        raise DecompositionError("bytes_per_cell must be positive")
+    decomp = halos.decomp
+    if decomp.mode is Mode.REDUNDANT_COMPUTE:
+        return ExchangePattern(())
+    counts: Dict[Tuple[int, int], int] = {}
+    for rank, rings in enumerate(halos.halos):
+        if rings is None:
+            owners = _block_owners(decomp, rank, halos.depth)
+        else:
+            owners = Counter(decomp.owner_of(cell)
+                             for ring in rings for cell in ring)
+        for owner, cells in owners.items():
+            counts[(owner, rank)] = cells
+    return ExchangePattern(tuple(
+        Message(src, dst, c, c * bytes_per_cell)
+        for (src, dst), c in sorted(counts.items())))

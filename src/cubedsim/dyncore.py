@@ -114,7 +114,7 @@ def simulate(run: RunSpec) -> TimestepBreakdown:
     bytes_per_cell = run.bytes_per_cell
     if bytes_per_cell is None:
         bytes_per_cell = dc.default_bytes_per_cell(mesh)
-    messages = halos.messages(bytes_per_cell)
+    messages = dc.exchange_pattern(halos, bytes_per_cell).messages
 
     redundant = run.mode is dc.Mode.REDUNDANT_COMPUTE
     eff = cost.efficiency(threads)

@@ -81,12 +81,13 @@ def test_criterion_04_halo_factor_law():
     per_rank_bytes = {}
     total_bytes_by_ranks = {}
     for ranks in (24, 96, 384):
-        decomposition = dc.compute_halos(mesh, dc.partition(mesh, ranks),
-                                         depth=1)
-        pattern = dc.exchange_pattern(decomposition)
-        per_rank = [pattern.bytes_in(r) for r in range(ranks)]
+        halos = dc.compute_halos(mesh, dc.partition(mesh, ranks), depth=1)
+        messages = dc.exchange_pattern(
+            halos, dc.default_bytes_per_cell(mesh)).messages
+        per_rank = [sum(m.bytes for m in messages if m.dst == r)
+                    for r in range(ranks)]
         per_rank_bytes[ranks] = sum(per_rank) / ranks
-        total_bytes_by_ranks[ranks] = pattern.total_bytes
+        total_bytes_by_ranks[ranks] = sum(m.bytes for m in messages)
         assert len({dc_ for dc_ in per_rank}) == 1    # square, identical
     # quadrupling per-rank area: 384 -> 96 -> 24 ranks
     assert per_rank_bytes[96] == pytest.approx(2 * per_rank_bytes[384],

@@ -48,10 +48,19 @@ def test_run_io_outputs(tmp_path):
     assert "wall clock" in (tmp_path / "summary.txt").read_text()
 
 
-def test_repeat_emits_stats_table(tmp_path):
+def test_repeat_emits_stats_table(tmp_path, monkeypatch):
+    calls = []
+    simulate_io = cubedsim.iosim.simulate_io
+
+    def counted(scenario):
+        calls.append(scenario)
+        return simulate_io(scenario)
+
+    monkeypatch.setattr(cubedsim.iosim, "simulate_io", counted)
     code = run_cli("run", "--config", str(CONFIG_DIR / "io-dev-rig.json"),
                    "--out", str(tmp_path), "--repeat", "3")
     assert code == 0
+    assert len(calls) == 1    # deterministic: one simulation serves all
     stats = (tmp_path / "io_stats.csv").read_text().splitlines()
     assert "wall_clock_s_mean" in stats[0]
     assert "wall_clock_s_std" in stats[0]
@@ -94,6 +103,35 @@ def test_sweep_threads(tmp_path):
     lines = (tmp_path / "sweep_threads.csv").read_text().splitlines()
     assert lines[0].endswith(",best")
     assert len(lines) == 6
+
+
+# 128 single-threaded ranks per node on 192 nodes trip the memory guard
+WIDE_C1024 = {
+    "machine": {"builtin": "ARCHER2"},
+    "mesh": {"panel_size": 1024, "levels": 120},
+    "layout": {"nodes": 12, "ranks_per_node": 128, "threads_per_rank": 1},
+}
+
+
+@pytest.mark.parametrize("nodes,code", [([12, 192], 0), ([192], 3)],
+                         ids=["one-skipped", "all-skipped"])
+def test_nodes_sweep_names_skipped_points(tmp_path, capsys, nodes, code):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(WIDE_C1024, sweep={"nodes": nodes})))
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", str(cfg), "--axis", "nodes",
+                   "--out", str(out)) == code
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(
+        "warning: c.json.sweep.nodes: skipping 192 nodes: estimated ")
+    if code:
+        assert err[1:] == ["error: c.json.sweep.nodes: every value trips "
+                           "the memory guard"]
+        assert not out.exists()
+    else:
+        assert err[1:] == []
+        rows = (out / "sweep_nodes.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in rows[1:]] == ["12"]
 
 
 def test_sweep_unknown_axis_exits_2(tmp_path, capsys):
@@ -382,19 +420,26 @@ def test_report_rejects_tables_of_different_shape(tmp_path, capsys, odd):
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("odd", ["rows", "axes"])
+@pytest.mark.parametrize("odd", ["rows", "axes", "columns"])
 def test_two_input_report_names_the_odd_input(tmp_path, capsys, odd):
-    base = tmp_path / "a" / "dyncore.csv"
-    run_cli("run", "--config", str(CONFIG_DIR / "minimal.json"),
-            "--out", str(base.parent))
-    header, row = base.read_text().splitlines()
-    if odd == "rows":
-        rows = [row, row]
+    if odd == "columns":
+        # a run's table and its mean/std table share no column
+        run_cli("run", "--config", str(CONFIG_DIR / "io-dev-rig.json"),
+                "--out", str(tmp_path / "a"), "--repeat", "2")
+        base = tmp_path / "a" / "io.csv"
+        other = tmp_path / "a" / "io_stats.csv"
     else:
-        panel_size, nodes, rest = row.split(",", 2)
-        rows = [f"{panel_size},{2 * int(nodes)},{rest}"]
-    other = tmp_path / "other.csv"
-    other.write_text("\n".join([header] + rows) + "\n")
+        base = tmp_path / "a" / "dyncore.csv"
+        run_cli("run", "--config", str(CONFIG_DIR / "minimal.json"),
+                "--out", str(base.parent))
+        header, row = base.read_text().splitlines()
+        if odd == "rows":
+            rows = [row, row]
+        else:
+            panel_size, nodes, rest = row.split(",", 2)
+            rows = [f"{panel_size},{2 * int(nodes)},{rest}"]
+        other = tmp_path / "other.csv"
+        other.write_text("\n".join([header] + rows) + "\n")
     capsys.readouterr()
     code = run_cli("report", str(base), str(other),
                    "--out", str(tmp_path / "r"))

@@ -1,11 +1,13 @@
 """Decomposition, halo and exchange-pattern tests.
 
-Halo expectations come from an independent breadth-first expansion over
-the fully materialized adjacency map, not from the frontier walk used by
-the implementation.  The closed-form counts of `halo_counts` are checked
-in turn against that frontier walk (`compute_halos` + `exchange_pattern`).
+Halo and message expectations come from an independent breadth-first
+expansion over the fully materialized adjacency map, not from the
+frontier walk used by the implementation.  Both halo results, the
+frontier walk of `compute_halos` and the closed form of `halo_counts`,
+are checked against it, ring sizes and `exchange_pattern` messages.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,20 @@ def bfs_halo(mesh, owned, depth):
         rings.append(ring)
         frontier = ring
     return rings
+
+
+def bfs_messages(mesh, decomposition, depth, bytes_per_cell):
+    """Oracle: one message per (owner, holder) pair, counted over the
+    `bfs_halo` rings of every rank; none in redundant-compute mode."""
+    if decomposition.mode is dc.Mode.REDUNDANT_COMPUTE:
+        return ()
+    counts = Counter()
+    for rank in range(decomposition.ranks):
+        for ring in bfs_halo(mesh, decomposition.owned_cells(rank), depth):
+            counts.update((decomposition.owner_of(cell), rank)
+                          for cell in ring)
+    return tuple(dc.Message(src, dst, c, c * bytes_per_cell)
+                 for (src, dst), c in sorted(counts.items()))
 
 
 @pytest.mark.parametrize("n,ranks,expected_owned", [
@@ -107,22 +123,22 @@ def test_local_area_is_exact():
 ])
 def test_halos_match_bfs_oracle(n, ranks, depth):
     mesh = build_mesh(n, 1)
-    decomposition = dc.compute_halos(mesh, dc.partition(mesh, ranks),
-                                     depth=depth)
+    decomposition = dc.partition(mesh, ranks)
+    halos = dc.compute_halos(mesh, decomposition, depth=depth)
     for rank in range(ranks):
         expected = bfs_halo(mesh, decomposition.owned_cells(rank), depth)
         for d in range(depth):
-            assert set(decomposition.halos[rank][d]) == expected[d]
-        assert decomposition.halo_count(rank) == sum(map(len, expected))
+            assert set(halos.halos[rank][d]) == expected[d]
+        assert halos.halo_count(rank) == sum(map(len, expected))
 
 
 def test_whole_panel_halo_is_its_perimeter():
     # one rank per panel: the depth-1 halo is the 4n cells ringing the
     # panel on the four adjacent panels
     mesh = build_mesh(8, 1)
-    decomposition = dc.compute_halos(mesh, dc.partition(mesh, 6), depth=1)
+    halos = dc.compute_halos(mesh, dc.partition(mesh, 6), depth=1)
     for rank in range(6):
-        assert decomposition.halo_count(rank) == 4 * 8
+        assert halos.halo_count(rank) == 4 * 8
 
 
 def test_halo_depth_errors():
@@ -132,34 +148,34 @@ def test_halo_depth_errors():
         dc.compute_halos(mesh, decomposition, depth=0)
     with pytest.raises(dc.HaloDepthError):
         dc.compute_halos(mesh, decomposition, depth=5)
-    with pytest.raises(dc.DecompositionError):
-        decomposition.halo_count(0)  # halos not computed yet
 
 
 def test_exchange_pattern_counts_match_halos():
     mesh = build_mesh(8, 1)
-    decomposition = dc.compute_halos(mesh, dc.partition(mesh, 24), depth=1)
-    pattern = dc.exchange_pattern(decomposition, bytes_per_cell=10)
-    total_halo = sum(decomposition.halo_count(r) for r in range(24))
-    assert sum(m.cells for m in pattern.messages) == total_halo
-    assert pattern.total_bytes == 10 * total_halo
-    for message in pattern.messages:
+    halos = dc.compute_halos(mesh, dc.partition(mesh, 24), depth=1)
+    messages = dc.exchange_pattern(halos, bytes_per_cell=10).messages
+    total_halo = sum(halos.halo_count(r) for r in range(24))
+    assert sum(m.cells for m in messages) == total_halo
+    assert sum(m.bytes for m in messages) == 10 * total_halo
+    for message in messages:
         assert message.src != message.dst
         assert message.bytes == message.cells * 10
     # every rank both sends and receives in a symmetric block layout
     for rank in range(24):
-        assert pattern.bytes_out(rank) > 0
-        assert pattern.bytes_in(rank) > 0
-        assert pattern.neighbor_count(rank) >= 4
+        sent = [m for m in messages if m.src == rank]
+        assert sum(m.bytes for m in sent) > 0
+        assert sum(m.bytes for m in messages if m.dst == rank) > 0
+        assert len({m.dst for m in sent}) >= 4
 
 
 def test_message_cells_are_owner_boundary():
     mesh = build_mesh(8, 1)
-    decomposition = dc.compute_halos(mesh, dc.partition(mesh, 6), depth=1)
-    pattern = dc.exchange_pattern(decomposition)
+    decomposition = dc.partition(mesh, 6)
+    halos = dc.compute_halos(mesh, decomposition, depth=1)
+    pattern = dc.exchange_pattern(halos, dc.default_bytes_per_cell(mesh))
     for message in pattern.messages:
         owned = decomposition.owned_cells(message.src)
-        halo = set(decomposition.halos[message.dst][0])
+        halo = set(halos.halos[message.dst][0])
         assert message.cells == len(owned & halo)
 
 
@@ -171,14 +187,14 @@ def test_default_bytes_per_cell():
 
 def test_redundant_mode_trades_messages_for_cells():
     mesh = build_mesh(8, 1)
-    decomposition = dc.compute_halos(
+    halos = dc.compute_halos(
         mesh, dc.partition(mesh, 24, mode=dc.Mode.REDUNDANT_COMPUTE), depth=1)
-    pattern = dc.exchange_pattern(decomposition)
+    pattern = dc.exchange_pattern(halos, dc.default_bytes_per_cell(mesh))
     assert pattern.messages == ()
     # the halo cells are still there, to be computed instead of received
     exchanging = dc.compute_halos(mesh, dc.partition(mesh, 24), depth=1)
     for rank in range(24):
-        assert decomposition.halo_count(rank) == exchanging.halo_count(rank) > 0
+        assert halos.halo_count(rank) == exchanging.halo_count(rank) > 0
 
 
 def test_halo_factor_law_on_c64():
@@ -188,24 +204,13 @@ def test_halo_factor_law_on_c64():
     per_rank = {}
     total = {}
     for ranks in (24, 96, 384):
-        d = dc.compute_halos(mesh, dc.partition(mesh, ranks), depth=1)
-        counts = [d.halo_count(r) for r in range(ranks)]
+        halos = dc.compute_halos(mesh, dc.partition(mesh, ranks), depth=1)
+        counts = [halos.halo_count(r) for r in range(ranks)]
         assert len(set(counts)) == 1  # square blocks, identical halos
         per_rank[ranks] = counts[0]
         total[ranks] = sum(counts)
     assert per_rank[24] == 2 * per_rank[96] == 4 * per_rank[384]
     assert total[384] == 2 * total[96] == 4 * total[24]
-
-
-def test_summary_csv_shape():
-    mesh = build_mesh(8, 1)
-    decomposition = dc.compute_halos(mesh, dc.partition(mesh, 6), depth=1)
-    pattern = dc.exchange_pattern(decomposition)
-    lines = dc.summary_csv(decomposition, pattern).strip().splitlines()
-    assert lines[0] == "rank,owned,halo,neighbors,bytes_out"
-    assert len(lines) == 7
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "64"
 
 
 @given(n=st.integers(1, 24), p=st.integers(1, 24), q=st.integers(1, 24),
@@ -220,8 +225,8 @@ def test_summary_csv_shape():
 @settings(max_examples=60, deadline=None)
 def test_halo_counts_match_bfs_oracle(n, p, q, depth, mode, bytes_per_cell):
     # the closed form, its corner fallback and the cross-edge maps against
-    # compute_halos + exchange_pattern, including blocks thinner than the
-    # depth whose strips span several neighbour blocks
+    # compute_halos and the BFS messages, including blocks thinner than
+    # the depth whose strips span several neighbour blocks
     p, q, depth = min(p, n), min(q, n), min(depth, n)
     mesh = build_mesh(n, 1)
     decomposition = dc.partition(mesh, 6 * p * q, mode=mode)
@@ -232,8 +237,31 @@ def test_halo_counts_match_bfs_oracle(n, p, q, depth, mode, bytes_per_cell):
         == [tuple(len(ring) for ring in rings) for rings in oracle.halos]
     assert [fast.halo_count(r) for r in range(decomposition.ranks)] \
         == [oracle.halo_count(r) for r in range(decomposition.ranks)]
-    assert fast.messages(bytes_per_cell) \
-        == dc.exchange_pattern(oracle, bytes_per_cell).messages
+    expected = bfs_messages(mesh, decomposition, depth, bytes_per_cell)
+    for halos in (fast, oracle):
+        assert dc.exchange_pattern(halos, bytes_per_cell).messages == expected
+
+
+@given(n=st.integers(4, 12), ranks=st.integers(1, 80).filter(lambda r: r % 6),
+       depth=st.integers(1, 3), mode=st.sampled_from(dc.Mode),
+       bytes_per_cell=st.integers(1, 5760))
+@example(n=6, ranks=7, depth=3, mode=dc.Mode.EXCHANGE_HALOS,
+         bytes_per_cell=1)                       # spans crossing panels
+@settings(max_examples=40, deadline=None)
+def test_span_halos_match_bfs_oracle(n, ranks, depth, mode, bytes_per_cell):
+    # span decompositions: halo_counts takes compute_halos, and the
+    # messages are counted over every ring cell's owner
+    mesh = build_mesh(n, 1)
+    decomposition = dc.partition(mesh, ranks, mode=mode)
+    assert decomposition.grid is None
+    expected_rings = [bfs_halo(mesh, decomposition.owned_cells(r), depth)
+                      for r in range(ranks)]
+    expected = bfs_messages(mesh, decomposition, depth, bytes_per_cell)
+    for halos in (dc.halo_counts(mesh, decomposition, depth=depth),
+                  dc.compute_halos(mesh, decomposition, depth=depth)):
+        assert [halos.ring_sizes(r) for r in range(ranks)] \
+            == [tuple(map(len, rings)) for rings in expected_rings]
+        assert dc.exchange_pattern(halos, bytes_per_cell).messages == expected
 
 
 def test_halo_counts_errors():
@@ -245,4 +273,5 @@ def test_halo_counts_errors():
         with pytest.raises(dc.HaloDepthError):
             dc.halo_counts(mesh, decomposition, depth=5)
         with pytest.raises(dc.DecompositionError):
-            dc.halo_counts(mesh, decomposition, depth=1).messages(0)
+            dc.exchange_pattern(
+                dc.halo_counts(mesh, decomposition, depth=1), 0)

@@ -27,14 +27,14 @@ def oracle_breakdown(run):
     cost = run.cost_model
     mesh = run.mesh
     ranks = run.ranks
-    decomposition = dc.compute_halos(
-        mesh, dc.partition(mesh, ranks, mode=run.mode), depth=run.halo_depth)
-    pattern = dc.exchange_pattern(decomposition)
+    decomposition = dc.partition(mesh, ranks, mode=run.mode)
+    halos = dc.compute_halos(mesh, decomposition, depth=run.halo_depth)
+    pattern = dc.exchange_pattern(halos, dc.default_bytes_per_cell(mesh))
     eff = cost.efficiency(run.threads_per_rank)
     redundant = run.mode is dc.Mode.REDUNDANT_COMPUTE
     user = max(
         (decomposition.owned_count(r)
-         + (decomposition.halo_count(r) if redundant else 0))
+         + (halos.halo_count(r) if redundant else 0))
         * mesh.levels * cost.c_cell / (run.threads_per_rank * eff)
         for r in range(ranks))
     per_rank = [0.0] * ranks
