@@ -30,17 +30,8 @@ __all__ = [
     "DiagnosticSchedule", "ScheduleEntry", "emission_events",
     "make_schedule", "total_bytes", "total_fields",
     "MemoryLimitError", "RunSpec", "SimulationError", "TimestepBreakdown",
-    "ratio_report", "simulate", "strong_scaling_study", "thread_sweep",
+    "simulate", "strong_scaling_study", "thread_sweep",
     "IoMetrics", "IoScenario", "IoConfigError", "ServerMemoryError",
     "UnwritableFieldError", "simulate_io", "striping_compare",
     "Scenario", "load_scenario", "parse_scenario",
 ]
-
-
-def __getattr__(name):
-    # the report layer lives in the command-line module, which is imported
-    # on first use so that `python -m cubedsim.cli` runs it only once
-    if name == "ratio_report":
-        from .cli import ratio_report
-        return ratio_report
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -35,7 +35,8 @@ class TableMismatchError(ConfigError):
     numeric column."""
 
 
-AXIS_COLUMNS = ("panel_size", "nodes", "ranks", "threads")
+# the columns that say which configuration a row measures
+AXES = frozenset({"panel_size", "ranks", *SWEEP_AXES})
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -124,10 +125,15 @@ def _io_summary(row: Dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _axes(row: Dict[str, object]) -> Dict[str, object]:
+    """The configuration axes of a row, in its column order."""
+    return {k: v for k, v in row.items() if k in AXES}
+
+
 def _check_shape(tables: Sequence[Sequence[Dict[str, object]]],
                  names: Sequence[str], columns: bool) -> None:
-    """Raise naming the first table, by `names`, whose row count (and,
-    with `columns`, whose header) differs from the first table's."""
+    """Raise naming the first table, by `names`, whose row count, axes row
+    by row or, with `columns`, header differs from the first table's."""
     first = tables[0]
     for name, table in zip(names, tables):
         if len(table) != len(first) \
@@ -135,6 +141,11 @@ def _check_shape(tables: Sequence[Sequence[Dict[str, object]]],
             raise TableMismatchError(
                 f"{name}: {len(table)} rows of {list(table[0])}, expected "
                 f"{len(first)} rows of {list(first[0])}")
+        for number, (row, row0) in enumerate(zip(table, first), start=1):
+            if _axes(row) != _axes(row0):
+                raise TableMismatchError(
+                    f"{name}: row {number} has axes {_axes(row)}, "
+                    f"{names[0]} {_axes(row0)}")
 
 
 def _stats_rows(samples: Sequence[Sequence[Dict[str, object]]],
@@ -167,22 +178,17 @@ def ratio_report(table_a: Sequence[Dict[str, object]],
     _check_shape([table_a, table_b], names, columns=False)
     out: List[Dict[str, object]] = []
     ratios = 0
-    for number, (ra, rb) in enumerate(zip(table_a, table_b), start=1):
-        axes_a = {k: ra[k] for k in AXIS_COLUMNS if k in ra}
-        axes_b = {k: rb[k] for k in AXIS_COLUMNS if k in rb}
-        if axes_a != axes_b:
-            raise TableMismatchError(
-                f"{names[1]}: row {number} has axes {axes_b}, {names[0]} "
-                f"{axes_a}")
-        row = dict(axes_a)
+    for ra, rb in zip(table_a, table_b):
+        row = _axes(ra)
+        axes = len(row)
         for key, va in ra.items():
-            if key in AXIS_COLUMNS or isinstance(va, bool) \
+            if key in AXES or isinstance(va, bool) \
                     or not isinstance(va, (int, float)):
                 continue
             vb = rb.get(key)
             if isinstance(vb, (int, float)) and not isinstance(vb, bool):
                 row[key] = va / vb if vb else float("inf")
-        ratios += len(row) - len(axes_a)
+        ratios += len(row) - axes
         out.append(row)
     if not ratios:
         raise TableMismatchError(

@@ -7,12 +7,12 @@ builds (the layout's are RunSpec's own), a field without a default is
 required, and each value is checked against the field's annotation.
 Defaults live only in the dataclasses and rules only in constructors;
 this module adds the location, so every error is a ConfigError reading
-`<file>.<section>[.key|[k]]: ...`.  The layout is checked against the
+`<file>.<section>[.key|[k]]: ...`.  A machine section is a builtin
+name or MachineConfig's fields.  The layout is checked against the
 machine and mesh.  `vary` turns a sweep value into the run or I/O
 scenario it stands for; the loader builds each one to check it and the
 `sweep` command simulates what it returns.  `nodes` and `buffer_bytes`
 lists must not decrease.
-parse -> canonical_dict -> parse round-trips to an identical scenario.
 """
 
 from __future__ import annotations
@@ -159,24 +159,6 @@ def _build(cls, section: Any, where: str, **supplied):
         return cls(**kwargs, **supplied)
 
 
-def _plain(value: Any) -> Any:
-    """The JSON form of a value the reader returns: its inverse."""
-    if isinstance(value, Enum):
-        return value.value
-    if is_dataclass(value):
-        return _emit(type(value), value)
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, abc.Mapping):
-        return {str(k): _plain(v) for k, v in value.items()}
-    return value
-
-
-def _emit(cls, obj: Any, skip: frozenset = frozenset()) -> Dict[str, Any]:
-    values = ((name, getattr(obj, name)) for name in _schema(cls, skip)[0])
-    return {name: _plain(v) for name, v in values if v is not None}
-
-
 @dataclass
 class Scenario:
     """Parsed and validated configuration bundle."""
@@ -302,21 +284,3 @@ def load_scenario(path) -> Scenario:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return parse_scenario(doc, source=path.name)
-
-
-def canonical_dict(scenario: Scenario) -> Dict[str, Any]:
-    """Canonical plain-dict form; parse(canonical_dict(s)) == s."""
-    s = scenario
-    sections = {
-        "machine": s.machine, "cost_model": s.cost_overrides or None,
-        "memory": s.memory, "mesh": s.mesh and _emit(_Mesh, s.mesh),
-        "layout": s.layout, "grid": s.grid, "schedule": s.schedule,
-        "io_scenario": s.io_scenario and _emit(IoScenario, s.io_scenario,
-                                               frozenset({"schedule"})),
-        "sweep": s.sweep or None}
-    return {key: _plain(value) for key, value in sections.items()
-            if value is not None}
-
-
-def dump_scenario(scenario: Scenario) -> str:
-    return json.dumps(canonical_dict(scenario), indent=2, sort_keys=True) + "\n"

@@ -60,7 +60,7 @@ class Message(NamedTuple):
     bytes: int
 
 
-# halo rings of one rank, innermost first, each sorted by linear index
+# halo rings of one rank, innermost first
 Rings = Tuple[Tuple[CellId, ...], ...]
 
 
@@ -164,14 +164,6 @@ class Decomposition:
     def _span_starts(self) -> List[int]:
         return [dom.start for dom in self.domains]
 
-    @property
-    def max_owned(self) -> int:
-        return max(d.size for d in self.domains)
-
-    @property
-    def min_owned(self) -> int:
-        return min(d.size for d in self.domains)
-
 
 class ExchangePattern(NamedTuple):
     # one per (owner -> halo-holder) pair, sorted by (src, dst)
@@ -268,18 +260,17 @@ def _rank_rings(mesh: CubedSphereMesh, decomp: Decomposition, rank: int,
                 if nb not in seen and not owned_test(nb):
                     ring.add(nb)
         seen |= ring
-        rings.append(tuple(sorted(ring, key=mesh.to_index)))
+        rings.append(tuple(ring))
         frontier = ring
     return tuple(rings)
 
 
-def default_bytes_per_cell(mesh: CubedSphereMesh, fields: int = 3,
-                           word_bytes: int = 8) -> int:
-    """Bytes exchanged per halo cell: levels x word size x field count.
+def default_bytes_per_cell(mesh: CubedSphereMesh) -> int:
+    """Bytes exchanged per halo cell: levels x 8-byte words x 3 fields.
 
     The field count per exchange is a configuration default, not a
     measured quantity."""
-    return mesh.levels * word_bytes * fields
+    return mesh.levels * 8 * 3
 
 
 def _overlaps(offsets: Sequence[int], a: int, b: int) -> Iterator[Tuple[int, int]]:

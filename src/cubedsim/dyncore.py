@@ -83,11 +83,6 @@ class TimestepBreakdown:
     total_s: float
     user_mean_s: float
     mpi_p2p_mean_s: float
-    timesteps: int
-
-    @property
-    def run_total_s(self) -> float:
-        return self.total_s * self.timesteps
 
 
 def simulate(run: RunSpec) -> TimestepBreakdown:
@@ -145,8 +140,7 @@ def simulate(run: RunSpec) -> TimestepBreakdown:
     return TimestepBreakdown(user_s=user_s, mpi_p2p_s=mpi_p2p_s,
                              mpi_coll_s=mpi_coll_s, etc_s=etc_s,
                              total_s=total_s, user_mean_s=user_mean_s,
-                             mpi_p2p_mean_s=mpi_p2p_mean_s,
-                             timesteps=run.timesteps)
+                             mpi_p2p_mean_s=mpi_p2p_mean_s)
 
 
 def breakdown_row(run: RunSpec, result: TimestepBreakdown) -> Dict[str, object]:

@@ -1,5 +1,9 @@
 """Target machine descriptions and calibrated cost coefficients.
 
+A machine is what the cost model reads of a system: the cores of a fully
+populated node, the clock that user compute scales with, and the node
+limit.  Each preset notes the rest of its hardware in a comment.
+
 All CostModel coefficients are calibration values, chosen so that the
 simulated per-timestep breakdown of a C512 run on 48 dual-EPYC nodes
 lands at the right order of magnitude (about half a second of user
@@ -31,42 +35,26 @@ class MachineConfigError(CubedsimError, ValueError):
 class MachineConfig:
     name: str
     cores_per_node: int
-    cpus_per_node: int
     clock_ghz: float
-    numa_domains_per_cpu: int
-    l3_mb_per_cpu: float
-    interconnect: str
     max_nodes: int
 
     def __post_init__(self):
-        for attr in ("cores_per_node", "cpus_per_node", "clock_ghz",
-                     "numa_domains_per_cpu", "l3_mb_per_cpu", "max_nodes"):
+        for attr in ("cores_per_node", "clock_ghz", "max_nodes"):
             if getattr(self, attr) <= 0:
                 raise MachineConfigError(f"{self.name}: {attr} must be positive")
-        if self.cores_per_node % self.cpus_per_node:
-            raise MachineConfigError(
-                f"{self.name}: cores_per_node {self.cores_per_node} not a "
-                f"multiple of cpus_per_node {self.cpus_per_node}")
-
-    @property
-    def cores_per_cpu(self) -> int:
-        return self.cores_per_node // self.cpus_per_node
 
 
 def builtin_machines() -> List[MachineConfig]:
     """The three supported system presets."""
     return [
-        MachineConfig(name="ARCHER2", cores_per_node=128, cpus_per_node=2,
-                      clock_ghz=2.0, numa_domains_per_cpu=4,
-                      l3_mb_per_cpu=256.0, interconnect="Slingshot 10",
+        # 2 CPUs x 64 cores, 4 NUMA domains and 256 MB L3 per CPU, Slingshot 10
+        MachineConfig(name="ARCHER2", cores_per_node=128, clock_ghz=2.0,
                       max_nodes=5600),
-        MachineConfig(name="Setonix", cores_per_node=128, cpus_per_node=2,
-                      clock_ghz=2.45, numa_domains_per_cpu=4,
-                      l3_mb_per_cpu=256.0, interconnect="Slingshot 11",
+        # 2 CPUs x 64 cores, 4 NUMA domains and 256 MB L3 per CPU, Slingshot 11
+        MachineConfig(name="Setonix", cores_per_node=128, clock_ghz=2.45,
                       max_nodes=1600),
-        MachineConfig(name="XC40", cores_per_node=36, cpus_per_node=2,
-                      clock_ghz=2.1, numa_domains_per_cpu=1,
-                      l3_mb_per_cpu=45.0, interconnect="Aries",
+        # 2 CPUs x 18 cores, 1 NUMA domain and 45 MB L3 per CPU, Aries
+        MachineConfig(name="XC40", cores_per_node=36, clock_ghz=2.1,
                       max_nodes=2000),
     ]
 

@@ -112,11 +112,6 @@ class CubedSphereMesh:
     def total_horizontal_cells(self) -> int:
         return PANELS * self.panel_size * self.panel_size
 
-    @property
-    def total_edges(self) -> int:
-        # 4-regular graph on 6N^2 nodes
-        return 2 * PANELS * self.panel_size * self.panel_size
-
     def cells(self) -> Iterator[CellId]:
         n = self.panel_size
         for panel in range(PANELS):
@@ -174,16 +169,6 @@ class CubedSphereMesh:
         """Full adjacency map.  Materializes all cells; intended for
         small meshes and verification, not for production-size runs."""
         return {cell: self.neighbors(cell) for cell in self.cells()}
-
-    def summary(self) -> str:
-        """Plain-text mesh report for debugging."""
-        return (
-            f"cubed-sphere mesh C{self.panel_size}\n"
-            f"  panel size:       {self.panel_size} x {self.panel_size}\n"
-            f"  vertical levels:  {self.levels}\n"
-            f"  horizontal cells: {self.total_horizontal_cells}\n"
-            f"  adjacency edges:  {self.total_edges}\n"
-        )
 
     def __repr__(self) -> str:
         return f"CubedSphereMesh(panel_size={self.panel_size}, levels={self.levels})"

@@ -45,10 +45,6 @@ class DiagnosticSchedule:
         if self.run_hours <= 0:
             raise ScheduleError(f"run_hours must be > 0, got {self.run_hours}")
 
-    @property
-    def max_bytes_per_field(self) -> int:
-        return max((e.bytes_per_field for e in self.entries), default=0)
-
 
 class EmissionEvent(NamedTuple):
     time_hours: float

@@ -214,6 +214,17 @@ def test_report_two_inputs_ratio(tmp_path):
     assert all(float(v) == 1.0 for v in lines[1].split(","))
 
 
+def test_report_keeps_sweep_axes(tmp_path):
+    sweep = tmp_path / "a" / "sweep_buffer_bytes.csv"
+    run_cli("sweep", "--config", str(CONFIG_DIR / "io-dev-rig.json"),
+            "--axis", "buffer_bytes", "--out", str(sweep.parent))
+    assert run_cli("report", str(sweep), str(sweep),
+                   "--out", str(tmp_path)) == 0
+    ratios = (tmp_path / "ratio.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in ratios] == \
+        [r.split(",")[0] for r in sweep.read_text().splitlines()]
+
+
 def test_report_three_inputs_stats(tmp_path):
     out = tmp_path / "a"
     run_cli("run", "--config", str(CONFIG_DIR / "io-dev-rig.json"),
@@ -237,7 +248,6 @@ def test_module_entry_point_warns_nothing():
 
 
 def test_ratio_report():
-    assert cubedsim.ratio_report is ratio_report
     row_a = {"panel_size": 16, "nodes": 6, "ranks": 24, "threads": 1,
              "user_s": 2.0, "p2p_s": 0.5, "total_s": 3.0}
     row_b = dict(row_a, user_s=1.0, p2p_s=0.0, total_s=1.5)
@@ -287,6 +297,10 @@ def edited(doc, **sections):
 
 # (id, document, sweep axis or None, location, text the message holds)
 CONTRACT = [
+    ("machine-interconnect", dict(MINIMAL, machine={
+        "name": "toy", "cores_per_node": 128, "clock_ghz": 2.0,
+        "max_nodes": 8, "interconnect": "Slingshot 10"}), None,
+     "c.json.machine.interconnect", "unknown key"),
     ("cost-negative", edited(MINIMAL, cost_model={"c_cell": -1}), None,
      "c.json.cost_model", "c_cell"),
     ("efficiency-key", edited(MINIMAL, cost_model={
@@ -399,46 +413,60 @@ def test_report_rejects_tables_without_rows(tmp_path, capsys, data):
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("odd", ["columns", "rows"])
+def doubled_nodes(row):
+    """A dyncore.csv row on twice its node count."""
+    panel_size, nodes, rest = row.split(",", 2)
+    return f"{panel_size},{2 * int(nodes)},{rest}"
+
+
+@pytest.mark.parametrize("odd", ["columns", "rows", "axes"])
 def test_report_rejects_tables_of_different_shape(tmp_path, capsys, odd):
-    io_csv = tmp_path / "a" / "io.csv"
-    run_cli("run", "--config", str(CONFIG_DIR / "io-dev-rig.json"),
-            "--out", str(io_csv.parent))
+    config = "minimal.json" if odd == "axes" else "io-dev-rig.json"
+    run_cli("run", "--config", str(CONFIG_DIR / config),
+            "--out", str(tmp_path / "a"))
+    base, = (tmp_path / "a").glob("*.csv")
+    header, row = base.read_text().splitlines()
+    other = tmp_path / "other.csv"
     if odd == "columns":
         run_cli("run", "--config", str(CONFIG_DIR / "minimal.json"),
                 "--out", str(tmp_path / "b"))
         other = tmp_path / "b" / "dyncore.csv"
-    else:
-        header, row = io_csv.read_text().splitlines()
-        other = tmp_path / "long.csv"
+    elif odd == "rows":
         other.write_text(f"{header}\n{row}\n{row}\n")
+    else:
+        other.write_text(f"{header}\n{doubled_nodes(row)}\n")
     capsys.readouterr()
-    code = run_cli("report", str(io_csv), str(io_csv), str(other),
+    code = run_cli("report", str(base), str(base), str(other),
                    "--out", str(tmp_path / "r"))
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {other}: ")
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("odd", ["rows", "axes", "columns"])
+@pytest.mark.parametrize("odd", ["rows", "axes", "io-axes", "columns"])
 def test_two_input_report_names_the_odd_input(tmp_path, capsys, odd):
+    other = tmp_path / "other.csv"
     if odd == "columns":
         # a run's table and its mean/std table share no column
         run_cli("run", "--config", str(CONFIG_DIR / "io-dev-rig.json"),
                 "--out", str(tmp_path / "a"), "--repeat", "2")
         base = tmp_path / "a" / "io.csv"
         other = tmp_path / "a" / "io_stats.csv"
+    elif odd == "io-axes":
+        # the same sweep over twice the buffer sizes
+        base = tmp_path / "a" / "sweep_buffer_bytes.csv"
+        run_cli("sweep", "--config", str(CONFIG_DIR / "io-dev-rig.json"),
+                "--axis", "buffer_bytes", "--out", str(base.parent))
+        header, *rows = base.read_text().splitlines()
+        rows = [f"{2 * int(size)},{rest}"
+                for size, rest in (r.split(",", 1) for r in rows)]
+        other.write_text("\n".join([header] + rows) + "\n")
     else:
         base = tmp_path / "a" / "dyncore.csv"
         run_cli("run", "--config", str(CONFIG_DIR / "minimal.json"),
                 "--out", str(base.parent))
         header, row = base.read_text().splitlines()
-        if odd == "rows":
-            rows = [row, row]
-        else:
-            panel_size, nodes, rest = row.split(",", 2)
-            rows = [f"{panel_size},{2 * int(nodes)},{rest}"]
-        other = tmp_path / "other.csv"
+        rows = [row, row] if odd == "rows" else [doubled_nodes(row)]
         other.write_text("\n".join([header] + rows) + "\n")
     capsys.readouterr()
     code = run_cli("report", str(base), str(other),

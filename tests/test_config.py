@@ -1,12 +1,11 @@
-"""Configuration parsing, validation diagnostics and round-tripping."""
+"""Configuration parsing and validation diagnostics."""
 
 import json
 from dataclasses import replace
 
 import pytest
 
-from cubedsim.config import (ConfigError, canonical_dict, dump_scenario,
-                             load_scenario, parse_scenario, vary)
+from cubedsim.config import ConfigError, load_scenario, parse_scenario, vary
 
 CONFIG_DIR = __file__.rsplit("/", 2)[0] + "/configs"
 
@@ -77,12 +76,8 @@ def test_missing_file_and_bad_json(tmp_path):
     "threads-c512.json", "io-c192-baseline.json", "io-c192-tuned.json",
     "io-c896.json", "io-dev-rig.json", "io-pools-c192.json",
 ])
-def test_shipped_configs_round_trip(name):
-    scenario = load_scenario(f"{CONFIG_DIR}/{name}")
-    doc = canonical_dict(scenario)
-    again = parse_scenario(doc)
-    assert canonical_dict(again) == doc
-    assert json.loads(dump_scenario(scenario)) == doc
+def test_shipped_configs_load(name):
+    assert load_scenario(f"{CONFIG_DIR}/{name}").source == name
 
 
 def test_cost_model_overrides():
@@ -104,12 +99,9 @@ def test_default_cost_model_uses_machine_clock():
 
 def test_custom_machine_section():
     scenario = parse_scenario({"machine": {
-        "name": "toy", "cores_per_node": 4, "cpus_per_node": 1,
-        "clock_ghz": 2.0, "numa_domains_per_cpu": 1, "l3_mb_per_cpu": 16,
-        "interconnect": "test", "max_nodes": 64}})
+        "name": "toy", "cores_per_node": 4, "clock_ghz": 2.0,
+        "max_nodes": 64}})
     assert scenario.machine.cores_per_node == 4
-    assert canonical_dict(parse_scenario(canonical_dict(scenario))) == \
-        canonical_dict(scenario)
 
 
 def test_sweep_section_validation():
@@ -151,10 +143,6 @@ def test_layout_and_grid_round_trip_with_defaults_left_out():
     assert (run.timesteps, run.halo_depth, run.bytes_per_cell) == (96, 1, 64)
     assert scenario.grid.points[1].levels == 4
     assert scenario.grid.points[0].levels is None
-    canonical = canonical_dict(scenario)
-    assert canonical["layout"] == doc["layout"]
-    assert canonical["grid"] == dict(doc["grid"], threads=[])
-    assert canonical_dict(parse_scenario(canonical)) == canonical
 
 
 def test_layout_checked_against_machine_and_mesh():

@@ -13,19 +13,14 @@ from cubedsim.machine import (CostModel, LayoutError, MachineConfig,
 def test_builtin_preset_values():
     archer2 = builtin_machine("archer2")
     assert archer2.cores_per_node == 128
-    assert archer2.cpus_per_node == 2
     assert archer2.clock_ghz == 2.0
-    assert archer2.numa_domains_per_cpu == 4
-    assert archer2.interconnect == "Slingshot 10"
     assert archer2.max_nodes == 5600
     setonix = builtin_machine("Setonix")
     assert setonix.clock_ghz == 2.45
-    assert setonix.interconnect == "Slingshot 11"
     assert setonix.max_nodes == 1600
     xc40 = builtin_machine("XC40")
     assert xc40.cores_per_node == 36
     assert xc40.clock_ghz == 2.1
-    assert xc40.interconnect == "Aries"
     assert len(builtin_machines()) == 3
 
 
@@ -36,18 +31,11 @@ def test_unknown_machine():
 
 def test_machine_validation():
     with pytest.raises(MachineConfigError):
-        MachineConfig(name="bad", cores_per_node=0, cpus_per_node=1,
-                      clock_ghz=2.0, numa_domains_per_cpu=1,
-                      l3_mb_per_cpu=16.0, interconnect="x", max_nodes=10)
+        MachineConfig(name="bad", cores_per_node=0, clock_ghz=2.0,
+                      max_nodes=10)
     with pytest.raises(MachineConfigError):
-        MachineConfig(name="bad", cores_per_node=8, cpus_per_node=2,
-                      clock_ghz=-1.0, numa_domains_per_cpu=1,
-                      l3_mb_per_cpu=16.0, interconnect="x", max_nodes=10)
-
-
-def test_cores_per_cpu():
-    assert builtin_machine("archer2").cores_per_cpu == 64
-    assert builtin_machine("xc40").cores_per_cpu == 18
+        MachineConfig(name="bad", cores_per_node=8, clock_ghz=-1.0,
+                      max_nodes=10)
 
 
 def test_validate_layout_full_population():

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubedsim.config import load_scenario
-from cubedsim.workload import (DiagnosticSchedule, ScheduleError,
-                               emission_events, make_schedule, total_bytes,
-                               total_fields)
+from cubedsim.workload import (ScheduleError, emission_events, make_schedule,
+                               total_bytes, total_fields)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -85,12 +84,6 @@ def test_schedule_validation():
         make_schedule([(1, 1.0, 0)], 48.0)
     with pytest.raises(ScheduleError):
         make_schedule([(1, 1.0, 10)], 0.0)
-
-
-def test_max_bytes_per_field():
-    schedule = make_schedule([(1, 1.0, 10), (1, 2.0, 30)], 4.0)
-    assert schedule.max_bytes_per_field == 30
-    assert DiagnosticSchedule(entries=(), run_hours=1.0).max_bytes_per_field == 0
 
 
 @given(st.lists(st.tuples(st.integers(1, 20),
