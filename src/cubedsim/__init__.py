@@ -3,14 +3,14 @@ parallel diagnostic output servers."""
 
 from .errors import ConfigError, CubedsimError
 from .mesh import CubedSphereMesh, MeshError, build_mesh
-from .decomp import (Decomposition, HaloDepthError, Mode, compute_halos,
+from .decomp import (Decomposition, HaloDepthError, compute_halos,
                      exchange_pattern, local_area, partition)
 from .machine import (CostModel, LayoutError, MachineConfig, MemoryModel,
                       builtin_machine, builtin_machines, default_cost_model,
                       validate_layout)
 from .workload import (DiagnosticSchedule, ScheduleEntry, emission_events,
                        make_schedule, total_bytes, total_fields)
-from .dyncore import (MemoryLimitError, RunSpec, SimulationError,
+from .dyncore import (MemoryLimitError, Mode, RunSpec, SimulationError,
                       TimestepBreakdown, simulate, strong_scaling_study,
                       thread_sweep)
 from .iosim import (IoMetrics, IoScenario, IoConfigError, ServerMemoryError,
@@ -22,14 +22,15 @@ __version__ = "1.0.0"
 __all__ = [
     "ConfigError", "CubedsimError",
     "CubedSphereMesh", "MeshError", "build_mesh",
-    "Decomposition", "HaloDepthError", "Mode", "compute_halos",
+    "Decomposition", "HaloDepthError", "compute_halos",
     "exchange_pattern", "local_area", "partition",
     "CostModel", "LayoutError", "MachineConfig", "MemoryModel",
     "builtin_machine", "builtin_machines", "default_cost_model",
     "validate_layout",
     "DiagnosticSchedule", "ScheduleEntry", "emission_events",
     "make_schedule", "total_bytes", "total_fields",
-    "MemoryLimitError", "RunSpec", "SimulationError", "TimestepBreakdown",
+    "MemoryLimitError", "Mode", "RunSpec", "SimulationError",
+    "TimestepBreakdown",
     "simulate", "strong_scaling_study", "thread_sweep",
     "IoMetrics", "IoScenario", "IoConfigError", "ServerMemoryError",
     "UnwritableFieldError", "simulate_io", "striping_compare",

@@ -151,14 +151,15 @@ def _check_shape(tables: Sequence[Sequence[Dict[str, object]]],
 def _stats_rows(samples: Sequence[Sequence[Dict[str, object]]],
                 names: Sequence[str]) -> List[Dict[str, object]]:
     """Per-cell mean and standard deviation across repeated tables of one
-    shape, named by `names`."""
+    shape, named by `names`; the axes, equal in every table, are copied."""
     _check_shape(samples, names, columns=True)
     out = []
     for row_idx in range(len(samples[0])):
         row: Dict[str, object] = {}
         for col in samples[0][0]:
             values = [s[row_idx][col] for s in samples]
-            if all(isinstance(v, (int, float)) for v in values):
+            if col not in AXES \
+                    and all(isinstance(v, (int, float)) for v in values):
                 row[f"{col}_mean"] = statistics.fmean(values)
                 row[f"{col}_std"] = statistics.pstdev(values)
             else:

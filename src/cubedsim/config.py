@@ -10,9 +10,10 @@ this module adds the location, so every error is a ConfigError reading
 `<file>.<section>[.key|[k]]: ...`.  A machine section is a builtin
 name or MachineConfig's fields.  The layout is checked against the
 machine and mesh.  `vary` turns a sweep value into the run or I/O
-scenario it stands for; the loader builds each one to check it and the
-`sweep` command simulates what it returns.  `nodes` and `buffer_bytes`
-lists must not decrease.
+scenario it stands for; the loader builds each one to check it.  The
+`sweep` command simulates what it returns on the I/O axes; its
+`threads` and `nodes` sweeps drop the layout's mode, halo depth and
+bytes per cell.  `nodes` and `buffer_bytes` lists must not decrease.
 """
 
 from __future__ import annotations
@@ -209,11 +210,9 @@ def vary(s: Scenario, axis: str, value: int) -> Union[RunSpec, IoScenario]:
     if io is None:
         raise ConfigError(f"{s.source}.sweep.{axis}: needs an io_scenario "
                           "section")
-    if axis != "servers":
-        return replace(io, **{axis: value})
-    if io.two_level:
-        return replace(io, servers_level2=value)
-    return replace(io, servers_level1=value, servers_level2=0)
+    if axis == "servers":
+        axis = "servers_level2" if io.two_level else "servers_level1"
+    return replace(io, **{axis: value})
 
 
 def parse_scenario(doc: Dict[str, Any], source: str = "config") -> Scenario:

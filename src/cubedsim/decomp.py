@@ -21,9 +21,7 @@ closed-form block's halo is four straight strips, each split into
 rectangles on the block's own panel and on the panel across an edge
 (reached through `mesh.fold`), plus d(d-1)/2 diagonal cells per block
 corner at depth d; per-owner counts of a rectangle are overlaps with the
-block-offset intervals.  In redundant-compute mode halo values are
-computed locally instead of exchanged, which empties the message list
-and adds the halo cells to each rank's compute extent.
+block-offset intervals.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -46,11 +43,6 @@ class DecompositionError(CubedsimError, ValueError):
 
 class HaloDepthError(DecompositionError):
     """Requested halo depth exceeds the panel size."""
-
-
-class Mode(Enum):
-    EXCHANGE_HALOS = "exchange_halos"
-    REDUNDANT_COMPUTE = "redundant_compute"
 
 
 class Message(NamedTuple):
@@ -133,7 +125,6 @@ class Decomposition:
     mesh: CubedSphereMesh
     ranks: int
     domains: Tuple[object, ...]  # Block or Span per rank
-    mode: Mode = Mode.EXCHANGE_HALOS
     # block-grid metadata (None for span fallback)
     grid: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
 
@@ -184,8 +175,7 @@ def _squarest_factor_pair(m: int) -> Tuple[int, int]:
     return best[1]
 
 
-def partition(mesh: CubedSphereMesh, ranks: int,
-              mode: Mode = Mode.EXCHANGE_HALOS) -> Decomposition:
+def partition(mesh: CubedSphereMesh, ranks: int) -> Decomposition:
     """Assign every cell to exactly one rank.
 
     Rank counts divisible by six get identical per-panel block grids
@@ -215,13 +205,13 @@ def partition(mesh: CubedSphereMesh, ranks: int,
                                              i_off[bi], i_off[bi + 1],
                                              j_off[bj], j_off[bj + 1]))
             return Decomposition(mesh=mesh, ranks=ranks,
-                                 domains=tuple(domains), mode=mode,
+                                 domains=tuple(domains),
                                  grid=(tuple(i_off), tuple(j_off)))
     sizes = _split_sizes(total, ranks)
     sizes.reverse()  # larger chunks first for a stable layout
     off = _offsets(sizes)
     spans = tuple(Span(off[k], off[k + 1]) for k in range(ranks))
-    return Decomposition(mesh=mesh, ranks=ranks, domains=spans, mode=mode)
+    return Decomposition(mesh=mesh, ranks=ranks, domains=spans)
 
 
 def local_area(mesh: CubedSphereMesh, total_cores: int) -> Fraction:
@@ -394,16 +384,10 @@ def halo_counts(mesh: CubedSphereMesh, decomp: Decomposition,
 
 def exchange_pattern(halos: HaloCounts,
                      bytes_per_cell: int) -> ExchangePattern:
-    """One message per (owner -> halo-holder) pair with shared cells.
-
-    Redundant-compute mode eliminates every exchange up to the redundant
-    depth, which equals the halo depth, so the pattern is empty.
-    """
+    """One message per (owner -> halo-holder) pair with shared cells."""
     if bytes_per_cell < 1:
         raise DecompositionError("bytes_per_cell must be positive")
     decomp = halos.decomp
-    if decomp.mode is Mode.REDUNDANT_COMPUTE:
-        return ExchangePattern(())
     counts: Dict[Tuple[int, int], int] = {}
     for rank, rings in enumerate(halos.halos):
         if rings is None:

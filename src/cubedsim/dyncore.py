@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Dict, List, Optional, Sequence
 
 from . import decomp as dc
@@ -31,6 +32,13 @@ class MemoryLimitError(SimulationError):
     """Configuration exceeds the per-node memory guard."""
 
 
+class Mode(Enum):
+    """How a rank gets its halo values: received from their owners, or
+    computed locally from a deeper copy of the inputs."""
+    EXCHANGE_HALOS = "exchange_halos"
+    REDUNDANT_COMPUTE = "redundant_compute"
+
+
 @dataclass(frozen=True)
 class RunSpec:
     mesh: CubedSphereMesh
@@ -40,7 +48,7 @@ class RunSpec:
     threads_per_rank: int
     timesteps: int = 96
     cost: Optional[CostModel] = None
-    mode: dc.Mode = dc.Mode.EXCHANGE_HALOS
+    mode: Mode = Mode.EXCHANGE_HALOS
     halo_depth: int = 1
     bytes_per_cell: Optional[int] = None
     memory: MemoryModel = field(default_factory=MemoryModel)
@@ -92,7 +100,7 @@ def simulate(run: RunSpec) -> TimestepBreakdown:
     ranks = run.ranks
     threads = run.threads_per_rank
 
-    decomposition = dc.partition(mesh, ranks, mode=run.mode)
+    decomposition = dc.partition(mesh, ranks)
     halos = dc.halo_counts(mesh, decomposition, depth=run.halo_depth)
 
     # memory guard before any message or timing is built
@@ -106,12 +114,16 @@ def simulate(run: RunSpec) -> TimestepBreakdown:
             f"{run.memory.node_memory_bytes / 2**30:.1f} GiB "
             f"({run.ranks_per_node} ranks/node, {ranks} total ranks)")
 
-    bytes_per_cell = run.bytes_per_cell
-    if bytes_per_cell is None:
-        bytes_per_cell = dc.default_bytes_per_cell(mesh)
-    messages = dc.exchange_pattern(halos, bytes_per_cell).messages
+    # redundant compute computes the halo cells instead of receiving them:
+    # no messages, and the halo joins each rank's work
+    redundant = run.mode is Mode.REDUNDANT_COMPUTE
+    messages = ()
+    if not redundant:
+        bytes_per_cell = run.bytes_per_cell
+        if bytes_per_cell is None:
+            bytes_per_cell = dc.default_bytes_per_cell(mesh)
+        messages = dc.exchange_pattern(halos, bytes_per_cell).messages
 
-    redundant = run.mode is dc.Mode.REDUNDANT_COMPUTE
     eff = cost.efficiency(threads)
     work = [decomposition.owned_count(r)
             + (halos.halo_count(r) if redundant else 0)

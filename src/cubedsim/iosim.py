@@ -6,12 +6,13 @@ emission is an instant copy when buffer space exists; otherwise the
 client blocks until its server drains enough space, and the blocked
 time accrues to the buffer-wait metric.
 
-Servers come in one or two levels.  Single-level servers drain their
-statically assigned clients (round-robin by client id) and write at an
-effective rate.  In a two-level setup, level-1 servers gather from
-clients at a fast internal transfer rate and forward to the level-2
-servers of their pool, and only level-2 servers pay the write cost;
-gathered-but-unwritten data occupies server-side staging memory.
+Every client writes to one of the `servers_level1 >= 1` level-1
+servers, assigned round-robin by client id.  In a flat layout
+(`servers_level2` is 0) they also write the files, at an effective rate.
+With `servers_level2 > 0` the layout has two levels: level-1 servers
+gather from clients at a fast internal transfer rate and forward to the
+level-2 servers of their pool, and only level-2 servers pay the write
+cost; gathered-but-unwritten data occupies server-side staging memory.
 
 The effective write rate of a server in a pool with S servers and F
 assigned files (files are distributed round-robin over pools) is
@@ -34,7 +35,7 @@ by `config.vary` and simulated like any other.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -78,16 +79,14 @@ class IoScenario:
     def __post_init__(self):
         if self.clients < 1:
             raise IoConfigError(f"clients must be >= 1, got {self.clients}")
-        if self.servers_level1 < 0 or self.servers_level2 < 0:
-            raise IoConfigError("server counts must be >= 0")
-        if self.servers_level1 + self.servers_level2 < 1:
-            raise IoConfigError("at least one server is required")
+        if self.servers_level1 < 1:
+            raise IoConfigError(
+                f"servers_level1 must be >= 1, got {self.servers_level1}")
+        if self.servers_level2 < 0:
+            raise IoConfigError(
+                f"servers_level2 must be >= 0, got {self.servers_level2}")
         if self.pools < 1:
             raise IoConfigError(f"pools must be >= 1, got {self.pools}")
-        if self.servers_level2 and self.servers_level2 % self.pools:
-            raise IoConfigError(
-                f"servers_level2 ({self.servers_level2}) not divisible by "
-                f"pools ({self.pools})")
         if self.writer_count % self.pools:
             raise IoConfigError(
                 f"writing servers ({self.writer_count}) not divisible by "
@@ -102,8 +101,6 @@ class IoScenario:
             raise IoConfigError("base_write_rate must be positive")
         if self.striping_factor < 1:
             raise IoConfigError("striping_factor must be >= 1")
-        if self.files < 1:
-            raise IoConfigError("files must be positive")
         if self.compute_rate < 0:
             raise IoConfigError("compute_rate must be >= 0")
         if self.gather_rate_factor <= 0 or self.stripe_cap < 1:
@@ -113,12 +110,11 @@ class IoScenario:
 
     @property
     def two_level(self) -> bool:
-        return self.servers_level1 > 0 and self.servers_level2 > 0
+        return self.servers_level2 > 0
 
     @property
     def writer_count(self) -> int:
-        return self.servers_level2 if self.two_level else \
-            (self.servers_level1 or self.servers_level2)
+        return self.servers_level2 or self.servers_level1
 
     @property
     def striping_mult(self) -> float:
@@ -284,37 +280,22 @@ def simulate_io(scenario: IoScenario) -> IoMetrics:
 
     compute_s = sched.run_hours * scenario.compute_rate
     two_level = scenario.two_level
-    n_gather = scenario.servers_level1 if two_level else scenario.writer_count
+    pools = scenario.pools
+    n_gather = scenario.servers_level1
+    # per level-1 server: its clients, round-robin by client id, and its
+    # stage-one rate (gathering, or in a flat layout writing)
+    keys = [(scenario.clients // n_gather
+             + (1 if s < scenario.clients % n_gather else 0),
+             scenario.gather_rate if two_level
+             else scenario.writer_rate(s % pools))
+            for s in range(n_gather)]
 
-    # clients -> gather/write servers, round-robin by client id
-    clients_per = [scenario.clients // n_gather
-                   + (1 if s < scenario.clients % n_gather else 0)
-                   for s in range(n_gather)]
-
-    if two_level:
-        stage1_rate = [scenario.gather_rate] * n_gather
-    else:
-        # single level: the assigned server also writes
-        stage1_rate = [scenario.writer_rate(s % scenario.pools)
-                       for s in range(n_gather)]
-
-    # deduplicate identical stage-1 subsystems
-    classes: Dict[Tuple[int, float], _StageOneResult] = {}
-    multiplicity: Dict[Tuple[int, float], int] = {}
-    server_class: List[Optional[Tuple[int, float]]] = []
-    for s in range(n_gather):
-        k = clients_per[s]
-        if k == 0:
-            server_class.append(None)
-            continue
-        key = (k, stage1_rate[s])
-        multiplicity[key] = multiplicity.get(key, 0) + 1
-        server_class.append(key)
-    for key in multiplicity:
-        k, rate = key
-        classes[key] = _simulate_stage_one(
-            chunks, k, rate, cap, scenario.compute_rate,
-            collect_arrivals=two_level)
+    # deduplicate identical stage-one subsystems, in server order
+    multiplicity = Counter(key for key in keys if key[0])
+    classes = {key: _simulate_stage_one(chunks, key[0], key[1], cap,
+                                        scenario.compute_rate,
+                                        collect_arrivals=two_level)
+               for key in multiplicity}
 
     wait_total = 0.0
     for key, res in classes.items():
@@ -324,30 +305,22 @@ def simulate_io(scenario: IoScenario) -> IoMetrics:
     last_client_end = compute_s + max(
         (max(res.waits) for res in classes.values()), default=0.0)
 
+    busy_write = 0.0
+    last_done = 0.0
     if two_level:
         track = scenario.server_memory_bytes is not None
-        writers_per_pool = scenario.servers_level2 // scenario.pools
-        pool_of_l1: List[List[int]] = [[] for _ in range(scenario.pools)]
-        for l1 in range(n_gather):
-            pool_of_l1[l1 % scenario.pools].append(l1)
-        busy_write = 0.0
-        last_done = 0.0
+        writers_per_pool = scenario.servers_level2 // pools
         staging_total = 0.0
         pool_cache: Dict[tuple, Tuple[float, float, float]] = {}
-        for p in range(scenario.pools):
-            streams = []
-            sig_parts = []
-            for l1 in pool_of_l1[p]:
-                key = server_class[l1]
-                if key is None:
-                    continue
-                streams.append(classes[key].arrivals)
-                sig_parts.append(key)
-            rate = scenario.writer_rate(p)
-            sig = (tuple(sig_parts), writers_per_pool, rate)
+        for p in range(pools):
+            # level-1 servers go round-robin to pools; every pool has the
+            # same writer count, so its members and rate identify it
+            members = tuple(key for key in keys[p::pools] if key[0])
+            sig = (members, scenario.writer_rate(p))
             if sig not in pool_cache:
-                pool_cache[sig] = _stage_two(streams, writers_per_pool, rate,
-                                             track)
+                pool_cache[sig] = _stage_two(
+                    [classes[key].arrivals for key in members],
+                    writers_per_pool, sig[1], track)
             busy, done, peak = pool_cache[sig]
             busy_write += busy
             staging_total += peak
@@ -358,8 +331,6 @@ def simulate_io(scenario: IoScenario) -> IoMetrics:
                 f"peak server staging {staging_total / MIB:.1f} MiB exceeds "
                 f"limit {scenario.server_memory_bytes / MIB:.1f} MiB")
     else:
-        busy_write = 0.0
-        last_done = 0.0
         for key, res in classes.items():
             busy_write += multiplicity[key] * res.busy_s
             if res.last_done > last_done:

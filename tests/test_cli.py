@@ -165,12 +165,9 @@ SMALL_POOLS = {
 def _varied(doc, axis, value):
     """`doc` as the single run that one sweep value stands for."""
     io = dict(doc["io_scenario"])
-    if axis != "servers":
-        io[axis] = value
-    elif io["servers_level1"] and io["servers_level2"]:
-        io["servers_level2"] = value
-    else:
-        io.update(servers_level1=value, servers_level2=0)
+    if axis == "servers":
+        axis = "servers_level2" if io["servers_level2"] else "servers_level1"
+    io[axis] = value
     return {"schedule": doc["schedule"], "io_scenario": io}
 
 
@@ -234,6 +231,23 @@ def test_report_three_inputs_stats(tmp_path):
     assert code == 0
     lines = (tmp_path / "stats.csv").read_text().splitlines()
     assert "wall_clock_s_mean" in lines[0]
+
+
+def test_stats_copy_the_axes(tmp_path):
+    # axes agree row by row, so a stats table names its rows by them
+    out = tmp_path / "a"
+    run_cli("run", "--config", str(CONFIG_DIR / "minimal.json"),
+            "--out", str(out), "--repeat", "3")
+    table = out / "dyncore.csv"
+    assert run_cli("report", str(table), str(table), str(table),
+                   "--out", str(tmp_path)) == 0
+    run_header, run_row = table.read_text().splitlines()
+    for stats in (out / "dyncore_stats.csv", tmp_path / "stats.csv"):
+        header, row = stats.read_text().splitlines()
+        assert header == "panel_size,nodes,ranks,threads," + ",".join(
+            f"{col}_{stat}" for col in run_header.split(",")[4:]
+            for stat in ("mean", "std"))
+        assert row.split(",")[:4] == run_row.split(",")[:4]
 
 
 def test_module_entry_point_warns_nothing():
@@ -349,6 +363,9 @@ CONTRACT = [
      "c.json.io_scenario.base_write_rate", "number"),
     ("clients-fraction", edited(IO_RIG, io_scenario={"clients": 8.5}), None,
      "c.json.io_scenario.clients", "integer"),
+    ("io-level1-zero", edited(IO_RIG, io_scenario={"servers_level1": 0,
+                                                   "servers_level2": 2}),
+     None, "c.json.io_scenario", "servers_level1 must be >= 1"),
 ]
 
 

@@ -190,7 +190,9 @@ def test_vary_builds_what_a_sweep_value_stands_for():
     io = rig.io_scenario
     assert vary(rig, "buffer_bytes", 4096) == replace(io, buffer_bytes=4096)
     assert vary(rig, "pools", 2) == replace(io, pools=2)
-    assert vary(rig, "servers", 4) == replace(io, servers_level1=4)
+    flat = vary(rig, "servers", 4)
+    assert flat == replace(io, servers_level1=4)
+    assert flat.servers_level2 == 0
     two_level = replace(io, servers_level1=2, servers_level2=2)
     rig.io_scenario = two_level
     assert vary(rig, "servers", 4) == replace(two_level, servers_level2=4)

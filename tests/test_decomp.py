@@ -37,9 +37,7 @@ def bfs_halo(mesh, owned, depth):
 
 def bfs_messages(mesh, decomposition, depth, bytes_per_cell):
     """Oracle: one message per (owner, holder) pair, counted over the
-    `bfs_halo` rings of every rank; none in redundant-compute mode."""
-    if decomposition.mode is dc.Mode.REDUNDANT_COMPUTE:
-        return ()
+    `bfs_halo` rings of every rank."""
     counts = Counter()
     for rank in range(decomposition.ranks):
         for ring in bfs_halo(mesh, decomposition.owned_cells(rank), depth):
@@ -186,15 +184,16 @@ def test_default_bytes_per_cell():
 
 
 def test_redundant_mode_trades_messages_for_cells():
+    # the cells a rank receives when it exchanges halos are exactly the
+    # halo cells it computes instead in redundant-compute mode
     mesh = build_mesh(8, 1)
-    halos = dc.compute_halos(
-        mesh, dc.partition(mesh, 24, mode=dc.Mode.REDUNDANT_COMPUTE), depth=1)
+    halos = dc.compute_halos(mesh, dc.partition(mesh, 24), depth=1)
     pattern = dc.exchange_pattern(halos, dc.default_bytes_per_cell(mesh))
-    assert pattern.messages == ()
-    # the halo cells are still there, to be computed instead of received
-    exchanging = dc.compute_halos(mesh, dc.partition(mesh, 24), depth=1)
+    received = Counter()
+    for m in pattern.messages:
+        received[m.dst] += m.cells
     for rank in range(24):
-        assert halos.halo_count(rank) == exchanging.halo_count(rank) > 0
+        assert received[rank] == halos.halo_count(rank) > 0
 
 
 def test_halo_factor_law_on_c64():
@@ -214,22 +213,18 @@ def test_halo_factor_law_on_c64():
 
 
 @given(n=st.integers(1, 24), p=st.integers(1, 24), q=st.integers(1, 24),
-       depth=st.integers(1, 4), mode=st.sampled_from(dc.Mode),
-       bytes_per_cell=st.integers(1, 5760))
-@example(n=8, p=8, q=8, depth=4, mode=dc.Mode.EXCHANGE_HALOS,
-         bytes_per_cell=1)                       # 1 x 1 blocks at depth 4
-@example(n=10, p=4, q=3, depth=3, mode=dc.Mode.EXCHANGE_HALOS,
-         bytes_per_cell=1)                       # uneven 2-3 x 3-4 blocks
-@example(n=24, p=1, q=1, depth=4, mode=dc.Mode.EXCHANGE_HALOS,
-         bytes_per_cell=1)                       # whole panels: corner path
+       depth=st.integers(1, 4), bytes_per_cell=st.integers(1, 5760))
+@example(n=8, p=8, q=8, depth=4, bytes_per_cell=1)   # 1 x 1 blocks at depth 4
+@example(n=10, p=4, q=3, depth=3, bytes_per_cell=1)  # uneven 2-3 x 3-4 blocks
+@example(n=24, p=1, q=1, depth=4, bytes_per_cell=1)  # whole panels: corners
 @settings(max_examples=60, deadline=None)
-def test_halo_counts_match_bfs_oracle(n, p, q, depth, mode, bytes_per_cell):
+def test_halo_counts_match_bfs_oracle(n, p, q, depth, bytes_per_cell):
     # the closed form, its corner fallback and the cross-edge maps against
     # compute_halos and the BFS messages, including blocks thinner than
     # the depth whose strips span several neighbour blocks
     p, q, depth = min(p, n), min(q, n), min(depth, n)
     mesh = build_mesh(n, 1)
-    decomposition = dc.partition(mesh, 6 * p * q, mode=mode)
+    decomposition = dc.partition(mesh, 6 * p * q)
     assert decomposition.grid is not None
     fast = dc.halo_counts(mesh, decomposition, depth=depth)
     oracle = dc.compute_halos(mesh, decomposition, depth=depth)
@@ -243,16 +238,14 @@ def test_halo_counts_match_bfs_oracle(n, p, q, depth, mode, bytes_per_cell):
 
 
 @given(n=st.integers(4, 12), ranks=st.integers(1, 80).filter(lambda r: r % 6),
-       depth=st.integers(1, 3), mode=st.sampled_from(dc.Mode),
-       bytes_per_cell=st.integers(1, 5760))
-@example(n=6, ranks=7, depth=3, mode=dc.Mode.EXCHANGE_HALOS,
-         bytes_per_cell=1)                       # spans crossing panels
+       depth=st.integers(1, 3), bytes_per_cell=st.integers(1, 5760))
+@example(n=6, ranks=7, depth=3, bytes_per_cell=1)    # spans crossing panels
 @settings(max_examples=40, deadline=None)
-def test_span_halos_match_bfs_oracle(n, ranks, depth, mode, bytes_per_cell):
+def test_span_halos_match_bfs_oracle(n, ranks, depth, bytes_per_cell):
     # span decompositions: halo_counts takes compute_halos, and the
     # messages are counted over every ring cell's owner
     mesh = build_mesh(n, 1)
-    decomposition = dc.partition(mesh, ranks, mode=mode)
+    decomposition = dc.partition(mesh, ranks)
     assert decomposition.grid is None
     expected_rings = [bfs_halo(mesh, decomposition.owned_cells(r), depth)
                       for r in range(ranks)]

@@ -9,9 +9,9 @@ import math
 import pytest
 
 from cubedsim import decomp as dc
-from cubedsim.dyncore import (MemoryLimitError, RunSpec, SimulationError,
-                              breakdown_row, simulate, strong_scaling_study,
-                              thread_sweep)
+from cubedsim.dyncore import (MemoryLimitError, Mode, RunSpec,
+                              SimulationError, breakdown_row, simulate,
+                              strong_scaling_study, thread_sweep)
 from cubedsim.machine import (LayoutError, MachineConfig, MemoryModel,
                               builtin_machine, default_cost_model)
 from cubedsim.mesh import build_mesh
@@ -26,18 +26,19 @@ def oracle_breakdown(run):
     cost = run.cost_model
     mesh = run.mesh
     ranks = run.ranks
-    decomposition = dc.partition(mesh, ranks, mode=run.mode)
+    decomposition = dc.partition(mesh, ranks)
     halos = dc.compute_halos(mesh, decomposition, depth=run.halo_depth)
-    pattern = dc.exchange_pattern(halos, dc.default_bytes_per_cell(mesh))
+    redundant = run.mode is Mode.REDUNDANT_COMPUTE
+    messages = () if redundant else dc.exchange_pattern(
+        halos, dc.default_bytes_per_cell(mesh)).messages
     eff = cost.efficiency(run.threads_per_rank)
-    redundant = run.mode is dc.Mode.REDUNDANT_COMPUTE
     user = max(
         (decomposition.owned_count(r)
          + (halos.halo_count(r) if redundant else 0))
         * mesh.levels * cost.c_cell / (run.threads_per_rank * eff)
         for r in range(ranks))
     per_rank = [0.0] * ranks
-    for m in pattern.messages:
+    for m in messages:
         c = cost.p2p_alpha + m.bytes / cost.p2p_beta
         per_rank[m.src] += c
         per_rank[m.dst] += c
@@ -51,9 +52,9 @@ def oracle_breakdown(run):
 
 
 @pytest.mark.parametrize("mode,threads,ranks_per_node", [
-    (dc.Mode.EXCHANGE_HALOS, 1, 4),
-    (dc.Mode.EXCHANGE_HALOS, 2, 2),
-    (dc.Mode.REDUNDANT_COMPUTE, 1, 4),
+    (Mode.EXCHANGE_HALOS, 1, 4),
+    (Mode.EXCHANGE_HALOS, 2, 2),
+    (Mode.REDUNDANT_COMPUTE, 1, 4),
 ])
 def test_simulate_matches_closed_form(mode, threads, ranks_per_node):
     run = RunSpec(mesh=build_mesh(8, 10), machine=TOY, nodes=6,
@@ -69,12 +70,12 @@ def test_simulate_matches_closed_form(mode, threads, ranks_per_node):
 
 
 @pytest.mark.parametrize("n,nodes,ranks_per_node,threads,depth,mode", [
-    (8, 24, 4, 1, 3, dc.Mode.EXCHANGE_HALOS),      # 2 x 2 blocks, depth 3
-    (6, 54, 4, 1, 4, dc.Mode.REDUNDANT_COMPUTE),   # 1 x 1 blocks, depth 4
-    (10, 18, 4, 1, 2, dc.Mode.EXCHANGE_HALOS),     # uneven 4 x 3 grid
-    (10, 18, 2, 2, 3, dc.Mode.EXCHANGE_HALOS),     # uneven 3 x 2 grid
-    (12, 6, 1, 4, 4, dc.Mode.EXCHANGE_HALOS),      # whole panels, corners
-    (8, 7, 4, 1, 2, dc.Mode.EXCHANGE_HALOS),       # 28 ranks: spans
+    (8, 24, 4, 1, 3, Mode.EXCHANGE_HALOS),      # 2 x 2 blocks, depth 3
+    (6, 54, 4, 1, 4, Mode.REDUNDANT_COMPUTE),   # 1 x 1 blocks, depth 4
+    (10, 18, 4, 1, 2, Mode.EXCHANGE_HALOS),     # uneven 4 x 3 grid
+    (10, 18, 2, 2, 3, Mode.EXCHANGE_HALOS),     # uneven 3 x 2 grid
+    (12, 6, 1, 4, 4, Mode.EXCHANGE_HALOS),      # whole panels, corners
+    (8, 7, 4, 1, 2, Mode.EXCHANGE_HALOS),       # 28 ranks: spans
 ])
 def test_simulate_equals_oracle(n, nodes, ranks_per_node, threads, depth,
                                 mode):
@@ -87,17 +88,27 @@ def test_simulate_equals_oracle(n, nodes, ranks_per_node, threads, depth,
 
 
 def test_redundant_compute_has_no_p2p():
-    run = RunSpec(mesh=build_mesh(8, 10), machine=TOY, nodes=6,
+    # no message is sent, and each rank computes its halo cells too
+    mesh = build_mesh(8, 10)
+    run = RunSpec(mesh=mesh, machine=TOY, nodes=6,
                   ranks_per_node=4, threads_per_rank=1,
-                  mode=dc.Mode.REDUNDANT_COMPUTE, memory=BIG_MEMORY)
-    exchange = RunSpec(mesh=build_mesh(8, 10), machine=TOY, nodes=6,
+                  mode=Mode.REDUNDANT_COMPUTE, memory=BIG_MEMORY)
+    exchange = RunSpec(mesh=mesh, machine=TOY, nodes=6,
                        ranks_per_node=4, threads_per_rank=1,
                        memory=BIG_MEMORY)
     redundant_result = simulate(run)
     exchange_result = simulate(exchange)
     assert redundant_result.mpi_p2p_s == 0.0
+    assert redundant_result.mpi_p2p_mean_s == 0.0
     assert exchange_result.mpi_p2p_s > 0.0
-    assert redundant_result.user_s > exchange_result.user_s
+    halos = dc.compute_halos(mesh, dc.partition(mesh, 24), depth=1)
+    work = [16 + halos.halo_count(r) for r in range(24)]
+    assert min(work) > 16
+    c_cell = run.cost_model.c_cell
+    assert exchange_result.user_s == 16 * mesh.levels * c_cell
+    assert redundant_result.user_s == max(work) * mesh.levels * c_cell
+    assert redundant_result.user_mean_s == \
+        sum(w * mesh.levels * c_cell for w in work) / 24
 
 
 def test_run_spec_validation():

@@ -96,6 +96,11 @@ def test_scenario_validation():
         tiny(clients=0)
     with pytest.raises(IoConfigError):
         tiny(servers_level1=0)
+    # level 1 takes the clients in every layout; level 2 is optional
+    with pytest.raises(IoConfigError, match="servers_level1 must be >= 1"):
+        tiny(servers_level1=0, servers_level2=2)
+    assert not tiny(servers_level1=2, servers_level2=0).two_level
+    assert tiny(servers_level1=2, servers_level2=2).two_level
     with pytest.raises(IoConfigError):
         tiny(servers_level1=4, servers_level2=4, pools=3)
     with pytest.raises(IoConfigError):
