@@ -8,20 +8,27 @@ with imbalance at most one cell).
 
 Halos are rings of non-owned cells reachable from the owned block by
 edge adjacency.  `HaloCounts` is the one halo result: per rank, the
-frontier-expansion rings, or None where a closed form gives their sizes.
-`compute_halos` expands every rank and is the reference.  `halo_counts`
-expands only where it must: away from the eight cube corners the surface
-around a block unfolds flat, so ring k of a w x h block has
-2(w+h) + 4(k-1) cells, and only blocks whose depth-d neighbourhood
-reaches a cube corner, and every span decomposition, are expanded.
+frontier-expansion rings, or None where a closed form or a span's row
+runs give their sizes.  `compute_halos` expands every rank and is the
+reference.  `halo_counts` expands only where it must: away from the
+eight cube corners the surface around a block unfolds flat, so ring k
+of a w x h block has 2(w+h) + 4(k-1) cells, and only blocks whose
+depth-d neighbourhood reaches a cube corner are expanded.  A span
+layout on a mesh of at most C10 is expanded like `compute_halos`, which
+is no slower there and whose cell counts perfbench's halo counters read.
+On larger meshes a span that is one rectangle (part of one row, or whole
+rows) away from the cube corners takes the same closed form; every other
+span is expanded ring by ring as row runs, not as cells.
 
 `exchange_pattern` builds one message per (owner -> halo-holder) pair
 from either result.  Expanded rings give each cell's owner directly.  A
-closed-form block's halo is four straight strips, each split into
-rectangles on the block's own panel and on the panel across an edge
-(reached through `mesh.fold`), plus d(d-1)/2 diagonal cells per block
-corner at depth d; per-owner counts of a rectangle are overlaps with the
-block-offset intervals.
+span's ring runs are intervals of linear cell indices, and their
+per-owner counts are overlaps with the span offsets.  A closed-form
+block's halo is four straight strips, each split into rectangles on the
+block's own panel and on the panel across an edge (reached through
+`mesh.fold`), plus d(d-1)/2 diagonal cells per block corner at depth d;
+per-owner counts of a rectangle are overlaps with the block-offset
+intervals.
 """
 
 from __future__ import annotations
@@ -54,6 +61,13 @@ class Message(NamedTuple):
 
 # halo rings of one rank, innermost first
 Rings = Tuple[Tuple[CellId, ...], ...]
+# cells as half-open runs [a, b) of i per (panel, j) row, sorted and
+# disjoint once merged
+Runs = Dict[Tuple[int, int], List[Tuple[int, int]]]
+# up to C10 a span layout's cell walk costs no more than its row runs,
+# depth 1-3 taken together, and perfbench counts halo cells there by
+# hooking compute_halos; from C12 on the row runs are faster
+_SPAN_WALK_MAX_PANEL = 10
 
 
 def _split_sizes(total: int, parts: int) -> List[int]:
@@ -145,15 +159,15 @@ class Decomposition:
             bi = bisect_right(i_offsets, cell.i) - 1
             bj = bisect_right(j_offsets, cell.j) - 1
             return cell.panel * p * q + bj * p + bi
-        index = self.mesh.to_index(cell)
-        rank = bisect_right(self._span_starts, index) - 1
-        if rank >= 0 and index < self.domains[rank].stop:
+        rank = bisect_right(self._span_offsets, self.mesh.to_index(cell)) - 1
+        if 0 <= rank < self.ranks:
             return rank
         raise DecompositionError(f"cell {cell} not covered by any rank")
 
     @cached_property
-    def _span_starts(self) -> List[int]:
-        return [dom.start for dom in self.domains]
+    def _span_offsets(self) -> List[int]:
+        """Span starts followed by the cell total."""
+        return [dom.start for dom in self.domains] + [self.domains[-1].stop]
 
 
 class ExchangePattern(NamedTuple):
@@ -327,13 +341,147 @@ def _block_owners(decomp: Decomposition, rank: int,
     return counts
 
 
+def _closed_sizes(block: Block, depth: int) -> Tuple[int, ...]:
+    """Ring sizes of a block away from the cube corners."""
+    return tuple(2 * (block.i1 - block.i0 + block.j1 - block.j0) + 4 * k
+                 for k in range(depth))
+
+
+def _span_block(n: int, span: Span) -> Optional[Block]:
+    """The span as a block when it is one rectangle on one panel: part of
+    one row, or whole rows."""
+    panel, first = divmod(span.start, n * n)
+    last = span.stop - 1 - panel * n * n
+    if last >= n * n:
+        return None
+    j0, i0 = divmod(first, n)
+    j1, i1 = divmod(last, n)
+    if j0 == j1:
+        return Block(panel, i0, i1 + 1, j0, j0 + 1)
+    if i0 == 0 and i1 == n - 1:
+        return Block(panel, 0, n, j0, j1 + 1)
+    return None
+
+
+def _span_runs(n: int, span: Span) -> Runs:
+    """The span's cells as one run per row it touches."""
+    runs: Runs = {}
+    # the cell index is row * n + i, with row = panel * n + j
+    for row in range(span.start // n, (span.stop - 1) // n + 1):
+        runs[divmod(row, n)] = [(max(span.start - row * n, 0),
+                                 min(span.stop - row * n, n))]
+    return runs
+
+
+def _merge(runs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Sorted disjoint runs covering the same cells."""
+    out: List[Tuple[int, int]] = []
+    for a, b in sorted(runs):
+        if out and a <= out[-1][1]:
+            out[-1] = (out[-1][0], max(b, out[-1][1]))
+        else:
+            out.append((a, b))
+    return out
+
+
+def _subtract(runs: List[Tuple[int, int]],
+              cut: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """The parts of sorted disjoint `runs` outside sorted disjoint `cut`."""
+    out = []
+    for a, b in runs:
+        for c, d in cut:
+            if c >= b:
+                break
+            if d > a:
+                if c > a:
+                    out.append((a, c))
+                a = d
+        if a < b:
+            out.append((a, b))
+    return out
+
+
+def _span_rings(mesh: CubedSphereMesh, span: Span, depth: int) -> List[Runs]:
+    """A span's halo rings up to `depth` as row runs, innermost first.
+
+    A run's west and east ends and the rows above and below it cross a
+    panel edge through `mesh.fold`; a folded row lands on the other panel
+    as one row run or as a column of one-cell runs."""
+    n = mesh.panel_size
+    frontier = seen = _span_runs(n, span)
+    rings = []
+    for _ in range(depth):
+        near: Runs = {}
+        add = near.setdefault
+        for (panel, j), runs in frontier.items():
+            for a, b in runs:
+                # the run is seen, so it may stand in the cells west and
+                # east of it on its panel
+                add((panel, j), []).append((max(a - 1, 0), min(b + 1, n)))
+                for i in (a - 1, b):
+                    if not 0 <= i < n:
+                        cell = mesh.fold(panel, i, j)
+                        add((cell.panel, cell.j), []).append(
+                            (cell.i, cell.i + 1))
+                for y in (j - 1, j + 1):
+                    if 0 <= y < n:
+                        add((panel, y), []).append((a, b))
+                        continue
+                    first = mesh.fold(panel, a, y)
+                    last = mesh.fold(panel, b - 1, y)
+                    if first.j == last.j:
+                        add((first.panel, first.j), []).append(
+                            (min(first.i, last.i), max(first.i, last.i) + 1))
+                        continue
+                    for row in range(min(first.j, last.j),
+                                     max(first.j, last.j) + 1):
+                        add((first.panel, row), []).append(
+                            (first.i, first.i + 1))
+        ring: Runs = {}
+        for key, runs in near.items():
+            new = _subtract(_merge(runs), seen.get(key, ()))
+            if new:
+                ring[key] = new
+                seen[key] = _merge(seen.get(key, []) + new)
+        rings.append(ring)
+        frontier = ring
+    return rings
+
+
+def _span_sizes(mesh: CubedSphereMesh, span: Span,
+                depth: int) -> Tuple[int, ...]:
+    """Ring sizes of a span: the closed form of a block when the span is
+    one rectangle away from the cube corners, else its row-run rings."""
+    block = _span_block(mesh.panel_size, span)
+    if block is not None and not _near_corner(block, mesh.panel_size, depth):
+        return _closed_sizes(block, depth)
+    return tuple(sum(b - a for runs in ring.values() for a, b in runs)
+                 for ring in _span_rings(mesh, span, depth))
+
+
+def _span_owners(decomp: Decomposition, rank: int,
+                 depth: int) -> Counter:
+    """Halo cells per owner rank of a span: each ring run is an interval
+    of cell indices, which meets the owners' spans as overlaps."""
+    n = decomp.mesh.panel_size
+    counts: Counter = Counter()
+    for ring in _span_rings(decomp.mesh, decomp.domains[rank], depth):
+        for (panel, j), runs in ring.items():
+            row = (panel * n + j) * n
+            for a, b in runs:
+                for owner, cells in _overlaps(decomp._span_offsets,
+                                              row + a, row + b):
+                    counts[owner] += cells
+    return counts
+
+
 class HaloCounts(NamedTuple):
     """Per-rank halo rings of a decomposition up to `depth`."""
 
     decomp: Decomposition
     depth: int
-    # ring sizes of the blocks of one panel, None near a cube corner;
-    # empty when every rank is expanded
+    # ring sizes of the blocks of one panel, None near a cube corner, or
+    # of every span; empty when every rank is expanded
     closed: List[Optional[Tuple[int, ...]]]
     # per rank: frontier-expansion rings, or None where `closed` gives
     # the ring sizes
@@ -359,22 +507,33 @@ def compute_halos(mesh: CubedSphereMesh, decomp: Decomposition,
                        for rank in range(decomp.ranks)])
 
 
+def _span_counts(mesh: CubedSphereMesh, decomp: Decomposition,
+                 depth: int) -> HaloCounts:
+    """Every span's ring sizes from the closed form or its row runs."""
+    return HaloCounts(decomp, depth,
+                      [_span_sizes(mesh, span, depth)
+                       for span in decomp.domains],
+                      [None] * decomp.ranks)
+
+
 def halo_counts(mesh: CubedSphereMesh, decomp: Decomposition,
                 depth: int = 1) -> HaloCounts:
-    """Halo ring sizes per rank without building halo cell sets where the
-    closed form holds: ring k of a w x h block away from the cube corners
-    has 2(w+h) + 4(k-1) cells.  Blocks near a cube corner take the
-    frontier expansion, and a decomposition without a block grid takes
-    `compute_halos`."""
+    """Halo ring sizes per rank without building halo cell sets: ring k
+    of a w x h block away from the cube corners has 2(w+h) + 4(k-1)
+    cells.  Blocks near a cube corner take the frontier expansion.  A
+    span layout up to C10 takes `compute_halos`; on a larger mesh a span
+    that is one rectangle away from the cube corners takes the closed
+    form, and every other span is expanded as row runs."""
     check_halo_depth(mesh, depth)
     if decomp.grid is None:
-        return compute_halos(mesh, decomp, depth)
+        if mesh.panel_size <= _SPAN_WALK_MAX_PANEL:
+            return compute_halos(mesh, decomp, depth)
+        return _span_counts(mesh, decomp, depth)
     # every panel has the same block grid, and every panel corner is a
     # cube corner, so the closed form depends on the place in the panel
     per_panel = decomp.ranks // PANELS
     closed = [None if _near_corner(block, mesh.panel_size, depth) else
-              tuple(2 * (block.i1 - block.i0 + block.j1 - block.j0) + 4 * k
-                    for k in range(depth))
+              _closed_sizes(block, depth)
               for block in decomp.domains[:per_panel]]
     halos = [None if closed[rank % per_panel] is not None
              else _rank_rings(mesh, decomp, rank, depth)
@@ -390,11 +549,13 @@ def exchange_pattern(halos: HaloCounts,
     decomp = halos.decomp
     counts: Dict[Tuple[int, int], int] = {}
     for rank, rings in enumerate(halos.halos):
-        if rings is None:
-            owners = _block_owners(decomp, rank, halos.depth)
-        else:
+        if rings is not None:
             owners = Counter(decomp.owner_of(cell)
                              for ring in rings for cell in ring)
+        elif decomp.grid is None:
+            owners = _span_owners(decomp, rank, halos.depth)
+        else:
+            owners = _block_owners(decomp, rank, halos.depth)
         for owner, cells in owners.items():
             counts[(owner, rank)] = cells
     return ExchangePattern(tuple(

@@ -3,15 +3,17 @@
 Halo and message expectations come from an independent breadth-first
 expansion over the fully materialized adjacency map, not from the
 frontier walk used by the implementation.  Both halo results, the
-frontier walk of `compute_halos` and the closed form of `halo_counts`,
-are checked against it, ring sizes and `exchange_pattern` messages.
+frontier walk of `compute_halos` and the closed forms and span row runs
+of `halo_counts` (called directly as `_span_counts` where `halo_counts`
+walks the cells of a span layout up to C10), are checked against it, ring
+sizes and `exchange_pattern` messages.
 """
 
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cubedsim import decomp as dc
@@ -237,24 +239,48 @@ def test_halo_counts_match_bfs_oracle(n, p, q, depth, bytes_per_cell):
         assert dc.exchange_pattern(halos, bytes_per_cell).messages == expected
 
 
-@given(n=st.integers(4, 12), ranks=st.integers(1, 80).filter(lambda r: r % 6),
-       depth=st.integers(1, 3), bytes_per_cell=st.integers(1, 5760))
+@given(n=st.integers(1, 12), ranks=st.integers(1, 80),
+       depth=st.integers(1, 12), bytes_per_cell=st.integers(1, 5760))
 @example(n=6, ranks=7, depth=3, bytes_per_cell=1)    # spans crossing panels
+@example(n=6, ranks=50, depth=2, bytes_per_cell=1)   # one row at a corner
+@example(n=6, ranks=9, depth=1, bytes_per_cell=1)    # bands of whole rows
+@example(n=6, ranks=9, depth=2, bytes_per_cell=1)    # ... near the corners
+@example(n=5, ranks=4, depth=2, bytes_per_cell=1)    # across two panel edges
+@example(n=2, ranks=18, depth=2, bytes_per_cell=1)   # 6 * 3 ranks, depth N
 @settings(max_examples=40, deadline=None)
 def test_span_halos_match_bfs_oracle(n, ranks, depth, bytes_per_cell):
-    # span decompositions: halo_counts takes compute_halos, and the
-    # messages are counted over every ring cell's owner
+    # span decompositions: _span_counts takes the closed form for one
+    # rectangle away from the corners and row runs for the rest, and the
+    # messages are counted over the owners of the ring runs or cells;
+    # halo_counts walks the cells of the meshes up to C10
+    ranks, depth = min(ranks, 6 * n * n), min(depth, n)
     mesh = build_mesh(n, 1)
     decomposition = dc.partition(mesh, ranks)
-    assert decomposition.grid is None
+    assume(decomposition.grid is None)
     expected_rings = [bfs_halo(mesh, decomposition.owned_cells(r), depth)
                       for r in range(ranks)]
     expected = bfs_messages(mesh, decomposition, depth, bytes_per_cell)
     for halos in (dc.halo_counts(mesh, decomposition, depth=depth),
+                  dc._span_counts(mesh, decomposition, depth=depth),
                   dc.compute_halos(mesh, decomposition, depth=depth)):
         assert [halos.ring_sizes(r) for r in range(ranks)] \
             == [tuple(map(len, rings)) for rings in expected_rings]
         assert dc.exchange_pattern(halos, bytes_per_cell).messages == expected
+
+
+def test_span_runs_cover_exactly_the_owned_cells():
+    for n in range(1, 9):
+        mesh = build_mesh(n, 1)
+        for ranks in range(1, 6 * n * n + 1):
+            decomposition = dc.partition(mesh, ranks)
+            if decomposition.grid is not None:
+                continue
+            for rank, span in enumerate(decomposition.domains):
+                cells = [CellId(panel, i, j)
+                         for (panel, j), runs in dc._span_runs(n, span).items()
+                         for a, b in runs for i in range(a, b)]
+                assert len(cells) == len(set(cells)) == span.size
+                assert set(cells) == decomposition.owned_cells(rank)
 
 
 def test_halo_counts_errors():

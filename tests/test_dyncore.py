@@ -156,16 +156,36 @@ def test_memory_guard_trips_widest_single_thread_layout():
     assert simulate(threaded).total_s > 0
 
 
-@pytest.mark.parametrize("n,nodes", [(1024, 192), (80, 192)])
+@pytest.mark.parametrize("n,nodes", [(1024, 192), (80, 192), (96, 190)])
 def test_memory_guard_needs_no_halo_geometry(monkeypatch, n, nodes):
+    # 96 x 190: 24,320 ranks, not a multiple of six, so spans
     def no_halos(*_args, **_kwargs):
         raise AssertionError("the guard must not need halo cells")
 
     monkeypatch.setattr(dc, "compute_halos", no_halos)
+    monkeypatch.setattr(dc, "_rank_rings", no_halos)
     wide = RunSpec(mesh=build_mesh(n, 120), machine=builtin_machine("archer2"),
                    nodes=nodes, ranks_per_node=128, threads_per_rank=1)
     with pytest.raises(MemoryLimitError):
         simulate(wide)
+
+
+def test_span_run_walks_no_cells(monkeypatch):
+    # C48 on 128 ranks at depth 2: spans, sized and counted as row runs
+    run = RunSpec(mesh=build_mesh(48, 10), machine=TOY, nodes=32,
+                  ranks_per_node=4, threads_per_rank=1, halo_depth=2,
+                  memory=BIG_MEMORY)
+    expected = oracle_breakdown(run)
+
+    def no_cells(*_args, **_kwargs):
+        raise AssertionError("a span run must not walk cells")
+
+    monkeypatch.setattr(dc, "compute_halos", no_cells)
+    monkeypatch.setattr(dc, "_rank_rings", no_cells)
+    monkeypatch.setattr(dc.Decomposition, "owned_cells", no_cells)
+    result = simulate(run)
+    assert (result.user_s, result.mpi_p2p_s, result.mpi_coll_s,
+            result.etc_s) == expected
 
 
 def test_weak_scaling_attribution():
