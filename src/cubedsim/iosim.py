@@ -30,14 +30,34 @@ Independent subsystems (a server and its clients; a pool) are simulated
 independently and identical ones are deduplicated, which is exact
 because nothing couples them.  A sweep point is a whole scenario, built
 by `config.vary` and simulated like any other.
+
+Both stages step over runs, not single chunks.  A FIFO server that stays
+backlogged runs the Lindley recursion `free = max(free, t) + d` as a
+plain running sum, so its output is held as runs of chunks each done
+one duration after the last.  Stage one pushes a client's chunks of one
+size that fit at one instant as one batch, and advances a blocked client
+whose resume comes before every other client's event through all of its
+drain-one/push-one cycles at once, when its buffer holds enough chunks
+for that to pay.  Stage two gives each writer every n-th chunk of a
+stream and adds its durations up stretch by stretch; pools of mixed
+classes, and streams of short runs, are merged chunk by chunk.
+Exact means the same IEEE-754 operations in the same order as the
+per-chunk code kept in `tests/io_oracle.py`, so every output is the same
+float; running sums use `accumulate` and `reduce`, never `sum`.  Peak
+staging replays the (time, +-bytes) events one time window at a time,
+so it holds a window and the chunks not yet written, not the whole run.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter, deque
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from heapq import heappop, heappush, merge
+from itertools import accumulate, chain, compress, groupby, islice, repeat
+from operator import add, gt, indexOf, itemgetter, lt, ne, sub
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import workload
 from .errors import CubedsimError
@@ -45,6 +65,12 @@ from .workload import DiagnosticSchedule
 
 MIB = 1024.0 * 1024.0
 _EPS = 1e-6  # bytes; absorbs float rounding in buffer bookkeeping
+_PIECE = 1 << 14  # chunks per stage-two step; bounds its working memory
+# runs shorter than this cost more to step over than their chunks one
+# by one: stage one batches and chains only when a buffer holds this many
+# of the largest chunks, and stage two steps over a stream's runs only
+# when they average this many chunks
+_RUNS_FROM = 16
 
 
 class IoConfigError(CubedsimError, ValueError):
@@ -152,12 +178,66 @@ class IoMetrics:
     bytes_written: int
 
 
+class _Arrivals:
+    """A stage-one server's FIFO output, held as backlogged runs.
+
+    A run `(first_done, dur, count, bytes)` is `count` chunks of `bytes`:
+    the first done at `first_done` and each later one `dur` after the one
+    before, by one float addition per chunk, as the server computed them.
+    `len()` is the number of chunks, which stage one sets when done.
+    """
+
+    __slots__ = ("runs", "count")
+
+    def __init__(self):
+        self.runs: List[list] = []     # [first_done, dur, count, bytes]
+        self.count = 0
+
+    def __len__(self) -> int:
+        return self.count
+
+    def add(self, backlogged: bool, first: float, dur: float, n: int,
+            size: float):
+        """Append n chunks of one size; `backlogged` when the first one
+        started as the server came free."""
+        runs = self.runs
+        if backlogged and runs and runs[-1][3] == size:    # so dur is too
+            runs[-1][2] += n
+        else:
+            runs.append([first, dur, n, size])
+
+    def pieces(self, size: int) -> Iterator[Tuple[List[float], float]]:
+        """(done times, bytes) of consecutive chunks of one size, at most
+        `size` at a time."""
+        for b, group in groupby(self.runs, key=itemgetter(3)):
+            times = chain.from_iterable(
+                accumulate(repeat(dur, n - 1), add, initial=first)
+                for first, dur, n, _b in group)
+            while True:
+                ts = list(islice(times, size))
+                if not ts:
+                    break
+                yield ts, b
+
+    def tagged(self) -> Iterator[Tuple[float, int, float]]:
+        """(done, position, bytes) of every chunk, for a merge."""
+        seq = 0
+        for first, dur, n, b in self.runs:
+            if n == 1:
+                yield first, seq, b
+                seq += 1
+            else:
+                for t in accumulate(repeat(dur, n - 1), add, initial=first):
+                    yield t, seq, b
+                    seq += 1
+
+
 @dataclass
 class _StageOneResult:
     waits: List[float]              # per client
     busy_s: float                   # server busy seconds
     last_done: float                # completion of the last chunk
-    arrivals: List[Tuple[float, float]]  # (completion, bytes) in FIFO order
+    arrivals: _Arrivals             # completions in FIFO order
 
 
 def _simulate_stage_one(chunks: Sequence[Tuple[float, float]], n_clients: int,
@@ -167,99 +247,304 @@ def _simulate_stage_one(chunks: Sequence[Tuple[float, float]], n_clients: int,
 
     `chunks` is the per-client emission list of (model_hour, bytes).  At
     equal times clients act in id order, each pushing as many chunks as
-    fit before yielding.
+    fit before yielding.  When a buffer holds `_RUNS_FROM` of the largest
+    chunks, a client's pushes at one instant go as one batch, and a
+    blocked client whose next resume comes before every other client's
+    event runs its drain-one/push-one cycles as one chain.
     """
     waits = [0.0] * n_clients
+    arrivals = _Arrivals()
+    runs = arrivals.runs
     if not chunks:
         return _StageOneResult(waits=waits, busy_s=0.0, last_done=0.0,
-                               arrivals=[])
+                               arrivals=arrivals)
     n_chunks = len(chunks)
+    hours = list(map(itemgetter(0), chunks))
+    sizes = list(map(itemgetter(1), chunks))
+    limit = cap + _EPS
+    shortcuts = limit >= _RUNS_FROM * max(sizes)
+    # where each stretch of chunks of one hour and one size starts
+    stretches = list(compress(range(1, n_chunks),
+                              map(ne, chunks[1:], chunks))) \
+        if shortcuts else []
+    stretches.append(n_chunks)
     ptr = [0] * n_clients
     fill = [0.0] * n_clients
-    pending: List[deque] = [deque() for _ in range(n_clients)]
-    arrivals: List[Tuple[float, float]] = []
+    # per client, the done times of its queued chunks: the last ones it
+    # pushed, so their sizes are sizes[ptr - len(queue):ptr]
+    pend: List[List[float]] = [[] for _ in range(n_clients)]
     srv_free = 0.0
     busy = 0.0
-    first_t = chunks[0][0] * compute_rate
-    heap = [(first_t, c) for c in range(n_clients)]
+    heap = [(hours[0] * compute_rate, c) for c in range(n_clients)]
     # already sorted by client id; heapify is a no-op ordering-wise
     while heap:
-        t, c = heapq.heappop(heap)
-        pend = pending[c]
-        f = fill[c]
-        while pend and pend[0][0] <= t:
-            f -= pend.popleft()[1]
+        t, c = heappop(heap)
+        pt = pend[c]
         k = ptr[c]
-        hour = chunks[k][0]
-        blocked = False
-        while k < n_chunks:
-            nxt_hour, share = chunks[k]
-            if nxt_hour != hour:
-                break
-            if f + share <= cap + _EPS:
-                start = srv_free if srv_free > t else t
-                dur = share / rate
-                done = start + dur
-                srv_free = done
-                busy += dur
-                pend.append((done, share))
-                if collect_arrivals:
-                    arrivals.append((done, share))
-                f += share
-                k += 1
+        f = fill[c]
+        if pt and pt[0] <= t:
+            if len(pt) == 1 or pt[1] > t:
+                f -= sizes[k - len(pt)]
+                del pt[0]
             else:
-                # blocked: resume when enough of our queued chunks drain
-                freed = 0.0
-                resume = t
-                for done, b in pend:
-                    freed += b
-                    resume = done
-                    if f - freed + share <= cap + _EPS:
-                        break
-                waits[c] += resume - t
-                heapq.heappush(heap, (resume, c))
+                j = bisect_right(pt, t)
+                lo = k - len(pt)
+                f = reduce(sub, sizes[lo:lo + j], f)
+                del pt[:j]
+        hour = hours[k]
+        blocked = False
+        while k < n_chunks and hours[k] == hour:
+            share = sizes[k]
+            grown = f + share
+            if grown > limit:
                 blocked = True
                 break
+            dur = share / rate
+            start = srv_free if srv_free > t else t
+            if shortcuts and grown + 3 * share <= limit and \
+                    (same := stretches[bisect_right(stretches, k)] - k) > 3:
+                # four or more of this size fit: push them as one batch
+                n, f = _fit(f, repeat(share, min(
+                    same, int((limit - f) / share) + 2)), limit)
+                dones = _dones(start, repeat(dur, n))
+                busy = reduce(add, repeat(dur, n), busy)
+                if collect_arrivals:
+                    arrivals.add(start == srv_free, dones[0], dur, n, share)
+                srv_free = dones[-1]
+                pt += dones
+                k += n
+            else:
+                done = start + dur
+                busy += dur
+                if collect_arrivals:
+                    # `arrivals.add` inline: a call per chunk costs more
+                    if start == srv_free and runs and runs[-1][3] == share:
+                        runs[-1][2] += 1
+                    else:
+                        runs.append([done, dur, 1, share])
+                srv_free = done
+                pt.append(done)
+                f = grown
+                k += 1
+        if blocked:
+            # resume when enough of our queued chunks drain
+            lo = i = k - len(pt)
+            freed = 0.0
+            resume = t
+            for resume in pt:
+                freed += sizes[i]
+                if f - freed + share <= limit:
+                    break
+                i += 1
+            waits[c] += resume - t
+            if (shortcuts and len(pt) > 1 and sizes[lo] == share
+                    and f - share + share == f):
+                k, srv_free, busy, waits[c] = _cycles(
+                    pt, sizes, k, stretches[bisect_right(stretches, k)],
+                    heap, c, share / rate, srv_free, busy, waits[c],
+                    arrivals if collect_arrivals else None)
+                resume = pt[0]
+            heappush(heap, (resume, c))
+        elif k < n_chunks:
+            heappush(heap, (t + (hours[k] - hour) * compute_rate, c))
         fill[c] = f
         ptr[c] = k
-        if blocked:
-            continue
-        if k < n_chunks:
-            heapq.heappush(heap, (t + (chunks[k][0] - hour) * compute_rate, c))
+    if collect_arrivals:
+        arrivals.count = n_chunks * n_clients
     return _StageOneResult(waits=waits, busy_s=busy, last_done=srv_free,
                            arrivals=arrivals)
 
 
-def _stage_two(arrival_streams: Sequence[Sequence[Tuple[float, float]]],
-               n_writers: int, rate: float,
-               track_staging: bool) -> Tuple[float, float, float]:
+def _cycles(pt: List[float], sizes: List[float], k: int, stop: int,
+            heap: list, c: int, dur: float, srv_free: float, busy: float,
+            wait: float, arrivals: Optional[_Arrivals]
+            ) -> Tuple[int, float, float, float]:
+    """Run the drain-one/push-one cycles of blocked client `c`, whose
+    queued chunks are done at `pt` and are `sizes[k - len(pt):k]`, while
+    its resume comes before the first event in `heap` (ties go to the
+    lower id).
+
+    Each cycle drains the first queued chunk and pushes chunk k, of the
+    same size; the caller has checked that this leaves the fill
+    bit-identical, so every cycle repeats the decisions of the first.
+    Chunks k to `stop` - 1 have that size.  A cycle needs the next queued
+    chunk to be of that size and to be done strictly later, or else the
+    per-event step must take it.  Returns the next chunk to push and the
+    new server free time, busy time and client wait."""
+    share = sizes[k]
+    while True:
+        lo = k - len(pt)
+        most = min(len(pt) - 1, stop - 1 - k)
+        if heap:
+            top_t, top_c = heap[0]
+            most = (bisect_right if c < top_c else bisect_left)(
+                pt, top_t, 0, most)
+        if (most < 1 or sizes[lo:lo + most + 1].count(share) <= most
+                or not all(map(lt, pt, pt[1:most + 1]))):
+            return k, srv_free, busy, wait
+        wait = reduce(add, map(sub, pt[1:most + 1], pt), wait)
+        dones = _dones(srv_free, repeat(dur, most))
+        busy = reduce(add, repeat(dur, most), busy)
+        if arrivals is not None:
+            arrivals.add(True, dones[0], dur, most, share)
+        srv_free = dones[-1]
+        del pt[:most]
+        pt += dones
+        k += most
+
+
+def _fit(fill: float, sizes: Iterable[float],
+         limit: float) -> Tuple[int, float]:
+    """How many of `sizes` fit, pushed in order onto `fill` while it stays
+    within `limit`, and the fill after them."""
+    fills = _running(fill, sizes)
+    n = bisect_right(fills, limit, 1) - 1
+    return n, fills[n]
+
+
+def _running(first: float, steps: Iterable[float]) -> List[float]:
+    """`first` and the running total after each step, one addition per
+    step in order."""
+    return list(accumulate(steps, add, initial=first))
+
+
+def _dones(start: float, durs: Iterable[float]) -> List[float]:
+    """Completion times of chunks written back to back from `start`."""
+    dones = _running(start, durs)
+    del dones[0]
+    return dones
+
+
+def _write(ts: List[float], copies: int, dur: float, free: float,
+           dones: Optional[List[float]]) -> float:
+    """One writer's recursion `free = max(free, t) + dur` over the
+    non-decreasing arrival times `ts`, each arriving `copies` times in a
+    row, one backlogged stretch at a time.  Appends each completion to
+    `dones` unless it is None and returns the writer's new free time."""
+    if not ts:
+        return free
+    n = len(ts)
+    rest = iter(ts)
+    t = next(rest)
+    start = free if free > t else t
+    i = 0
+    while True:
+        items = (n - i) * copies
+        stretch = accumulate(repeat(dur, items), add, initial=start)
+        next(stretch)
+        # arrival i + 1 + j idles the writer iff it comes after the last
+        # copy of arrival i + j is done
+        try:
+            j = indexOf(map(gt, rest, islice(stretch, copies - 1, None,
+                                             copies)), True)
+        except ValueError:
+            if dones is None:
+                return max(stretch)     # the last arrival's copies
+            dones += _dones(start, repeat(dur, items))
+            return dones[-1]
+        if dones is not None:
+            dones += _dones(start, repeat(dur, (j + 1) * copies))
+        i += j + 1
+        start = ts[i]
+
+
+class _Staging:
+    """Peak of the bytes staged at level 2: each chunk adds its size when
+    it arrives and takes it off when written.  The (time, +-bytes) events
+    are replayed in sorted order one time window at a time, carrying the
+    level, so only a window and the unwritten chunks are held."""
+
+    def __init__(self, copies: int):
+        self.copies = copies    # each held arrival comes this many times
+        self.held: Dict[float, Tuple[List[float], List[float]]] = {}
+        self.level = 0.0
+        self.peak = 0.0
+
+    def of(self, size: float) -> Tuple[List[float], List[float]]:
+        """The held arrival and done times of chunks of `size`."""
+        return self.held.setdefault(size, ([], []))
+
+    def replay(self, cut: float):
+        """Replay the held events before time `cut`; later ones wait."""
+        released = {}
+        for size, (arrived, done) in list(self.held.items()):
+            done.sort()
+            i = bisect_left(arrived, cut)
+            j = bisect_left(done, cut)
+            released[size] = (arrived[:i] * self.copies, done[:j])
+            del arrived[:i], done[:j]
+            if not arrived and not done:
+                del self.held[size]
+        # list the events by delta, then sort them stably by time: that is
+        # the (time, delta) order of the per-chunk replay
+        times: List[float] = []
+        deltas: List[float] = []
+        for size in sorted(released, reverse=True):
+            done = released[size][1]
+            times += done
+            deltas += repeat(-size, len(done))
+        for size in sorted(released):
+            arrived = released[size][0]
+            times += arrived
+            deltas += repeat(size, len(arrived))
+        if times:
+            order = sorted(range(len(times)), key=times.__getitem__)
+            path = _running(self.level, map(deltas.__getitem__, order))
+            top = max(path)
+            if top > self.peak:
+                self.peak = top
+            self.level = path[-1]
+
+
+def _stage_two(arrival_streams: Sequence[_Arrivals], n_writers: int,
+               rate: float, track_staging: bool) -> Tuple[float, float, float]:
     """Forwarded chunks from each level-1 stream are written by the
-    pool's level-2 servers, round-robin per stream.  Returns (busy_s,
-    last_done, peak_staging_bytes)."""
-    merged = heapq.merge(*[
-        ((t, l1, seq, b) for seq, (t, b) in enumerate(stream))
-        for l1, stream in enumerate(arrival_streams)])
+    pool's level-2 servers, round-robin per stream, in the order of the
+    merged streams: by time, then position in the stream, then size,
+    then stream.  Returns (busy_s, last_done, peak_staging_bytes)."""
     free = [0.0] * n_writers
     busy = 0.0
-    staging_events: List[Tuple[float, float]] = []
-    for t, _l1, seq, b in merged:
-        w = seq % n_writers
-        start = free[w] if free[w] > t else t
-        dur = b / rate
-        done = start + dur
-        free[w] = done
-        busy += dur
-        if track_staging:
-            staging_events.append((t, b))
-            staging_events.append((done, -b))
+    copies = len(arrival_streams)
+    first = arrival_streams[0] if copies else _Arrivals()
+    if all(s is first for s in arrival_streams) and \
+            len(first) >= _RUNS_FROM * len(first.runs):
+        # identical members, in runs long enough to pay for themselves:
+        # the merge repeats each chunk once per member
+        staging = _Staging(copies) if track_staging else None
+        seq = 0
+        for ts, b in first.pieces(_PIECE):
+            dur = b / rate
+            busy = reduce(add, repeat(dur, len(ts) * copies), busy)
+            dones = None
+            if staging is not None:
+                staging.replay(ts[0])
+                arrived, dones = staging.of(b)
+                arrived += ts
+            for w in range(n_writers):
+                free[w] = _write(ts[(w - seq) % n_writers::n_writers], copies,
+                                 dur, free[w], dones)
+            seq += len(ts)
+    else:
+        # members of different classes, or short runs: merge chunk by chunk
+        staging = _Staging(1) if track_staging else None
+        merged = merge(*[stream.tagged() for stream in arrival_streams])
+        while block := list(islice(merged, _PIECE)):
+            if staging is not None:
+                staging.replay(block[0][0])
+            for t, seq, b in block:
+                w = seq % n_writers
+                dur = b / rate
+                done = (free[w] if free[w] > t else t) + dur
+                free[w] = done
+                busy += dur
+                if staging is not None:
+                    arrived, dones = staging.of(b)
+                    arrived.append(t)
+                    dones.append(done)
     peak = 0.0
-    if track_staging:
-        staging_events.sort()
-        level = 0.0
-        for _t, delta in staging_events:
-            level += delta
-            if level > peak:
-                peak = level
+    if staging is not None:
+        staging.replay(float("inf"))
+        peak = staging.peak
     return busy, max(free), peak
 
 

@@ -3,7 +3,9 @@
 A schedule is a list of (field_count, period_hours, bytes_per_field)
 entries over a run of run_hours model hours.  The first output of an
 entry happens one full period into the run, never at time zero, so an
-18-hour field is written twice in a 48-hour run.
+18-hour field is written twice in a 48-hour run.  A schedule holds at
+most MAX_FIELD_WRITES field writes: the I/O simulation builds one event
+per write, at about 250 bytes each while it runs.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import List, NamedTuple, Tuple
 from .errors import CubedsimError
 
 _EPS = 1e-9
+MAX_FIELD_WRITES = 1_000_000
 
 
 class ScheduleError(CubedsimError, ValueError):
@@ -44,6 +47,12 @@ class DiagnosticSchedule:
     def __post_init__(self):
         if self.run_hours <= 0:
             raise ScheduleError(f"run_hours must be > 0, got {self.run_hours}")
+        # checked per entry first, so that a tiny period cannot overflow
+        if any((self.run_hours + _EPS) / e.period_hours > MAX_FIELD_WRITES
+               for e in self.entries) \
+                or total_fields(self) > MAX_FIELD_WRITES:
+            raise ScheduleError(
+                f"more than {MAX_FIELD_WRITES} field writes over the run")
 
 
 class EmissionEvent(NamedTuple):

@@ -261,6 +261,33 @@ def test_module_entry_point_warns_nothing():
     assert done.returncode == 0, done.stderr
 
 
+def test_huge_schedule_keeps_the_exit_code_contract(tmp_path):
+    # a valid edit of io-dev-rig.json: 100,000 fields every 0.01 h over
+    # 24 h is 240 M field writes; in a child with 512 MiB of address
+    # space the call must still end in 0, 2 or 3, without a traceback
+    doc = copy.deepcopy(IO_RIG)
+    doc["schedule"]["entries"] = [{"field_count": 100_000,
+                                   "period_hours": 0.01,
+                                   "bytes_per_field": 8388608}]
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(doc))
+    limit = 512 * 1024 * 1024
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from cubedsim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = Path(cubedsim.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", code, "run", "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode in (0, 2, 3), done.stderr
+    assert "Traceback" not in done.stderr
+    if done.returncode == 2:
+        assert done.stderr.startswith("error: huge.json.schedule: ")
+
+
 def test_ratio_report():
     row_a = {"panel_size": 16, "nodes": 6, "ranks": 24, "threads": 1,
              "user_s": 2.0, "p2p_s": 0.5, "total_s": 3.0}

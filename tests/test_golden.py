@@ -4,8 +4,7 @@ Each case is one command-line call on a file of `configs/`: `run` of
 every config, `run --repeat 3` of io-c896.json, and `sweep` of every axis
 in a config's sweep section.  The case compares every file the call
 writes with the files of `tests/golden/<case>/`, and names the first that
-differs.  io-pools-c192.json has no case: its `run` and `sweep` take
-about 18 s together, and criterion 11 already runs its sweep twice.
+differs.
 
 To re-record a case after a deliberate output change, delete its
 directory and repeat the call from the repository root, for example:
@@ -28,15 +27,12 @@ from cubedsim.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-SKIPPED = {"io-pools-c192.json"}
 
 
 def _cases():
     """(case name, argv without --out) of every recorded call."""
     cases = []
     for path in sorted(CONFIG_DIR.glob("*.json")):
-        if path.name in SKIPPED:
-            continue
         config = ["--config", str(path)]
         cases.append((f"{path.stem}-run", ["run", *config]))
         if path.name == "io-c896.json":

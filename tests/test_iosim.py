@@ -5,10 +5,20 @@ clients emit equal shares of each field, block when their buffer is
 full, and servers drain in FIFO order.
 """
 
+import contextlib
+import math
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import io_oracle
+from cubedsim import iosim, workload
+from cubedsim.config import load_scenario
 from cubedsim.iosim import (IoConfigError, IoScenario, ServerMemoryError,
                             UnwritableFieldError, metrics_row, simulate_io,
                             striping_compare)
@@ -190,3 +200,176 @@ def test_simulate_io_is_deterministic():
                     schedule=make_schedule([(8, 1.0, 100)], 4.0),
                     buffer_bytes=120)
     assert simulate_io(scenario) == simulate_io(scenario)
+
+
+# --- run-compressed stages against the per-chunk oracle --------------------
+
+def _stage_inputs(scenario):
+    """simulate_io's per-client chunks and per-level-1-server keys."""
+    events = workload.emission_events(scenario.schedule)
+    chunks = [(ev.time_hours, ev.bytes * (1.0 / scenario.clients))
+              for ev in events]
+    n = scenario.servers_level1
+    keys = [(scenario.clients // n + (1 if s < scenario.clients % n else 0),
+             scenario.gather_rate if scenario.two_level
+             else scenario.writer_rate(s % scenario.pools))
+            for s in range(n)]
+    return chunks, keys
+
+
+def _oracle_staging_total(scenario, keys, classes):
+    """simulate_io's summed peak staging, from the oracle's stage two."""
+    total = 0.0
+    pools = scenario.pools
+    for p in range(pools):
+        members = [key for key in keys[p::pools] if key[0]]
+        total += io_oracle.stage_two(
+            [classes[key].arrivals for key in members],
+            scenario.servers_level2 // pools, scenario.writer_rate(p),
+            True)[2]
+    return total
+
+
+@st.composite
+def io_scenarios(draw):
+    """Small scenarios whose float paths cover the stages' shortcuts:
+    mixed sizes within an hour, uneven clients per server, whole-number
+    times that tie, and compute rate 0."""
+    entries = draw(st.lists(st.tuples(
+        st.integers(1, 12), st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+        st.sampled_from([7, 30, 64, 100, 101, 250, 333, 977])), min_size=1,
+        max_size=4))
+    run_hours = draw(st.sampled_from([1.0, 2.0, 3.0, 4.5, 6.0]))
+    level1 = draw(st.integers(1, 4))
+    pools = draw(st.integers(1, 3))
+    writers = pools * draw(st.integers(0, 3))
+    if writers == 0:
+        pools = 1
+    clients = draw(st.integers(1, 9))
+    biggest = max(b for _c, _p, b in entries)
+    return IoScenario(
+        clients=clients, servers_level1=level1, servers_level2=writers,
+        pools=pools, files=pools * draw(st.integers(1, 3)),
+        buffer_bytes=draw(st.integers(-(-biggest // clients), 4 * biggest)),
+        base_write_rate=draw(st.sampled_from([25.0, 50.0, 64.0, 97.3])),
+        striping_factor=draw(st.sampled_from([1.0, 2.0])),
+        compute_rate=draw(st.sampled_from([0.0, 1.0, 2.0, 10.0, 3.7])),
+        gather_rate_factor=draw(st.sampled_from([1.0, 4.0])),
+        pool_penalty=draw(st.sampled_from([0.0, 0.25])),
+        schedule=make_schedule(entries, run_hours))
+
+
+def _two_level(**overrides):
+    base = dict(servers_level2=1, pools=1, files=1, striping_factor=1.0,
+                gather_rate_factor=4.0, pool_penalty=0.0)
+    return IoScenario(**{**base, **overrides})
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=io_scenarios(), piece=st.sampled_from([1, 2, 3, 7, 1 << 14]),
+       runs_from=st.sampled_from([0, iosim._RUNS_FROM]))
+# a chain whose drain-one/push-one cycle moves the fill by an ulp, with
+# the buffer set between the two fills' last pushes
+@example(scenario=_two_level(
+    clients=6, servers_level1=3, buffer_bytes=893.1666656666666,
+    base_write_rate=50.0, compute_rate=0.0,
+    schedule=make_schedule([(5, 0.5, 7), (4, 2.0, 101), (6, 1.0, 977)], 2.0)),
+    piece=2, runs_from=0)
+# a resume at the same instant as the next client's event, which has the
+# lower id and so goes first
+@example(scenario=_two_level(
+    clients=5, servers_level1=1, buffer_bytes=342, base_write_rate=50.0,
+    compute_rate=2.0, schedule=make_schedule(
+        [(5, 2.0, 64), (11, 0.5, 250), (3, 1.0, 977), (9, 1.0, 64)], 3.0)),
+    piece=2, runs_from=0)
+# a lone client whose queue holds a chunk of another size just after the
+# ones a chain would drain
+@example(scenario=_two_level(
+    clients=6, servers_level1=1, buffer_bytes=61, base_write_rate=25.0,
+    compute_rate=3.7, schedule=make_schedule(
+        [(8, 1.0, 7), (4, 2.0, 100), (3, 0.5, 101), (9, 1.0, 101)], 4.5)),
+    piece=2, runs_from=0)
+# uneven classes in one pool, all done at whole instants: at equal times
+# the merge orders chunks by position, then size, then stream
+@example(scenario=_two_level(
+    clients=4, servers_level1=3, buffer_bytes=8, base_write_rate=25.0,
+    striping_factor=2.0, compute_rate=0.0, gather_rate_factor=1.0,
+    schedule=make_schedule([(1, 0.5, 7), (1, 0.5, 30)], 1.0)),
+    piece=1, runs_from=0)
+def test_stages_equal_the_per_chunk_oracle(scenario, piece, runs_from):
+    """Every float of both stages, and the metrics, equal the oracle's
+    with ==, whatever the stage-two window (`_PIECE`) is, and with stage
+    one's batches and chains on for any buffer (`_RUNS_FROM` 0)."""
+    chunks, keys = _stage_inputs(scenario)
+    cap = float(scenario.buffer_bytes)
+    with mock.patch.multiple(iosim, _PIECE=piece, _RUNS_FROM=runs_from):
+        ours, theirs = {}, {}
+        for key in set(k for k in keys if k[0]):
+            args = (chunks, key[0], key[1], cap, scenario.compute_rate,
+                    scenario.two_level)
+            ours[key] = iosim._simulate_stage_one(*args)
+            theirs[key] = io_oracle.simulate_stage_one(*args)
+            assert ours[key].waits == theirs[key].waits
+            assert ours[key].busy_s == theirs[key].busy_s
+            assert ours[key].last_done == theirs[key].last_done
+            assert [(t, b) for t, _seq, b in ours[key].arrivals.tagged()] \
+                == theirs[key].arrivals
+            assert len(ours[key].arrivals) == len(theirs[key].arrivals)
+        pools = scenario.pools
+        for p in range(pools if scenario.two_level else 0):
+            members = [key for key in keys[p::pools] if key[0]]
+            for track in (False, True):
+                args = (scenario.servers_level2 // pools,
+                        scenario.writer_rate(p), track)
+                assert iosim._stage_two(
+                    [ours[key].arrivals for key in members], *args) == \
+                    io_oracle.stage_two(
+                        [theirs[key].arrivals for key in members], *args)
+        assert _outcome(scenario) == _outcome(scenario, oracle=True)
+        if scenario.two_level:
+            # the memory guard decides the same at the peak and just below
+            total = _oracle_staging_total(scenario, keys, theirs)
+            for limit in (total, math.nextafter(total, -math.inf)):
+                limited = replace(scenario, server_memory_bytes=limit)
+                assert _outcome(limited) == _outcome(limited, oracle=True)
+            assert _outcome(limited) == "OUT_OF_MEMORY"
+
+
+def _outcome(scenario, oracle=False):
+    """simulate_io's metrics, or OUT_OF_MEMORY; with the oracle's stages
+    when `oracle` is set."""
+    stages = mock.patch.multiple(
+        iosim, _simulate_stage_one=io_oracle.simulate_stage_one,
+        _stage_two=io_oracle.stage_two)
+    with stages if oracle else contextlib.nullcontext():
+        try:
+            return simulate_io(scenario)
+        except ServerMemoryError:
+            return "OUT_OF_MEMORY"
+
+
+def test_peak_staging_memory_is_bounded():
+    """Stage two of io-c192-tuned.json with staging tracked, as the
+    benchmark's memory-limited pool has, replays 2.3 M staging events.
+    Replayed one window at a time they take about 10 MiB of traced
+    allocation; sorted all at once, as the per-chunk replay did, they took
+    194 MiB.  Stage one runs before tracing starts."""
+    config = Path(__file__).resolve().parent.parent / "configs"
+    scenario = load_scenario(config / "io-c192-tuned.json").io_scenario
+    chunks, keys = _stage_inputs(scenario)
+    classes = {key: iosim._simulate_stage_one(
+        chunks, key[0], key[1], float(scenario.buffer_bytes),
+        scenario.compute_rate, True) for key in set(keys) if key[0]}
+    # the distinct pools, as simulate_io simulates them
+    pools = {(tuple(key for key in keys[p::scenario.pools] if key[0]),
+              scenario.writer_rate(p)) for p in range(scenario.pools)}
+    tracemalloc.start()
+    try:
+        for members, rate in pools:
+            iosim._stage_two([classes[key].arrivals for key in members],
+                             scenario.servers_level2 // scenario.pools, rate,
+                             True)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * MIB

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubedsim.config import load_scenario
-from cubedsim.workload import (ScheduleError, emission_events, make_schedule,
-                               total_bytes, total_fields)
+from cubedsim.workload import (MAX_FIELD_WRITES, ScheduleError,
+                               emission_events, make_schedule, total_bytes,
+                               total_fields)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -98,3 +99,12 @@ def test_events_agree_with_totals(entries, run_hours):
     assert len(events) == total_fields(schedule)
     assert sum(e.bytes for e in events) == total_bytes(schedule)
     assert enumerate_outputs(entries, run_hours) == total_fields(schedule)
+
+
+def test_schedule_size_is_bounded_at_load():
+    # the count is a closed form, so nothing is built to check it
+    make_schedule([(MAX_FIELD_WRITES // 24, 1.0, 10)], 24.0)
+    with pytest.raises(ScheduleError, match="field writes"):
+        make_schedule([(MAX_FIELD_WRITES // 24 + 1, 1.0, 10)], 24.0)
+    with pytest.raises(ScheduleError, match="field writes"):
+        make_schedule([(1, 5e-324, 10)], 24.0)    # no overflow on the way
