@@ -6,29 +6,30 @@ grid of blocks chosen to be as square as possible; otherwise ranks own
 contiguous runs of the linearized cell ordering (a documented fallback
 with imbalance at most one cell).
 
+A `Decomposition` holds only the offsets of either layout; a rank's
+`Block` or `Span` is derived on demand.
+
 Halos are rings of non-owned cells reachable from the owned block by
-edge adjacency.  `HaloCounts` is the one halo result: per rank, the
-frontier-expansion rings, or None where a closed form or a span's row
-runs give their sizes.  `compute_halos` expands every rank and is the
-reference.  `halo_counts` expands only where it must: away from the
-eight cube corners the surface around a block unfolds flat, so ring k
-of a w x h block has 2(w+h) + 4(k-1) cells, and only blocks whose
-depth-d neighbourhood reaches a cube corner are expanded.  A span
-layout on a mesh of at most C10 is expanded like `compute_halos`, which
-is no slower there and whose cell counts perfbench's halo counters read.
-On larger meshes a span that is one rectangle (part of one row, or whole
-rows) away from the cube corners takes the same closed form; every other
-span is expanded ring by ring as row runs, not as cells.
+edge adjacency.  `HaloCounts` is the one halo result: the worst rank's
+owned-plus-halo cells, and the rings of the ranks that were expanded.
+`compute_halos` expands every rank and is the reference.  `halo_counts`
+expands only where it must: away from the eight cube corners the
+surface around a block unfolds flat, so ring k of a w x h block has
+2(w+h) + 4(k-1) cells and the worst rank is sized once per shape.  Only
+blocks near a cube corner are expanded, and spans that cross a row or
+reach a corner, as row runs.  A span layout on a mesh of at most C10 is
+expanded like `compute_halos`, which is no slower there and whose cell
+counts perfbench's halo counters read.
 
 `exchange_pattern` builds one message per (owner -> halo-holder) pair
 from either result.  Expanded rings give each cell's owner directly.  A
-span's ring runs are intervals of linear cell indices, and their
-per-owner counts are overlaps with the span offsets.  A closed-form
-block's halo is four straight strips, each split into rectangles on the
-block's own panel and on the panel across an edge (reached through
-`mesh.fold`), plus d(d-1)/2 diagonal cells per block corner at depth d;
-per-owner counts of a rectangle are overlaps with the block-offset
-intervals.
+span's ring runs, expanded once (in `halo_counts` or here), are
+intervals of linear cell indices, and their per-owner counts are
+overlaps with the span offsets.  A closed-form block's halo is four
+straight strips, each split into rectangles on the block's own panel
+and on the panel across an edge (reached through `mesh.fold`), plus
+d(d-1)/2 diagonal cells per block corner at depth d; per-owner counts
+of a rectangle are overlaps with the block-offset intervals.
 """
 
 from __future__ import annotations
@@ -38,7 +39,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from itertools import chain
+from math import isqrt
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from .errors import CubedsimError
 from .mesh import PANELS, CellId, CubedSphereMesh
@@ -70,21 +74,11 @@ Runs = Dict[Tuple[int, int], List[Tuple[int, int]]]
 _SPAN_WALK_MAX_PANEL = 10
 
 
-def _split_sizes(total: int, parts: int) -> List[int]:
-    """Split `total` into `parts` sizes; the remainder is absorbed one
-    per block starting from the last block."""
-    base, rem = divmod(total, parts)
-    sizes = [base] * parts
-    for k in range(rem):
-        sizes[parts - 1 - k] += 1
-    return sizes
-
-
-def _offsets(sizes: Sequence[int]) -> List[int]:
-    out = [0]
-    for s in sizes:
-        out.append(out[-1] + s)
-    return out
+def _grid_offsets(n: int, parts: int) -> Tuple[int, ...]:
+    """Offsets of `parts` blocks over n cells; the remainder is absorbed
+    one per block starting from the last block."""
+    base, rem = divmod(n, parts)
+    return tuple(k * base + max(0, k - parts + rem) for k in range(parts + 1))
 
 
 @dataclass(frozen=True)
@@ -100,6 +94,10 @@ class Block:
     @property
     def size(self) -> int:
         return (self.i1 - self.i0) * (self.j1 - self.j0)
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return self.i1 - self.i0, self.j1 - self.j0
 
     def contains(self, cell: CellId) -> bool:
         return (cell.panel == self.panel
@@ -136,14 +134,32 @@ class Span:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """Rank domains held as offsets, each rank's domain derived on demand."""
+
     mesh: CubedSphereMesh
     ranks: int
-    domains: Tuple[object, ...]  # Block or Span per rank
-    # block-grid metadata (None for span fallback)
+    # block-grid offsets (i, j), the same on every panel (None for spans)
     grid: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
+    # span starts followed by the cell total (None for a block grid)
+    span_offsets: Optional[Tuple[int, ...]] = None
+
+    def domain(self, rank: int) -> Union[Block, Span]:
+        if self.grid is None:
+            return Span(self.span_offsets[rank], self.span_offsets[rank + 1])
+        i_off, j_off = self.grid
+        p = len(i_off) - 1
+        panel, local = divmod(rank, p * (len(j_off) - 1))
+        bj, bi = divmod(local, p)
+        return Block(panel, i_off[bi], i_off[bi + 1], j_off[bj], j_off[bj + 1])
+
+    @cached_property
+    def domains(self) -> Tuple[Union[Block, Span], ...]:
+        """Every rank's domain, built once for the per-rank passes that
+        follow the memory guard."""
+        return tuple(map(self.domain, range(self.ranks)))
 
     def owned_cells(self, rank: int) -> Set[CellId]:
-        dom = self.domains[rank]
+        dom = self.domain(rank)
         if isinstance(dom, Block):
             return set(dom.cells())
         return {self.mesh.from_index(k) for k in range(dom.start, dom.stop)}
@@ -159,15 +175,10 @@ class Decomposition:
             bi = bisect_right(i_offsets, cell.i) - 1
             bj = bisect_right(j_offsets, cell.j) - 1
             return cell.panel * p * q + bj * p + bi
-        rank = bisect_right(self._span_offsets, self.mesh.to_index(cell)) - 1
+        rank = bisect_right(self.span_offsets, self.mesh.to_index(cell)) - 1
         if 0 <= rank < self.ranks:
             return rank
         raise DecompositionError(f"cell {cell} not covered by any rank")
-
-    @cached_property
-    def _span_offsets(self) -> List[int]:
-        """Span starts followed by the cell total."""
-        return [dom.start for dom in self.domains] + [self.domains[-1].stop]
 
 
 class ExchangePattern(NamedTuple):
@@ -177,16 +188,12 @@ class ExchangePattern(NamedTuple):
 
 def _squarest_factor_pair(m: int) -> Tuple[int, int]:
     """Factor m = p * q with the block aspect ratio closest to one;
-    ties broken toward larger p."""
-    best = None
-    for p in range(1, m + 1):
-        if m % p:
-            continue
-        q = m // p
-        key = (abs(p - q), -p)
-        if best is None or key < best[0]:
-            best = (key, (p, q))
-    return best[1]
+    ties broken toward larger p.  |p - q| falls as the smaller factor
+    grows to sqrt(m), so the largest divisor up to sqrt(m) is q."""
+    q = isqrt(m)
+    while m % q:
+        q -= 1
+    return m // q, q
 
 
 def partition(mesh: CubedSphereMesh, ranks: int) -> Decomposition:
@@ -204,28 +211,16 @@ def partition(mesh: CubedSphereMesh, ranks: int) -> Decomposition:
             f"more ranks ({ranks}) than cells ({total})")
     n = mesh.panel_size
     if ranks % PANELS == 0 and ranks // PANELS <= n * n:
-        m = ranks // PANELS
-        p, q = _squarest_factor_pair(m)
+        p, q = _squarest_factor_pair(ranks // PANELS)
         if p <= n and q <= n:
-            i_sizes = _split_sizes(n, p)
-            j_sizes = _split_sizes(n, q)
-            i_off = _offsets(i_sizes)
-            j_off = _offsets(j_sizes)
-            domains: List[Block] = []
-            for panel in range(PANELS):
-                for bj in range(q):
-                    for bi in range(p):
-                        domains.append(Block(panel,
-                                             i_off[bi], i_off[bi + 1],
-                                             j_off[bj], j_off[bj + 1]))
-            return Decomposition(mesh=mesh, ranks=ranks,
-                                 domains=tuple(domains),
-                                 grid=(tuple(i_off), tuple(j_off)))
-    sizes = _split_sizes(total, ranks)
-    sizes.reverse()  # larger chunks first for a stable layout
-    off = _offsets(sizes)
-    spans = tuple(Span(off[k], off[k + 1]) for k in range(ranks))
-    return Decomposition(mesh=mesh, ranks=ranks, domains=spans)
+            return Decomposition(mesh=mesh, ranks=ranks, grid=(
+                _grid_offsets(n, p), _grid_offsets(n, q)))
+    # larger chunks first for a stable layout: `rem` spans of base + 1
+    # cells, then spans of base cells
+    base, rem = divmod(total, ranks)
+    big = rem * (base + 1)
+    return Decomposition(mesh=mesh, ranks=ranks, span_offsets=tuple(
+        chain(range(0, big, base + 1), range(big, total + 1, base))))
 
 
 def local_area(mesh: CubedSphereMesh, total_cores: int) -> Fraction:
@@ -247,7 +242,7 @@ def check_halo_depth(mesh: CubedSphereMesh, depth: int) -> None:
 def _rank_rings(mesh: CubedSphereMesh, decomp: Decomposition, rank: int,
                 depth: int) -> Rings:
     """One rank's halo rings up to `depth` by frontier expansion."""
-    dom = decomp.domains[rank]
+    dom = decomp.domain(rank)
     if isinstance(dom, Block):
         owned_test = dom.contains
         frontier: Set[CellId] = set(dom.boundary_cells())
@@ -341,10 +336,9 @@ def _block_owners(decomp: Decomposition, rank: int,
     return counts
 
 
-def _closed_sizes(block: Block, depth: int) -> Tuple[int, ...]:
-    """Ring sizes of a block away from the cube corners."""
-    return tuple(2 * (block.i1 - block.i0 + block.j1 - block.j0) + 4 * k
-                 for k in range(depth))
+def _closed_sizes(w: int, h: int, depth: int) -> Tuple[int, ...]:
+    """Ring sizes of a w x h block away from the cube corners."""
+    return tuple(2 * (w + h) + 4 * k for k in range(depth))
 
 
 def _span_block(n: int, span: Span) -> Optional[Block]:
@@ -448,51 +442,52 @@ def _span_rings(mesh: CubedSphereMesh, span: Span, depth: int) -> List[Runs]:
     return rings
 
 
-def _span_sizes(mesh: CubedSphereMesh, span: Span,
-                depth: int) -> Tuple[int, ...]:
-    """Ring sizes of a span: the closed form of a block when the span is
-    one rectangle away from the cube corners, else its row-run rings."""
-    block = _span_block(mesh.panel_size, span)
-    if block is not None and not _near_corner(block, mesh.panel_size, depth):
-        return _closed_sizes(block, depth)
+def _run_sizes(rings: List[Runs]) -> Tuple[int, ...]:
     return tuple(sum(b - a for runs in ring.values() for a, b in runs)
-                 for ring in _span_rings(mesh, span, depth))
+                 for ring in rings)
 
 
-def _span_owners(decomp: Decomposition, rank: int,
-                 depth: int) -> Counter:
+def _span_owners(decomp: Decomposition, rings: List[Runs]) -> Counter:
     """Halo cells per owner rank of a span: each ring run is an interval
     of cell indices, which meets the owners' spans as overlaps."""
     n = decomp.mesh.panel_size
     counts: Counter = Counter()
-    for ring in _span_rings(decomp.mesh, decomp.domains[rank], depth):
+    for ring in rings:
         for (panel, j), runs in ring.items():
             row = (panel * n + j) * n
             for a, b in runs:
-                for owner, cells in _overlaps(decomp._span_offsets,
+                for owner, cells in _overlaps(decomp.span_offsets,
                                               row + a, row + b):
                     counts[owner] += cells
     return counts
 
 
 class HaloCounts(NamedTuple):
-    """Per-rank halo rings of a decomposition up to `depth`."""
+    """Halo rings of a decomposition up to `depth`."""
 
     decomp: Decomposition
     depth: int
-    # ring sizes of the blocks of one panel, None near a cube corner, or
-    # of every span; empty when every rank is expanded
-    closed: List[Optional[Tuple[int, ...]]]
-    # per rank: frontier-expansion rings, or None where `closed` gives
-    # the ring sizes
-    halos: List[Optional[Rings]]
+    # the largest owned-plus-halo cell count of any rank
+    worst_cells: int
+    # every rank's frontier-expansion rings (compute_halos), else empty
+    halos: List[Rings]
+    # the rings of the ranks no closed form covers, by rank: cells for
+    # blocks near a cube corner, row runs for spans
+    expanded: Dict[int, Union[Rings, List[Runs]]]
 
     def ring_sizes(self, rank: int) -> Tuple[int, ...]:
         """Cells in each halo ring of `rank`, innermost first."""
-        rings = self.halos[rank]
-        if rings is None:
-            return self.closed[rank % len(self.closed)]
-        return tuple(map(len, rings))
+        if self.halos:
+            return tuple(map(len, self.halos[rank]))
+        rings = self.expanded.get(rank)
+        if rings is not None:
+            return (tuple(map(len, rings)) if self.decomp.grid is not None
+                    else _run_sizes(rings))
+        # one rectangle away from the cube corners
+        block = self.decomp.domains[rank]
+        if isinstance(block, Span):
+            block = _span_block(self.decomp.mesh.panel_size, block)
+        return _closed_sizes(*block.shape, self.depth)
 
     def halo_count(self, rank: int) -> int:
         return sum(self.ring_sizes(rank))
@@ -502,43 +497,84 @@ def compute_halos(mesh: CubedSphereMesh, decomp: Decomposition,
                   depth: int = 1) -> HaloCounts:
     """Every rank's halo rings up to `depth` by frontier expansion."""
     check_halo_depth(mesh, depth)
-    return HaloCounts(decomp, depth, [],
-                      [_rank_rings(mesh, decomp, rank, depth)
-                       for rank in range(decomp.ranks)])
+    halos = [_rank_rings(mesh, decomp, rank, depth)
+             for rank in range(decomp.ranks)]
+    worst = max(decomp.owned_count(rank) + sum(map(len, rings))
+                for rank, rings in enumerate(halos))
+    return HaloCounts(decomp, depth, worst, halos, {})
 
 
-def _span_counts(mesh: CubedSphereMesh, decomp: Decomposition,
-                 depth: int) -> HaloCounts:
-    """Every span's ring sizes from the closed form or its row runs."""
-    return HaloCounts(decomp, depth,
-                      [_span_sizes(mesh, span, depth)
-                       for span in decomp.domains],
-                      [None] * decomp.ranks)
+def _shape_counts(mesh: CubedSphereMesh, decomp: Decomposition,
+                  depth: int) -> HaloCounts:
+    """Rings of the ranks that are not one rectangle away from the cube
+    corners, which are few: blocks near a corner, and spans that cross a
+    row or hold a cell near a corner.  Every other rank takes the closed
+    form of its (w, h) shape, so the worst rank is sized once per shape."""
+    n = mesh.panel_size
+    if decomp.grid is None:
+        off = decomp.span_offsets
+        base, rem = divmod(off[-1], decomp.ranks)
+        # a span within one row is base + 1 or base cells wide
+        shapes = Counter({(base + 1, 1): rem, (base, 1): decomp.ranks - rem})
+        odd = set()
+        for row in range(PANELS * n):
+            x = row * n
+            k = bisect_right(off, x) - 1
+            if off[k] < x:  # the span holding cell x also holds x - 1
+                odd.add(k)
+            # the cells at each end of the row that are near a corner
+            near = min(n, depth - 1 - min(row % n, n - 1 - row % n))
+            if near > 0:
+                odd.update(k for a in (x, x + n - near)
+                           for k, _ in _overlaps(off, a, a + near))
+    else:
+        i_off, j_off = decomp.grid
+        p, q = len(i_off) - 1, len(j_off) - 1
+        widths = Counter(b - a for a, b in zip(i_off, i_off[1:]))
+        heights = Counter(b - a for a, b in zip(j_off, j_off[1:]))
+        shapes = Counter({(w, h): PANELS * a * b for w, a in widths.items()
+                          for h, b in heights.items()})
+        # gaps to the nearest panel edges, as in _near_corner
+        gi = [min(a, n - b) for a, b in zip(i_off, i_off[1:])]
+        gj = [min(a, n - b) for a, b in zip(j_off, j_off[1:])]
+        odd = [(panel * q + bj) * p + bi for panel in range(PANELS)
+               for bj in range(q) if gj[bj] + 2 <= depth
+               for bi in range(p) if gi[bi] + gj[bj] + 2 <= depth]
+    expanded: Dict[int, Union[Rings, List[Runs]]] = {}
+    worst = 0
+    for rank in odd:
+        dom = decomp.domain(rank)
+        if isinstance(dom, Block):
+            shapes[dom.shape] -= 1
+            expanded[rank] = rings = _rank_rings(mesh, decomp, rank, depth)
+            halo = sum(map(len, rings))
+        else:
+            shapes[dom.size, 1] -= 1
+            block = _span_block(n, dom)
+            if block is not None and not _near_corner(block, n, depth):
+                halo = sum(_closed_sizes(*block.shape, depth))
+            else:
+                expanded[rank] = rings = _span_rings(mesh, dom, depth)
+                halo = sum(_run_sizes(rings))
+        worst = max(worst, dom.size + halo)
+    for (w, h), count in shapes.items():
+        if count:
+            worst = max(worst, w * h + sum(_closed_sizes(w, h, depth)))
+    return HaloCounts(decomp, depth, worst, [], expanded)
 
 
 def halo_counts(mesh: CubedSphereMesh, decomp: Decomposition,
                 depth: int = 1) -> HaloCounts:
-    """Halo ring sizes per rank without building halo cell sets: ring k
-    of a w x h block away from the cube corners has 2(w+h) + 4(k-1)
-    cells.  Blocks near a cube corner take the frontier expansion.  A
-    span layout up to C10 takes `compute_halos`; on a larger mesh a span
-    that is one rectangle away from the cube corners takes the closed
-    form, and every other span is expanded as row runs."""
+    """Halo ring sizes per rank, and the worst rank's cells, with no
+    table per rank: ring k of a w x h block away from the cube corners
+    has 2(w+h) + 4(k-1) cells, blocks near a corner take the frontier
+    expansion, and spans that are not one row away from the corners take
+    row runs (`_shape_counts`).  A span layout up to C10 takes
+    `compute_halos`."""
     check_halo_depth(mesh, depth)
-    if decomp.grid is None:
-        if mesh.panel_size <= _SPAN_WALK_MAX_PANEL:
-            return compute_halos(mesh, decomp, depth)
-        return _span_counts(mesh, decomp, depth)
-    # every panel has the same block grid, and every panel corner is a
-    # cube corner, so the closed form depends on the place in the panel
-    per_panel = decomp.ranks // PANELS
-    closed = [None if _near_corner(block, mesh.panel_size, depth) else
-              _closed_sizes(block, depth)
-              for block in decomp.domains[:per_panel]]
-    halos = [None if closed[rank % per_panel] is not None
-             else _rank_rings(mesh, decomp, rank, depth)
-             for rank in range(decomp.ranks)]
-    return HaloCounts(decomp, depth, closed, halos)
+    if decomp.grid is None and mesh.panel_size <= _SPAN_WALK_MAX_PANEL:
+        return compute_halos(mesh, decomp, depth)
+    return _shape_counts(mesh, decomp, depth)
 
 
 def exchange_pattern(halos: HaloCounts,
@@ -546,16 +582,20 @@ def exchange_pattern(halos: HaloCounts,
     """One message per (owner -> halo-holder) pair with shared cells."""
     if bytes_per_cell < 1:
         raise DecompositionError("bytes_per_cell must be positive")
-    decomp = halos.decomp
+    decomp, depth = halos.decomp, halos.depth
     counts: Dict[Tuple[int, int], int] = {}
-    for rank, rings in enumerate(halos.halos):
-        if rings is not None:
+    for rank in range(decomp.ranks):
+        rings = halos.halos[rank] if halos.halos else halos.expanded.get(rank)
+        if decomp.grid is None and not halos.halos:
+            # a span's row runs, expanded once: here or in halo_counts
+            if rings is None:
+                rings = _span_rings(decomp.mesh, decomp.domains[rank], depth)
+            owners = _span_owners(decomp, rings)
+        elif rings is not None:
             owners = Counter(decomp.owner_of(cell)
                              for ring in rings for cell in ring)
-        elif decomp.grid is None:
-            owners = _span_owners(decomp, rank, halos.depth)
         else:
-            owners = _block_owners(decomp, rank, halos.depth)
+            owners = _block_owners(decomp, rank, depth)
         for owner, cells in owners.items():
             counts[(owner, rank)] = cells
     return ExchangePattern(tuple(

@@ -94,7 +94,12 @@ class TimestepBreakdown:
 
 
 def simulate(run: RunSpec) -> TimestepBreakdown:
-    """Deterministic per-timestep breakdown for one configuration."""
+    """Deterministic per-timestep breakdown for one configuration.
+
+    The memory guard reads the worst rank's cells off `halo_counts`,
+    which sizes each distinct domain shape once, so a layout that does
+    not fit is rejected before any per-rank table, message or timing is
+    built."""
     cost = run.cost_model
     mesh = run.mesh
     ranks = run.ranks
@@ -103,10 +108,8 @@ def simulate(run: RunSpec) -> TimestepBreakdown:
     decomposition = dc.partition(mesh, ranks)
     halos = dc.halo_counts(mesh, decomposition, depth=run.halo_depth)
 
-    # memory guard before any message or timing is built
-    worst_cells = max(decomposition.owned_count(r) + halos.halo_count(r)
-                      for r in range(ranks))
-    node_bytes = run.memory.node_bytes(run.ranks_per_node, worst_cells,
+    # memory guard before any per-rank work, message or timing is built
+    node_bytes = run.memory.node_bytes(run.ranks_per_node, halos.worst_cells,
                                        mesh.levels, ranks)
     if node_bytes > run.memory.node_memory_bytes:
         raise MemoryLimitError(

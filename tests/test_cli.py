@@ -261,6 +261,20 @@ def test_module_entry_point_warns_nothing():
     assert done.returncode == 0, done.stderr
 
 
+def run_in_child(config, out, limit):
+    """`run` on `config` in a child with `limit` bytes of address space."""
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from cubedsim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = Path(cubedsim.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-c", code, "run", "--config", str(config),
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+
+
 def test_huge_schedule_keeps_the_exit_code_contract(tmp_path):
     # a valid edit of io-dev-rig.json: 100,000 fields every 0.01 h over
     # 24 h is 240 M field writes; in a child with 512 MiB of address
@@ -271,21 +285,30 @@ def test_huge_schedule_keeps_the_exit_code_contract(tmp_path):
                                    "bytes_per_field": 8388608}]
     config = tmp_path / "huge.json"
     config.write_text(json.dumps(doc))
-    limit = 512 * 1024 * 1024
-    code = ("import resource, sys\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-            "from cubedsim.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n")
-    src = Path(cubedsim.__file__).resolve().parent.parent
-    done = subprocess.run(
-        [sys.executable, "-c", code, "run", "--config", str(config),
-         "--out", str(tmp_path / "out")],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
-        text=True, timeout=120)
+    done = run_in_child(config, tmp_path / "out", 512 * 1024 * 1024)
     assert done.returncode in (0, 2, 3), done.stderr
     assert "Traceback" not in done.stderr
     if done.returncode == 2:
         assert done.stderr.startswith("error: huge.json.schedule: ")
+
+
+def test_huge_rank_count_keeps_the_exit_code_contract(tmp_path):
+    # a custom machine of 1,000,000 single-thread ranks per node on 12
+    # nodes: 12 M ranks of about two C2048 cells each, whose rank tables
+    # trip the memory guard; in a child with 1 GiB of address space the
+    # guard must speak before any per-rank object is built
+    doc = {"machine": {"name": "huge", "cores_per_node": 1_000_000,
+                       "clock_ghz": 2.0, "max_nodes": 100},
+           "mesh": {"panel_size": 2048, "levels": 30},
+           "layout": {"nodes": 12, "ranks_per_node": 1_000_000,
+                      "threads_per_rank": 1}}
+    config = tmp_path / "ranks.json"
+    config.write_text(json.dumps(doc))
+    done = run_in_child(config, tmp_path / "out", 1024 * 1024 * 1024)
+    assert done.returncode in (0, 2, 3), done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 3, done.stderr
+    assert "GiB per node exceeds" in done.stderr
 
 
 def test_ratio_report():

@@ -4,7 +4,7 @@ Halo and message expectations come from an independent breadth-first
 expansion over the fully materialized adjacency map, not from the
 frontier walk used by the implementation.  Both halo results, the
 frontier walk of `compute_halos` and the closed forms and span row runs
-of `halo_counts` (called directly as `_span_counts` where `halo_counts`
+of `halo_counts` (called directly as `_shape_counts` where `halo_counts`
 walks the cells of a span layout up to C10), are checked against it, ring
 sizes and `exchange_pattern` messages.
 """
@@ -101,6 +101,14 @@ def test_span_owner_of_rejects_uncovered_cells():
     for cell in (CellId(0, -1, 0), CellId(6, 0, 0)):  # indices -1 and 216
         with pytest.raises(dc.DecompositionError):
             decomposition.owner_of(cell)
+
+
+def test_squarest_factor_pair_matches_brute_force():
+    # the closest aspect ratio, then the larger p, over every factor pair
+    for m in range(1, 2001):
+        pairs = [(p, m // p) for p in range(1, m + 1) if m % p == 0]
+        assert dc._squarest_factor_pair(m) == min(
+            pairs, key=lambda pq: (abs(pq[0] - pq[1]), -pq[0]))
 
 
 def test_partition_errors():
@@ -249,7 +257,7 @@ def test_halo_counts_match_bfs_oracle(n, p, q, depth, bytes_per_cell):
 @example(n=2, ranks=18, depth=2, bytes_per_cell=1)   # 6 * 3 ranks, depth N
 @settings(max_examples=40, deadline=None)
 def test_span_halos_match_bfs_oracle(n, ranks, depth, bytes_per_cell):
-    # span decompositions: _span_counts takes the closed form for one
+    # span decompositions: _shape_counts takes the closed form for one
     # rectangle away from the corners and row runs for the rest, and the
     # messages are counted over the owners of the ring runs or cells;
     # halo_counts walks the cells of the meshes up to C10
@@ -261,7 +269,7 @@ def test_span_halos_match_bfs_oracle(n, ranks, depth, bytes_per_cell):
                       for r in range(ranks)]
     expected = bfs_messages(mesh, decomposition, depth, bytes_per_cell)
     for halos in (dc.halo_counts(mesh, decomposition, depth=depth),
-                  dc._span_counts(mesh, decomposition, depth=depth),
+                  dc._shape_counts(mesh, decomposition, depth=depth),
                   dc.compute_halos(mesh, decomposition, depth=depth)):
         assert [halos.ring_sizes(r) for r in range(ranks)] \
             == [tuple(map(len, rings)) for rings in expected_rings]

@@ -5,8 +5,11 @@ and the published closed forms, bypassing the simulator internals.
 """
 
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cubedsim import decomp as dc
 from cubedsim.dyncore import (MemoryLimitError, Mode, RunSpec,
@@ -158,20 +161,76 @@ def test_memory_guard_trips_widest_single_thread_layout():
 
 @pytest.mark.parametrize("n,nodes", [(1024, 192), (80, 192), (96, 190)])
 def test_memory_guard_needs_no_halo_geometry(monkeypatch, n, nodes):
-    # 96 x 190: 24,320 ranks, not a multiple of six, so spans
+    # 96 x 190: 24,320 ranks, not a multiple of six, so spans; the guard
+    # sizes shape classes, building at most one domain per rank it must
+    # expand: a span crossing a row, one per row boundary
     def no_halos(*_args, **_kwargs):
         raise AssertionError("the guard must not need halo cells")
 
+    built = Counter()
+
+    def counted(cls):
+        init = cls.__init__
+
+        def init_counted(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+        return init_counted
+
     monkeypatch.setattr(dc, "compute_halos", no_halos)
     monkeypatch.setattr(dc, "_rank_rings", no_halos)
+    for cls in (dc.Block, dc.Span):
+        monkeypatch.setattr(cls, "__init__", counted(cls))
     wide = RunSpec(mesh=build_mesh(n, 120), machine=builtin_machine("archer2"),
                    nodes=nodes, ranks_per_node=128, threads_per_rank=1)
     with pytest.raises(MemoryLimitError):
         simulate(wide)
+    assert sum(built.values()) < 6 * n + 100, built
+
+
+@given(n=st.integers(1, 12), ranks=st.integers(1, 864),
+       depth=st.integers(1, 12))
+@example(n=4, ranks=32, depth=1)     # 3-cell spans crossing rows of 4
+@example(n=6, ranks=7, depth=3)      # spans crossing panels
+@example(n=11, ranks=242, depth=2)   # one-row spans near the corners
+@example(n=12, ranks=250, depth=2)   # ... and crossing rows, past C10
+@example(n=6, ranks=9, depth=2)      # bands of whole rows
+@example(n=12, ranks=8, depth=3)     # ... across panels, past C10
+@example(n=7, ranks=54, depth=2)     # 3 x 3 blocks only at the corners
+@settings(max_examples=20, deadline=None)
+def test_guard_worst_cells_match_bfs_oracle(n, ranks, depth):
+    # the worst owned-plus-halo count from shape classes against every
+    # rank's frontier expansion, and the guard at the oracle's estimate
+    # and one byte below it
+    ranks, depth = min(ranks, 6 * n * n), min(depth, n)
+    mesh = build_mesh(n, 1)
+    decomposition = dc.partition(mesh, ranks)
+    oracle = dc.compute_halos(mesh, decomposition, depth=depth)
+    worst = max(decomposition.owned_count(r) + oracle.halo_count(r)
+                for r in range(ranks))
+    assert dc._shape_counts(mesh, decomposition, depth).worst_cells == worst
+    assert dc.halo_counts(mesh, decomposition, depth).worst_cells == worst
+    node_bytes = MemoryModel().node_bytes(ranks, worst, mesh.levels, ranks)
+    machine = MachineConfig(name="one", cores_per_node=ranks, clock_ghz=2.0,
+                            max_nodes=1)
+
+    def run(limit):
+        return RunSpec(mesh=mesh, machine=machine, nodes=1,
+                       ranks_per_node=ranks, threads_per_rank=1,
+                       halo_depth=depth, memory=MemoryModel(limit))
+
+    assert simulate(run(node_bytes)).total_s > 0
+    with pytest.raises(MemoryLimitError) as rejected:
+        simulate(run(node_bytes - 1))
+    assert str(rejected.value) == (
+        f"estimated {node_bytes / 2**30:.1f} GiB per node exceeds "
+        f"{(node_bytes - 1) / 2**30:.1f} GiB "
+        f"({ranks} ranks/node, {ranks} total ranks)")
 
 
 def test_span_run_walks_no_cells(monkeypatch):
-    # C48 on 128 ranks at depth 2: spans, sized and counted as row runs
+    # C48 on 128 ranks at depth 2: spans, sized and counted as row runs,
+    # each expanded once although every one crosses a row
     run = RunSpec(mesh=build_mesh(48, 10), machine=TOY, nodes=32,
                   ranks_per_node=4, threads_per_rank=1, halo_depth=2,
                   memory=BIG_MEMORY)
@@ -180,12 +239,21 @@ def test_span_run_walks_no_cells(monkeypatch):
     def no_cells(*_args, **_kwargs):
         raise AssertionError("a span run must not walk cells")
 
+    expanded = Counter()
+    span_rings = dc._span_rings
+
+    def counted(mesh, span, depth):
+        expanded[span] += 1
+        return span_rings(mesh, span, depth)
+
     monkeypatch.setattr(dc, "compute_halos", no_cells)
     monkeypatch.setattr(dc, "_rank_rings", no_cells)
     monkeypatch.setattr(dc.Decomposition, "owned_cells", no_cells)
+    monkeypatch.setattr(dc, "_span_rings", counted)
     result = simulate(run)
     assert (result.user_s, result.mpi_p2p_s, result.mpi_coll_s,
             result.etc_s) == expected
+    assert len(expanded) == run.ranks and set(expanded.values()) == {1}
 
 
 def test_weak_scaling_attribution():
