@@ -6,30 +6,27 @@ grid of blocks chosen to be as square as possible; otherwise ranks own
 contiguous runs of the linearized cell ordering (a documented fallback
 with imbalance at most one cell).
 
-A `Decomposition` holds only the offsets of either layout; a rank's
-`Block` or `Span` is derived on demand.
-
 Halos are rings of non-owned cells reachable from the owned block by
 edge adjacency.  `HaloCounts` is the one halo result: the worst rank's
-owned-plus-halo cells, and the rings of the ranks that were expanded.
-`compute_halos` expands every rank and is the reference.  `halo_counts`
-expands only where it must: away from the eight cube corners the
-surface around a block unfolds flat, so ring k of a w x h block has
-2(w+h) + 4(k-1) cells and the worst rank is sized once per shape.  Only
-blocks near a cube corner are expanded, and spans that cross a row or
-reach a corner, as row runs.  A span layout on a mesh of at most C10 is
-expanded like `compute_halos`, which is no slower there and whose cell
-counts perfbench's halo counters read.
+owned-plus-halo cells, and the row runs of the spans it expanded.
+`compute_halos` expands every rank cell by cell and is the reference.
+`halo_counts` sizes every rectangle (each block, and each span that is
+one rectangle on one panel) by one closed form, which knows that each
+panel corner is a cube corner, where the flat unfolding loses a
+quadrant; the worst rank is sized once per shape.  Only spans that are
+not one rectangle are expanded, as row runs.  A span layout on a mesh of
+at most C10 is expanded like `compute_halos`, whose cell counts
+perfbench's halo counters read.
 
 `exchange_pattern` builds one message per (owner -> halo-holder) pair
-from either result.  Expanded rings give each cell's owner directly.  A
+from either result.  `compute_halos` rings give each cell's owner.  A
 span's ring runs, expanded once (in `halo_counts` or here), are
 intervals of linear cell indices, and their per-owner counts are
-overlaps with the span offsets.  A closed-form block's halo is four
-straight strips, each split into rectangles on the block's own panel
-and on the panel across an edge (reached through `mesh.fold`), plus
-d(d-1)/2 diagonal cells per block corner at depth d; per-owner counts
-of a rectangle are overlaps with the block-offset intervals.
+overlaps with the span offsets.  A block's halo is four straight strips,
+each split into rectangles on the block's own panel and on the panel
+across an edge (reached through `mesh.fold`), plus d(d-1)/2 diagonal
+cells per block corner at depth d, less those past a cube corner;
+per-owner counts of a rectangle are overlaps with the block offsets.
 """
 
 from __future__ import annotations
@@ -68,9 +65,8 @@ Rings = Tuple[Tuple[CellId, ...], ...]
 # cells as half-open runs [a, b) of i per (panel, j) row, sorted and
 # disjoint once merged
 Runs = Dict[Tuple[int, int], List[Tuple[int, int]]]
-# up to C10 a span layout's cell walk costs no more than its row runs,
-# depth 1-3 taken together, and perfbench counts halo cells there by
-# hooking compute_halos; from C12 on the row runs are faster
+# span layouts up to C10 take compute_halos, which perfbench's halo
+# counters hook by name
 _SPAN_WALK_MAX_PANEL = 10
 
 
@@ -282,19 +278,28 @@ def _overlaps(offsets: Sequence[int], a: int, b: int) -> Iterator[Tuple[int, int
         k += 1
 
 
-def _near_corner(block: Block, n: int, depth: int) -> bool:
-    """Whether the block's depth-`depth` neighbourhood reaches a cube
-    corner: the cell diagonally beyond the nearest panel corner is at
-    most `depth` steps away in the flat unfolding."""
-    return min(block.i0, n - block.i1) + min(block.j0, n - block.j1) + 2 <= depth
+def _halo_cells(w: int, h: int, depth: int, gaps: Sequence[int] = ()) -> int:
+    """H(depth) of a w x h rectangle at `gaps` (see `halo_counts`)."""
+    lost = 0
+    for g in gaps:
+        if g < depth - 1:
+            lost += (depth - 1 - g) * (depth - g) // 2
+    return 2 * depth * (w + h + depth - 1) - lost
+
+
+def _rect_halo(n: int, block: Block, depth: int) -> int:
+    """H(depth) of a block; a corner's gap sums the gaps to its two edges."""
+    gw, ge, gs, gn = block.i0, n - block.i1, block.j0, n - block.j1
+    return _halo_cells(*block.shape, depth,
+                       (gw + gs, gw + gn, ge + gs, ge + gn))
 
 
 def _block_owners(decomp: Decomposition, rank: int,
                   depth: int) -> Dict[int, int]:
-    """Halo cells per owner rank of a block away from the cube corners:
-    four strips of `depth` rows along the block sides, each split into
-    its part on the block's panel and its part across the panel edge,
-    plus the diagonal cells off the block corners counted one by one."""
+    """Halo cells per owner rank of a block: four strips of `depth` rows
+    along the block sides, each split into its part on the block's panel
+    and its part across the panel edge, plus the diagonal cells off the
+    block corners counted one by one, none past a cube corner."""
     mesh = decomp.mesh
     n = mesh.panel_size
     i_off, j_off = decomp.grid
@@ -331,21 +336,19 @@ def _block_owners(decomp: Decomposition, rank: int,
         for dy in range(1, depth - dx + 1):
             for i, j in ((i1 - 1 + dx, j1 - 1 + dy), (i0 - dx, j1 - 1 + dy),
                          (i0 - dx, j0 - dy), (i1 - 1 + dx, j0 - dy)):
-                owner = decomp.owner_of(mesh.fold(panel, i, j))
-                counts[owner] = counts.get(owner, 0) + 1
+                if 0 <= i < n or 0 <= j < n:
+                    owner = decomp.owner_of(mesh.fold(panel, i, j))
+                    counts[owner] = counts.get(owner, 0) + 1
     return counts
 
 
-def _closed_sizes(w: int, h: int, depth: int) -> Tuple[int, ...]:
-    """Ring sizes of a w x h block away from the cube corners."""
-    return tuple(2 * (w + h) + 4 * k for k in range(depth))
-
-
-def _span_block(n: int, span: Span) -> Optional[Block]:
-    """The span as a block when it is one rectangle on one panel: part of
-    one row, or whole rows."""
-    panel, first = divmod(span.start, n * n)
-    last = span.stop - 1 - panel * n * n
+def _rectangle(n: int, dom: Union[Block, Span]) -> Optional[Block]:
+    """The domain as a block when it is one rectangle on one panel: a
+    block, or a span that is part of one row or whole rows."""
+    if isinstance(dom, Block):
+        return dom
+    panel, first = divmod(dom.start, n * n)
+    last = dom.stop - 1 - panel * n * n
     if last >= n * n:
         return None
     j0, i0 = divmod(first, n)
@@ -471,26 +474,26 @@ class HaloCounts(NamedTuple):
     worst_cells: int
     # every rank's frontier-expansion rings (compute_halos), else empty
     halos: List[Rings]
-    # the rings of the ranks no closed form covers, by rank: cells for
-    # blocks near a cube corner, row runs for spans
-    expanded: Dict[int, Union[Rings, List[Runs]]]
+    # the row-run rings of the spans that are not one rectangle, by rank
+    expanded: Dict[int, List[Runs]]
 
     def ring_sizes(self, rank: int) -> Tuple[int, ...]:
         """Cells in each halo ring of `rank`, innermost first."""
         if self.halos:
             return tuple(map(len, self.halos[rank]))
-        rings = self.expanded.get(rank)
-        if rings is not None:
-            return (tuple(map(len, rings)) if self.decomp.grid is not None
-                    else _run_sizes(rings))
-        # one rectangle away from the cube corners
-        block = self.decomp.domains[rank]
-        if isinstance(block, Span):
-            block = _span_block(self.decomp.mesh.panel_size, block)
-        return _closed_sizes(*block.shape, self.depth)
+        if rank in self.expanded:
+            return _run_sizes(self.expanded[rank])
+        n = self.decomp.mesh.panel_size
+        block = _rectangle(n, self.decomp.domains[rank])
+        totals = [_rect_halo(n, block, k) for k in range(self.depth + 1)]
+        return tuple(b - a for a, b in zip(totals, totals[1:]))
 
     def halo_count(self, rank: int) -> int:
-        return sum(self.ring_sizes(rank))
+        if self.halos or rank in self.expanded:
+            return sum(self.ring_sizes(rank))
+        n = self.decomp.mesh.panel_size
+        return _rect_halo(n, _rectangle(n, self.decomp.domains[rank]),
+                          self.depth)
 
 
 def compute_halos(mesh: CubedSphereMesh, decomp: Decomposition,
@@ -506,10 +509,12 @@ def compute_halos(mesh: CubedSphereMesh, decomp: Decomposition,
 
 def _shape_counts(mesh: CubedSphereMesh, decomp: Decomposition,
                   depth: int) -> HaloCounts:
-    """Rings of the ranks that are not one rectangle away from the cube
-    corners, which are few: blocks near a corner, and spans that cross a
-    row or hold a cell near a corner.  Every other rank takes the closed
-    form of its (w, h) shape, so the worst rank is sized once per shape."""
+    """The worst rank's cells from shape classes: each (w, h) shape that
+    a rectangle away from the cube corners has is sized once by the flat
+    form.  The few other ranks are sized one by one: blocks near a corner
+    on panel 0 only (every panel has the same grid), and spans near a
+    corner or crossing a row, by `_halo_cells` when one rectangle, else by
+    row runs, which are kept in `expanded`."""
     n = mesh.panel_size
     if decomp.grid is None:
         off = decomp.span_offsets
@@ -529,48 +534,43 @@ def _shape_counts(mesh: CubedSphereMesh, decomp: Decomposition,
                            for k, _ in _overlaps(off, a, a + near))
     else:
         i_off, j_off = decomp.grid
-        p, q = len(i_off) - 1, len(j_off) - 1
+        p = len(i_off) - 1
+        # the shapes and the gaps to the nearest edges, on one panel
         widths = Counter(b - a for a, b in zip(i_off, i_off[1:]))
         heights = Counter(b - a for a, b in zip(j_off, j_off[1:]))
-        shapes = Counter({(w, h): PANELS * a * b for w, a in widths.items()
+        shapes = Counter({(w, h): a * b for w, a in widths.items()
                           for h, b in heights.items()})
-        # gaps to the nearest panel edges, as in _near_corner
         gi = [min(a, n - b) for a, b in zip(i_off, i_off[1:])]
         gj = [min(a, n - b) for a, b in zip(j_off, j_off[1:])]
-        odd = [(panel * q + bj) * p + bi for panel in range(PANELS)
-               for bj in range(q) if gj[bj] + 2 <= depth
+        odd = [bj * p + bi for bj in range(len(gj)) if gj[bj] + 2 <= depth
                for bi in range(p) if gi[bi] + gj[bj] + 2 <= depth]
-    expanded: Dict[int, Union[Rings, List[Runs]]] = {}
+    expanded: Dict[int, List[Runs]] = {}
     worst = 0
     for rank in odd:
         dom = decomp.domain(rank)
-        if isinstance(dom, Block):
-            shapes[dom.shape] -= 1
-            expanded[rank] = rings = _rank_rings(mesh, decomp, rank, depth)
-            halo = sum(map(len, rings))
+        block = _rectangle(n, dom)
+        shapes[dom.shape if isinstance(dom, Block) else (dom.size, 1)] -= 1
+        if block is None:
+            expanded[rank] = rings = _span_rings(mesh, dom, depth)
+            halo = sum(_run_sizes(rings))
         else:
-            shapes[dom.size, 1] -= 1
-            block = _span_block(n, dom)
-            if block is not None and not _near_corner(block, n, depth):
-                halo = sum(_closed_sizes(*block.shape, depth))
-            else:
-                expanded[rank] = rings = _span_rings(mesh, dom, depth)
-                halo = sum(_run_sizes(rings))
+            halo = _rect_halo(n, block, depth)
         worst = max(worst, dom.size + halo)
     for (w, h), count in shapes.items():
         if count:
-            worst = max(worst, w * h + sum(_closed_sizes(w, h, depth)))
+            worst = max(worst, w * h + _halo_cells(w, h, depth))
     return HaloCounts(decomp, depth, worst, [], expanded)
 
 
 def halo_counts(mesh: CubedSphereMesh, decomp: Decomposition,
                 depth: int = 1) -> HaloCounts:
     """Halo ring sizes per rank, and the worst rank's cells, with no
-    table per rank: ring k of a w x h block away from the cube corners
-    has 2(w+h) + 4(k-1) cells, blocks near a corner take the frontier
-    expansion, and spans that are not one row away from the corners take
-    row runs (`_shape_counts`).  A span layout up to C10 takes
-    `compute_halos`."""
+    table per rank (`_shape_counts`).  A w x h rectangle on one panel has
+    H(d) = 2d(w+h+d-1) - sum of T(d-1-g) over the panel's corners halo
+    cells within depth d, where g is its gap to the corner in columns plus
+    rows and T(m) = m(m+1)/2 for m > 0, else 0; ring k has H(k) - H(k-1).
+    Blocks and the spans that are one rectangle take this form, the other
+    spans row runs, and span layouts up to C10 `compute_halos`."""
     check_halo_depth(mesh, depth)
     if decomp.grid is None and mesh.panel_size <= _SPAN_WALK_MAX_PANEL:
         return compute_halos(mesh, decomp, depth)
@@ -585,15 +585,14 @@ def exchange_pattern(halos: HaloCounts,
     decomp, depth = halos.decomp, halos.depth
     counts: Dict[Tuple[int, int], int] = {}
     for rank in range(decomp.ranks):
-        rings = halos.halos[rank] if halos.halos else halos.expanded.get(rank)
-        if decomp.grid is None and not halos.halos:
-            # a span's row runs, expanded once: here or in halo_counts
-            if rings is None:
-                rings = _span_rings(decomp.mesh, decomp.domains[rank], depth)
-            owners = _span_owners(decomp, rings)
-        elif rings is not None:
+        if halos.halos:
             owners = Counter(decomp.owner_of(cell)
-                             for ring in rings for cell in ring)
+                             for ring in halos.halos[rank] for cell in ring)
+        elif decomp.grid is None:
+            # a span's row runs, expanded once: here or in halo_counts
+            rings = (halos.expanded.get(rank)
+                     or _span_rings(decomp.mesh, decomp.domains[rank], depth))
+            owners = _span_owners(decomp, rings)
         else:
             owners = _block_owners(decomp, rank, depth)
         for owner, cells in owners.items():

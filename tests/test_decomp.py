@@ -3,10 +3,10 @@
 Halo and message expectations come from an independent breadth-first
 expansion over the fully materialized adjacency map, not from the
 frontier walk used by the implementation.  Both halo results, the
-frontier walk of `compute_halos` and the closed forms and span row runs
-of `halo_counts` (called directly as `_shape_counts` where `halo_counts`
-walks the cells of a span layout up to C10), are checked against it, ring
-sizes and `exchange_pattern` messages.
+frontier walk of `compute_halos` and the corner-aware closed form and
+span row runs of `halo_counts` (called directly as `_shape_counts` where
+`halo_counts` walks the cells of a span layout up to C10), are checked
+against it, ring sizes and `exchange_pattern` messages.
 """
 
 from collections import Counter
@@ -227,9 +227,12 @@ def test_halo_factor_law_on_c64():
 @example(n=8, p=8, q=8, depth=4, bytes_per_cell=1)   # 1 x 1 blocks at depth 4
 @example(n=10, p=4, q=3, depth=3, bytes_per_cell=1)  # uneven 2-3 x 3-4 blocks
 @example(n=24, p=1, q=1, depth=4, bytes_per_cell=1)  # whole panels: corners
+@example(n=6, p=1, q=1, depth=6, bytes_per_cell=1)   # ... at depth N
+@example(n=5, p=5, q=5, depth=5, bytes_per_cell=1)   # 1 x 1 blocks at depth N
+@example(n=7, p=3, q=2, depth=7, bytes_per_cell=1)   # uneven grid at depth N
 @settings(max_examples=60, deadline=None)
 def test_halo_counts_match_bfs_oracle(n, p, q, depth, bytes_per_cell):
-    # the closed form, its corner fallback and the cross-edge maps against
+    # the corner-aware closed form and the cross-edge maps against
     # compute_halos and the BFS messages, including blocks thinner than
     # the depth whose strips span several neighbour blocks
     p, q, depth = min(p, n), min(q, n), min(depth, n)
@@ -257,10 +260,10 @@ def test_halo_counts_match_bfs_oracle(n, p, q, depth, bytes_per_cell):
 @example(n=2, ranks=18, depth=2, bytes_per_cell=1)   # 6 * 3 ranks, depth N
 @settings(max_examples=40, deadline=None)
 def test_span_halos_match_bfs_oracle(n, ranks, depth, bytes_per_cell):
-    # span decompositions: _shape_counts takes the closed form for one
-    # rectangle away from the corners and row runs for the rest, and the
-    # messages are counted over the owners of the ring runs or cells;
-    # halo_counts walks the cells of the meshes up to C10
+    # span decompositions: _shape_counts takes the corner-aware closed
+    # form for one rectangle and row runs for the rest, and the messages
+    # are counted over the owners of the ring runs or cells; halo_counts
+    # walks the cells of the meshes up to C10
     ranks, depth = min(ranks, 6 * n * n), min(depth, n)
     mesh = build_mesh(n, 1)
     decomposition = dc.partition(mesh, ranks)
@@ -274,6 +277,51 @@ def test_span_halos_match_bfs_oracle(n, ranks, depth, bytes_per_cell):
         assert [halos.ring_sizes(r) for r in range(ranks)] \
             == [tuple(map(len, rings)) for rings in expected_rings]
         assert dc.exchange_pattern(halos, bytes_per_cell).messages == expected
+
+
+def test_rectangle_halo_matches_bfs_at_every_depth():
+    # every rectangle on one panel, up to C6, ring by ring to depth N:
+    # also the row segments and whole-row bands at a corner that spans
+    # take and no block grid produces
+    for n in range(1, 7):
+        mesh = build_mesh(n, 1)
+        for i0 in range(n):
+            for i1 in range(i0 + 1, n + 1):
+                for j0 in range(n):
+                    for j1 in range(j0 + 1, n + 1):
+                        block = dc.Block(0, i0, i1, j0, j1)
+                        totals = [dc._rect_halo(n, block, k)
+                                  for k in range(n + 1)]
+                        rings = bfs_halo(mesh, set(block.cells()), n)
+                        assert [b - a for a, b in zip(totals, totals[1:])] \
+                            == [len(ring) for ring in rings], block
+
+
+def test_rectangles_walk_no_cells_at_the_corners(monkeypatch):
+    # C12 at depth 12, where every rank is near a cube corner: 1 x 1
+    # blocks, and one- and two-cell spans; then a block grid's messages
+    # at depth 2, with its corner blocks near a corner
+    mesh = build_mesh(12, 1)
+    layouts = [dc.partition(mesh, ranks) for ranks in (864, 863)]
+    oracles = [dc.compute_halos(mesh, decomposition, depth=12)
+               for decomposition in layouts]
+    small = build_mesh(7, 1)
+    grid = dc.partition(small, 54)
+    expected = bfs_messages(small, grid, 2, 1)
+
+    def no_cells(*_args, **_kwargs):
+        raise AssertionError("a rectangle's halo must not walk cells")
+
+    for name in ("compute_halos", "_rank_rings", "_span_rings"):
+        monkeypatch.setattr(dc, name, no_cells)
+    for decomposition, oracle in zip(layouts, oracles):
+        halos = dc.halo_counts(mesh, decomposition, depth=12)
+        assert halos.worst_cells == oracle.worst_cells == 312
+        assert [halos.ring_sizes(r) for r in range(decomposition.ranks)] \
+            == [oracle.ring_sizes(r) for r in range(decomposition.ranks)]
+        assert not halos.expanded
+    halos = dc.halo_counts(small, grid, depth=2)
+    assert dc.exchange_pattern(halos, 1).messages == expected
 
 
 def test_span_runs_cover_exactly_the_owned_cells():

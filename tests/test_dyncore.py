@@ -159,11 +159,15 @@ def test_memory_guard_trips_widest_single_thread_layout():
     assert simulate(threaded).total_s > 0
 
 
-@pytest.mark.parametrize("n,nodes", [(1024, 192), (80, 192), (96, 190)])
-def test_memory_guard_needs_no_halo_geometry(monkeypatch, n, nodes):
+@pytest.mark.parametrize(
+    "n,nodes,depth",
+    [(1024, 192, 1), (80, 192, 1), (96, 190, 1), (80, 192, 2)],
+    ids=["1024-192", "80-192", "96-190", "80-192-depth2"])
+def test_memory_guard_needs_no_halo_geometry(monkeypatch, n, nodes, depth):
     # 96 x 190: 24,320 ranks, not a multiple of six, so spans; the guard
     # sizes shape classes, building at most one domain per rank it must
-    # expand: a span crossing a row, one per row boundary
+    # size alone: a span crossing a row, one per row boundary, or a block
+    # near a cube corner, as the corner blocks of 80 x 192 are at depth 2
     def no_halos(*_args, **_kwargs):
         raise AssertionError("the guard must not need halo cells")
 
@@ -182,7 +186,8 @@ def test_memory_guard_needs_no_halo_geometry(monkeypatch, n, nodes):
     for cls in (dc.Block, dc.Span):
         monkeypatch.setattr(cls, "__init__", counted(cls))
     wide = RunSpec(mesh=build_mesh(n, 120), machine=builtin_machine("archer2"),
-                   nodes=nodes, ranks_per_node=128, threads_per_rank=1)
+                   nodes=nodes, ranks_per_node=128, threads_per_rank=1,
+                   halo_depth=depth)
     with pytest.raises(MemoryLimitError):
         simulate(wide)
     assert sum(built.values()) < 6 * n + 100, built
