@@ -260,8 +260,9 @@ def cmd_sweep(args) -> int:
             raise dyncore.MemoryLimitError(
                 f"{where}: every value trips the memory guard")
     else:
+        shared: dict = {}  # stage one, where sweep points leave it alone
         rows = [{axis: v, **iosim.metrics_row(
-                    iosim.simulate_io(vary(scenario, axis, v)))}
+                    iosim.simulate_io(vary(scenario, axis, v), shared))}
                 for v in values]
     out = Path(args.out)
     write_csv(out / f"sweep_{axis}.csv", rows)

@@ -7,26 +7,21 @@ contiguous runs of the linearized cell ordering (a documented fallback
 with imbalance at most one cell).
 
 Halos are rings of non-owned cells reachable from the owned block by
-edge adjacency.  `HaloCounts` is the one halo result: the worst rank's
-owned-plus-halo cells, and the row runs of the spans it expanded.
-`compute_halos` expands every rank cell by cell and is the reference.
-`halo_counts` sizes every rectangle (each block, and each span that is
-one rectangle on one panel) by one closed form, which knows that each
-panel corner is a cube corner, where the flat unfolding loses a
-quadrant; the worst rank is sized once per shape.  Only spans that are
-not one rectangle are expanded, as row runs.  A span layout on a mesh of
-at most C10 is expanded like `compute_halos`, whose cell counts
-perfbench's halo counters read.
+edge adjacency.  `compute_halos` expands every rank cell by cell and is
+the reference.  `halo_counts` sizes every rectangle (a block, or a span
+that is one rectangle on one panel) by one closed form that knows each
+panel corner is a cube corner, and the worst rank once per shape; only
+the other spans are expanded, as row runs.  Span layouts up to C10 are
+walked like `compute_halos`, whose cell counts perfbench reads.
 
-`exchange_pattern` builds one message per (owner -> halo-holder) pair
-from either result.  `compute_halos` rings give each cell's owner.  A
-span's ring runs, expanded once (in `halo_counts` or here), are
-intervals of linear cell indices, and their per-owner counts are
-overlaps with the span offsets.  A block's halo is four straight strips,
-each split into rectangles on the block's own panel and on the panel
-across an edge (reached through `mesh.fold`), plus d(d-1)/2 diagonal
-cells per block corner at depth d, less those past a cube corner;
-per-owner counts of a rectangle are overlaps with the block offsets.
+A rectangle's halo at depth d is, on its panel, four strips and
+d(d-1)/2 diagonal cells per corner, and past an edge at gap g < d, in
+depth row s, the cells along the edge within d - g - 1 - s of its side
+(`_edge_rects`), none past a cube corner.  `exchange_pattern` counts one
+message per (owner, holder) pair: for a block grid the whole layout at
+once, one panel's table repeated on all six plus the `_edge_rects` of
+the blocks near an edge, as overlaps with the block offsets; for a span
+its row runs, as overlaps with the span offsets.
 """
 
 from __future__ import annotations
@@ -35,14 +30,14 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from math import isqrt
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
                     Tuple, Union)
 
 from .errors import CubedsimError
-from .mesh import PANELS, CellId, CubedSphereMesh
+from .mesh import EAST, NORTH, PANELS, SOUTH, WEST, CellId, CubedSphereMesh
 
 
 class DecompositionError(CubedsimError, ValueError):
@@ -65,6 +60,8 @@ Rings = Tuple[Tuple[CellId, ...], ...]
 # cells as half-open runs [a, b) of i per (panel, j) row, sorted and
 # disjoint once merged
 Runs = Dict[Tuple[int, int], List[Tuple[int, int]]]
+# a rectangle (panel, i0, i1, j0, j1) of cells [i0, i1) x [j0, j1)
+Rect = Tuple[int, int, int, int, int]
 # span layouts up to C10 take compute_halos, which perfbench's halo
 # counters hook by name
 _SPAN_WALK_MAX_PANEL = 10
@@ -95,24 +92,10 @@ class Block:
     def shape(self) -> Tuple[int, int]:
         return self.i1 - self.i0, self.j1 - self.j0
 
-    def contains(self, cell: CellId) -> bool:
-        return (cell.panel == self.panel
-                and self.i0 <= cell.i < self.i1
-                and self.j0 <= cell.j < self.j1)
-
     def cells(self) -> Iterator[CellId]:
         for j in range(self.j0, self.j1):
             for i in range(self.i0, self.i1):
                 yield CellId(self.panel, i, j)
-
-    def boundary_cells(self) -> Iterator[CellId]:
-        """Cells on the block perimeter (the only ones with outside
-        neighbours)."""
-        for j in range(self.j0, self.j1):
-            edge_row = j in (self.j0, self.j1 - 1)
-            for i in range(self.i0, self.i1):
-                if edge_row or i in (self.i0, self.i1 - 1):
-                    yield CellId(self.panel, i, j)
 
 
 @dataclass(frozen=True)
@@ -150,8 +133,8 @@ class Decomposition:
 
     @cached_property
     def domains(self) -> Tuple[Union[Block, Span], ...]:
-        """Every rank's domain, built once for the per-rank passes that
-        follow the memory guard."""
+        """Every rank's domain, built once for a span layout's per-rank
+        passes after the memory guard (a block grid's take tables)."""
         return tuple(map(self.domain, range(self.ranks)))
 
     def owned_cells(self, rank: int) -> Set[CellId]:
@@ -165,12 +148,10 @@ class Decomposition:
 
     def owner_of(self, cell: CellId) -> int:
         if self.grid is not None:
-            i_offsets, j_offsets = self.grid
-            p = len(i_offsets) - 1
-            q = len(j_offsets) - 1
-            bi = bisect_right(i_offsets, cell.i) - 1
-            bj = bisect_right(j_offsets, cell.j) - 1
-            return cell.panel * p * q + bj * p + bi
+            i_off, j_off = self.grid
+            p, q = len(i_off) - 1, len(j_off) - 1
+            bi = bisect_right(i_off, cell.i) - 1
+            return (cell.panel * q + bisect_right(j_off, cell.j) - 1) * p + bi
         rank = bisect_right(self.span_offsets, self.mesh.to_index(cell)) - 1
         if 0 <= rank < self.ranks:
             return rank
@@ -238,22 +219,10 @@ def check_halo_depth(mesh: CubedSphereMesh, depth: int) -> None:
 def _rank_rings(mesh: CubedSphereMesh, decomp: Decomposition, rank: int,
                 depth: int) -> Rings:
     """One rank's halo rings up to `depth` by frontier expansion."""
-    dom = decomp.domain(rank)
-    if isinstance(dom, Block):
-        owned_test = dom.contains
-        frontier: Set[CellId] = set(dom.boundary_cells())
-    else:
-        owned = decomp.owned_cells(rank)
-        owned_test = owned.__contains__
-        frontier = owned
-    seen: Set[CellId] = set()
+    seen = frontier = decomp.owned_cells(rank)
     rings: List[Tuple[CellId, ...]] = []
     for _ in range(depth):
-        ring: Set[CellId] = set()
-        for cell in frontier:
-            for nb in mesh.neighbors(cell):
-                if nb not in seen and not owned_test(nb):
-                    ring.add(nb)
+        ring = {nb for cell in frontier for nb in mesh.neighbors(cell)} - seen
         seen |= ring
         rings.append(tuple(ring))
         frontier = ring
@@ -287,66 +256,93 @@ def _halo_cells(w: int, h: int, depth: int, gaps: Sequence[int] = ()) -> int:
     return 2 * depth * (w + h + depth - 1) - lost
 
 
-def _rect_halo(n: int, block: Block, depth: int) -> int:
-    """H(depth) of a block; a corner's gap sums the gaps to its two edges."""
-    gw, ge, gs, gn = block.i0, n - block.i1, block.j0, n - block.j1
-    return _halo_cells(*block.shape, depth,
+def _rect_halo(n: int, rect: Rect, depth: int) -> int:
+    """H(depth) of a rectangle; a corner's gap sums its two edge gaps."""
+    _, i0, i1, j0, j1 = rect
+    gw, ge, gs, gn = i0, n - i1, j0, n - j1
+    return _halo_cells(i1 - i0, j1 - j0, depth,
                        (gw + gs, gw + gn, ge + gs, ge + gn))
 
 
-def _block_owners(decomp: Decomposition, rank: int,
-                  depth: int) -> Dict[int, int]:
-    """Halo cells per owner rank of a block: four strips of `depth` rows
-    along the block sides, each split into its part on the block's panel
-    and its part across the panel edge, plus the diagonal cells off the
-    block corners counted one by one, none past a cube corner."""
-    mesh = decomp.mesh
+def _edge_rects(mesh: CubedSphereMesh, rect: Rect,
+                depth: int) -> Iterator[Rect]:
+    """A rectangle's halo cells past its panel's edges, as rectangles
+    (panel, xa, xb, ya, yb) on the panels across them: past an edge at
+    gap g < depth, depth row s holds the cells along the edge within
+    r = depth - g - 1 - s of the rectangle's side, none past a panel
+    corner, where the cube corner leaves no cells."""
+    n = mesh.panel_size
+    panel, i0, i1, j0, j1 = rect
+    for direction, gap, a, b in ((EAST, n - i1, j0, j1), (WEST, i0, j0, j1),
+                                 (NORTH, n - j1, i0, i1), (SOUTH, j0, i0, i1)):
+        other, edge, same = mesh.edges[panel, direction]
+        for s in range(depth - gap):
+            r = depth - gap - 1 - s
+            lo, hi = max(a - r, 0), min(b + r, n)
+            if not same:
+                lo, hi = n - hi, n - lo
+            x = s if edge in (WEST, SOUTH) else n - 1 - s
+            yield ((other, x, x + 1, lo, hi) if edge in (EAST, WEST)
+                   else (other, lo, hi, x, x + 1))
+
+
+def _grid_counts(decomp: Decomposition, depth: int) -> Dict[int, int]:
+    """Halo cells per (owner, holder) pair of a block grid, keyed
+    owner * ranks + holder: one panel's table, which every panel repeats,
+    from per-column and per-row overlap tables, and the `_edge_rects` of
+    the blocks within `depth` of a panel edge."""
+    mesh, ranks = decomp.mesh, decomp.ranks
     n = mesh.panel_size
     i_off, j_off = decomp.grid
     p, q = len(i_off) - 1, len(j_off) - 1
-    block = decomp.domains[rank]
-    panel, i0, i1, j0, j1 = block.panel, block.i0, block.i1, block.j0, block.j1
-    bj, bi = divmod(rank - panel * p * q, p)
-    counts: Dict[int, int] = {}
-    # on the block's panel the east and west strips meet only blocks of
-    # its grid row, the north and south strips only blocks of its column
-    row = (panel * q + bj) * p
-    for a, b in ((i1, min(i1 + depth, n)), (max(i0 - depth, 0), i0)):
-        for k, cells in _overlaps(i_off, a, b):
-            counts[row + k] = cells * (j1 - j0)
-    column = panel * p * q + bi
-    for a, b in ((j1, min(j1 + depth, n)), (max(j0 - depth, 0), j0)):
-        for k, cells in _overlaps(j_off, a, b):
-            counts[column + k * p] = cells * (i1 - i0)
-    # strip parts beyond a panel edge, as rectangles [ia, ib) x [ja, jb)
-    # in the panel's coordinates extended past its edges
-    for ia, ib, ja, jb in ((max(i1, n), i1 + depth, j0, j1),
-                           (i0 - depth, min(i0, 0), j0, j1),
-                           (i0, i1, max(j1, n), j1 + depth),
-                           (i0, i1, j0 - depth, min(j0, 0))):
-        if ia >= ib or ja >= jb:
-            continue
-        other, xa, ya = mesh.fold(panel, ia, ja)
-        _, xb, yb = mesh.fold(panel, ib - 1, jb - 1)
-        for kj, cj in _overlaps(j_off, min(ya, yb), max(ya, yb) + 1):
-            base = (other * q + kj) * p
-            for ki, ci in _overlaps(i_off, min(xa, xb), max(xa, xb) + 1):
-                counts[base + ki] = counts.get(base + ki, 0) + ci * cj
-    for dx in range(1, depth):
-        for dy in range(1, depth - dx + 1):
-            for i, j in ((i1 - 1 + dx, j1 - 1 + dy), (i0 - dx, j1 - 1 + dy),
-                         (i0 - dx, j0 - dy), (i1 - 1 + dx, j0 - dy)):
-                if 0 <= i < n or 0 <= j < n:
-                    owner = decomp.owner_of(mesh.fold(panel, i, j))
-                    counts[owner] = counts.get(owner, 0) + 1
+    # on the panel, the columns s < depth past a block's east and west
+    # sides hold the cells within r = depth - 1 - s rows of its rows, and
+    # the rows past its north and south sides the cells of its columns
+    past = [[(bisect_right(i_off, i) - 1, depth - 1 - s)
+             for s in range(depth) for i in (b + s, a - 1 - s) if 0 <= i < n]
+            for a, b in zip(i_off, i_off[1:])]
+    within = [[list(_overlaps(j_off, max(a - r, 0), min(b + r, n)))
+               for r in range(depth)] for a, b in zip(j_off, j_off[1:])]
+    strips = [list(_overlaps(j_off, b, min(b + depth, n)))
+              + list(_overlaps(j_off, max(a - depth, 0), a))
+              for a, b in zip(j_off, j_off[1:])]
+    local: Dict[int, int] = {}
+    for bj in range(q):
+        for bi, (i0, i1) in enumerate(zip(i_off, i_off[1:])):
+            dst = bj * p + bi
+            for k, cells in strips[bj]:
+                local[(k * p + bi) * ranks + dst] = cells * (i1 - i0)
+            for ki, r in past[bi]:
+                for kj, cells in within[bj][r]:
+                    key = (kj * p + ki) * ranks + dst
+                    local[key] = local.get(key, 0) + cells
+    shift = p * q * (ranks + 1)
+    counts = {key + panel * shift: cells for panel in range(PANELS)
+              for key, cells in local.items()}
+    # past the panel edges: every block of a grid row near an edge, and
+    # in the other rows the blocks of the columns near an edge
+    near = [bi for bi, (a, b) in enumerate(zip(i_off, i_off[1:]))
+            if min(a, n - b) < depth]
+    for panel in range(PANELS):
+        for bj, (j0, j1) in enumerate(zip(j_off, j_off[1:])):
+            for bi in range(p) if min(j0, n - j1) < depth else near:
+                dst = (panel * q + bj) * p + bi
+                rect = panel, i_off[bi], i_off[bi + 1], j0, j1
+                for other, xa, xb, ya, yb in _edge_rects(mesh, rect, depth):
+                    cols = list(_overlaps(i_off, xa, xb))
+                    for kj, cj in _overlaps(j_off, ya, yb):
+                        base = (other * q + kj) * p
+                        for ki, ci in cols:
+                            key = (base + ki) * ranks + dst
+                            counts[key] = counts.get(key, 0) + ci * cj
     return counts
 
 
-def _rectangle(n: int, dom: Union[Block, Span]) -> Optional[Block]:
-    """The domain as a block when it is one rectangle on one panel: a
-    block, or a span that is part of one row or whole rows."""
+def _rectangle(n: int, dom: Union[Block, Span]) -> Optional[Rect]:
+    """The domain as a rectangle when it is one on one panel: a block, or
+    a span that is part of one row or whole rows."""
     if isinstance(dom, Block):
-        return dom
+        return dom.panel, dom.i0, dom.i1, dom.j0, dom.j1
     panel, first = divmod(dom.start, n * n)
     last = dom.stop - 1 - panel * n * n
     if last >= n * n:
@@ -354,10 +350,27 @@ def _rectangle(n: int, dom: Union[Block, Span]) -> Optional[Block]:
     j0, i0 = divmod(first, n)
     j1, i1 = divmod(last, n)
     if j0 == j1:
-        return Block(panel, i0, i1 + 1, j0, j0 + 1)
+        return panel, i0, i1 + 1, j0, j0 + 1
     if i0 == 0 and i1 == n - 1:
-        return Block(panel, 0, n, j0, j1 + 1)
+        return panel, 0, n, j0, j1 + 1
     return None
+
+
+def _rect_runs(mesh: CubedSphereMesh, rect: Rect, depth: int) -> Runs:
+    """A rectangle's halo as row runs: on its panel, a row t rows off the
+    rectangle holds the cells within depth - t columns of it, and past
+    the edges each row of an `_edge_rects` rectangle is a run."""
+    n = mesh.panel_size
+    panel, i0, i1, j0, j1 = rect
+    runs: Runs = {}
+    for j in range(max(j0 - depth, 0), min(j1 + depth, n)):
+        r = depth - max(j0 - j, j + 1 - j1, 0)
+        a, b = max(i0 - r, 0), min(i1 + r, n)
+        runs[panel, j] = [(a, i0), (i1, b)] if j0 <= j < j1 else [(a, b)]
+    for other, xa, xb, ya, yb in _edge_rects(mesh, rect, depth):
+        for y in range(ya, yb):
+            runs.setdefault((other, y), []).append((xa, xb))
+    return runs
 
 
 def _span_runs(n: int, span: Span) -> Runs:
@@ -399,70 +412,28 @@ def _subtract(runs: List[Tuple[int, int]],
 
 
 def _span_rings(mesh: CubedSphereMesh, span: Span, depth: int) -> List[Runs]:
-    """A span's halo rings up to `depth` as row runs, innermost first.
-
-    A run's west and east ends and the rows above and below it cross a
-    panel edge through `mesh.fold`; a folded row lands on the other panel
-    as one row run or as a column of one-cell runs."""
-    n = mesh.panel_size
-    frontier = seen = _span_runs(n, span)
+    """A span's halo rings up to `depth` as row runs, innermost first:
+    the cells within k steps of the span are those within k steps of one
+    of its rows, each a rectangle (`_rect_runs`), and ring k is what that
+    adds to the cells within k - 1."""
+    rows = inner = _span_runs(mesh.panel_size, span)
     rings = []
-    for _ in range(depth):
-        near: Runs = {}
-        add = near.setdefault
-        for (panel, j), runs in frontier.items():
-            for a, b in runs:
-                # the run is seen, so it may stand in the cells west and
-                # east of it on its panel
-                add((panel, j), []).append((max(a - 1, 0), min(b + 1, n)))
-                for i in (a - 1, b):
-                    if not 0 <= i < n:
-                        cell = mesh.fold(panel, i, j)
-                        add((cell.panel, cell.j), []).append(
-                            (cell.i, cell.i + 1))
-                for y in (j - 1, j + 1):
-                    if 0 <= y < n:
-                        add((panel, y), []).append((a, b))
-                        continue
-                    first = mesh.fold(panel, a, y)
-                    last = mesh.fold(panel, b - 1, y)
-                    if first.j == last.j:
-                        add((first.panel, first.j), []).append(
-                            (min(first.i, last.i), max(first.i, last.i) + 1))
-                        continue
-                    for row in range(min(first.j, last.j),
-                                     max(first.j, last.j) + 1):
-                        add((first.panel, row), []).append(
-                            (first.i, first.i + 1))
-        ring: Runs = {}
-        for key, runs in near.items():
-            new = _subtract(_merge(runs), seen.get(key, ()))
-            if new:
-                ring[key] = new
-                seen[key] = _merge(seen.get(key, []) + new)
-        rings.append(ring)
-        frontier = ring
+    for k in range(1, depth + 1):
+        near = {key: list(runs) for key, runs in rows.items()}
+        for (panel, j), [(a, b)] in rows.items():
+            for key, runs in _rect_runs(mesh, (panel, a, b, j, j + 1),
+                                        k).items():
+                near.setdefault(key, []).extend(runs)
+        near = {key: _merge(runs) for key, runs in near.items()}
+        rings.append({key: ring for key, runs in near.items()
+                      if (ring := _subtract(runs, inner.get(key, ())))})
+        inner = near
     return rings
 
 
 def _run_sizes(rings: List[Runs]) -> Tuple[int, ...]:
     return tuple(sum(b - a for runs in ring.values() for a, b in runs)
                  for ring in rings)
-
-
-def _span_owners(decomp: Decomposition, rings: List[Runs]) -> Counter:
-    """Halo cells per owner rank of a span: each ring run is an interval
-    of cell indices, which meets the owners' spans as overlaps."""
-    n = decomp.mesh.panel_size
-    counts: Counter = Counter()
-    for ring in rings:
-        for (panel, j), runs in ring.items():
-            row = (panel * n + j) * n
-            for a, b in runs:
-                for owner, cells in _overlaps(decomp.span_offsets,
-                                              row + a, row + b):
-                    counts[owner] += cells
-    return counts
 
 
 class HaloCounts(NamedTuple):
@@ -484,16 +455,26 @@ class HaloCounts(NamedTuple):
         if rank in self.expanded:
             return _run_sizes(self.expanded[rank])
         n = self.decomp.mesh.panel_size
-        block = _rectangle(n, self.decomp.domains[rank])
-        totals = [_rect_halo(n, block, k) for k in range(self.depth + 1)]
+        rect = _rectangle(n, self.decomp.domains[rank])
+        totals = [_rect_halo(n, rect, k) for k in range(self.depth + 1)]
         return tuple(b - a for a, b in zip(totals, totals[1:]))
 
     def halo_count(self, rank: int) -> int:
-        if self.halos or rank in self.expanded:
-            return sum(self.ring_sizes(rank))
-        n = self.decomp.mesh.panel_size
-        return _rect_halo(n, _rectangle(n, self.decomp.domains[rank]),
-                          self.depth)
+        return sum(self.ring_sizes(rank))
+
+    def work(self, redundant: bool) -> List[int]:
+        """Every rank's owned cells, plus its halo cells when `redundant`,
+        in rank order; a block grid's from one panel's table, which every
+        panel repeats."""
+        decomp, depth = self.decomp, self.depth if redundant else 0
+        if decomp.grid is None:
+            return [span.size + (self.halo_count(r) if redundant else 0)
+                    for r, span in enumerate(decomp.domains)]
+        n, (i_off, j_off) = decomp.mesh.panel_size, decomp.grid
+        return [(i1 - i0) * (j1 - j0)
+                + _rect_halo(n, (0, i0, i1, j0, j1), depth)
+                for j0, j1 in zip(j_off, j_off[1:])
+                for i0, i1 in zip(i_off, i_off[1:])] * PANELS
 
 
 def compute_halos(mesh: CubedSphereMesh, decomp: Decomposition,
@@ -548,13 +529,13 @@ def _shape_counts(mesh: CubedSphereMesh, decomp: Decomposition,
     worst = 0
     for rank in odd:
         dom = decomp.domain(rank)
-        block = _rectangle(n, dom)
+        rect = _rectangle(n, dom)
         shapes[dom.shape if isinstance(dom, Block) else (dom.size, 1)] -= 1
-        if block is None:
+        if rect is None:
             expanded[rank] = rings = _span_rings(mesh, dom, depth)
             halo = sum(_run_sizes(rings))
         else:
-            halo = _rect_halo(n, block, depth)
+            halo = _rect_halo(n, rect, depth)
         worst = max(worst, dom.size + halo)
     for (w, h), count in shapes.items():
         if count:
@@ -579,24 +560,35 @@ def halo_counts(mesh: CubedSphereMesh, decomp: Decomposition,
 
 def exchange_pattern(halos: HaloCounts,
                      bytes_per_cell: int) -> ExchangePattern:
-    """One message per (owner -> halo-holder) pair with shared cells."""
+    """One message per (owner -> halo-holder) pair with shared cells,
+    counted under the key owner * ranks + holder."""
     if bytes_per_cell < 1:
         raise DecompositionError("bytes_per_cell must be positive")
     decomp, depth = halos.decomp, halos.depth
-    counts: Dict[Tuple[int, int], int] = {}
-    for rank in range(decomp.ranks):
-        if halos.halos:
-            owners = Counter(decomp.owner_of(cell)
-                             for ring in halos.halos[rank] for cell in ring)
-        elif decomp.grid is None:
-            # a span's row runs, expanded once: here or in halo_counts
-            rings = (halos.expanded.get(rank)
-                     or _span_rings(decomp.mesh, decomp.domains[rank], depth))
-            owners = _span_owners(decomp, rings)
-        else:
-            owners = _block_owners(decomp, rank, depth)
-        for owner, cells in owners.items():
-            counts[(owner, rank)] = cells
-    return ExchangePattern(tuple(
-        Message(src, dst, c, c * bytes_per_cell)
-        for (src, dst), c in sorted(counts.items())))
+    ranks = decomp.ranks
+    if halos.halos:
+        counts = Counter(decomp.owner_of(cell) * ranks + rank
+                         for rank, rings in enumerate(halos.halos)
+                         for ring in rings for cell in ring)
+    elif decomp.grid is not None:
+        counts = _grid_counts(decomp, depth)
+    else:
+        counts = {}
+        n = decomp.mesh.panel_size
+        for rank, span in enumerate(decomp.domains):
+            # the rings expanded in halo_counts, else the one rectangle's
+            for ring in halos.expanded.get(rank) or [
+                    _rect_runs(decomp.mesh, _rectangle(n, span), depth)]:
+                for (panel, j), runs in ring.items():
+                    row = (panel * n + j) * n
+                    for a, b in runs:
+                        for owner, cells in _overlaps(decomp.span_offsets,
+                                                      row + a, row + b):
+                            key = owner * ranks + rank
+                            counts[key] = counts.get(key, 0) + cells
+    keys = sorted(counts)
+    cells = [counts[key] for key in keys]
+    # tuple.__new__ builds each Message without a Python-level call
+    return ExchangePattern(tuple(map(partial(tuple.__new__, Message), zip(
+        [key // ranks for key in keys], [key % ranks for key in keys], cells,
+        [c * bytes_per_cell for c in cells]))))

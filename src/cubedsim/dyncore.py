@@ -128,10 +128,8 @@ def simulate(run: RunSpec) -> TimestepBreakdown:
         messages = dc.exchange_pattern(halos, bytes_per_cell).messages
 
     eff = cost.efficiency(threads)
-    work = [decomposition.owned_count(r)
-            + (halos.halo_count(r) if redundant else 0)
-            for r in range(ranks)]
-    user_times = [w * mesh.levels * cost.c_cell / (threads * eff) for w in work]
+    user_times = [w * mesh.levels * cost.c_cell / (threads * eff)
+                  for w in halos.work(redundant)]
     user_s = max(user_times)
     user_mean_s = sum(user_times) / ranks
 

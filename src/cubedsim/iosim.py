@@ -548,13 +548,20 @@ def _stage_two(arrival_streams: Sequence[_Arrivals], n_writers: int,
     return busy, max(free), peak
 
 
-def simulate_io(scenario: IoScenario) -> IoMetrics:
-    """Run the scenario to completion and report the key measures."""
+def simulate_io(scenario: IoScenario,
+                shared: Optional[Dict[tuple, object]] = None) -> IoMetrics:
+    """Run the scenario to completion and report the key measures;
+    `shared` keeps chunks and stage-one results by their inputs for the
+    calls given it, such as a sweep's points, and nothing changes them."""
     sched = scenario.schedule
-    events = workload.emission_events(sched)
+    shared = {} if shared is None else shared
+    emitted = (sched, scenario.clients)
+    if emitted not in shared:
+        share_of = 1.0 / scenario.clients
+        shared[emitted] = [(ev.time_hours, ev.bytes * share_of)
+                           for ev in workload.emission_events(sched)]
+    chunks = shared[emitted]
     total_bytes = workload.total_bytes(sched)
-    share_of = 1.0 / scenario.clients
-    chunks = [(ev.time_hours, ev.bytes * share_of) for ev in events]
     cap = float(scenario.buffer_bytes)
     if chunks:
         biggest = max(b for _t, b in chunks)
@@ -577,10 +584,12 @@ def simulate_io(scenario: IoScenario) -> IoMetrics:
 
     # deduplicate identical stage-one subsystems, in server order
     multiplicity = Counter(key for key in keys if key[0])
-    classes = {key: _simulate_stage_one(chunks, key[0], key[1], cap,
-                                        scenario.compute_rate,
-                                        collect_arrivals=two_level)
-               for key in multiplicity}
+    classes = {}
+    for key in multiplicity:
+        inputs = (emitted, *key, cap, scenario.compute_rate, two_level)
+        if inputs not in shared:
+            shared[inputs] = _simulate_stage_one(chunks, *inputs[1:])
+        classes[key] = shared[inputs]
 
     wait_total = 0.0
     for key, res in classes.items():

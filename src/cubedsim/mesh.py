@@ -76,7 +76,7 @@ class CubedSphereMesh:
 
     Immutable after construction; safe to share between concurrently
     evaluated scenarios.  Only the panel-edge stitching is materialized up
-    front, one entry per panel edge (24 in all); every neighbour is
+    front, `edges`, one entry per panel edge (24 in all); every neighbour is
     computed arithmetically on demand.
     """
 
@@ -87,7 +87,7 @@ class CubedSphereMesh:
             raise MeshError(f"levels must be >= 1, got {levels}")
         self.panel_size = panel_size
         self.levels = levels
-        self._edges = self._build_stitching()
+        self.edges = self._build_stitching()
 
     def _build_stitching(self) -> Dict[Tuple[int, int], Tuple[int, int, bool]]:
         """Per (panel, direction) of an edge: the panel across it, that
@@ -157,7 +157,7 @@ class CubedSphereMesh:
         if not (0 <= k < n and s < n):
             raise MeshError(
                 f"({i}, {j}) is not within one edge of panel {panel}")
-        other, edge, same = self._edges[panel, direction]
+        other, edge, same = self.edges[panel, direction]
         if not same:
             k = n - 1 - k
         # s cells in from the edge of `other`, k along it

@@ -18,6 +18,7 @@ from cubedsim.dyncore import (MemoryLimitError, Mode, RunSpec,
 from cubedsim.machine import (LayoutError, MachineConfig, MemoryModel,
                               builtin_machine, default_cost_model)
 from cubedsim.mesh import build_mesh
+from test_decomp import bfs_messages
 
 TOY = MachineConfig(name="toy", cores_per_node=4, clock_ghz=2.0,
                     max_nodes=64)
@@ -202,7 +203,7 @@ def test_memory_guard_needs_no_halo_geometry(monkeypatch, n, nodes, depth):
 @example(n=6, ranks=9, depth=2)      # bands of whole rows
 @example(n=12, ranks=8, depth=3)     # ... across panels, past C10
 @example(n=7, ranks=54, depth=2)     # 3 x 3 blocks only at the corners
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 def test_guard_worst_cells_match_bfs_oracle(n, ranks, depth):
     # the worst owned-plus-halo count from shape classes against every
     # rank's frontier expansion, and the guard at the oracle's estimate
@@ -259,6 +260,69 @@ def test_span_run_walks_no_cells(monkeypatch):
     assert (result.user_s, result.mpi_p2p_s, result.mpi_coll_s,
             result.etc_s) == expected
     assert len(expanded) == run.ranks and set(expanded.values()) == {1}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_block_grid_run_builds_nothing_per_rank(monkeypatch, mode):
+    # C96 on 1152 ranks, a 16 x 12 grid on each panel at depth 2: the
+    # work table and the messages come from one panel's tables and the
+    # blocks near a panel edge, with no Block or owner count per rank
+    p, q = 16, 12
+    built = Counter()
+    init = dc.Block.__init__
+    edge_rects = dc._edge_rects
+
+    def counted(self, *args, **kwargs):
+        built["Block"] += 1
+        init(self, *args, **kwargs)
+
+    def edge_counted(*args):
+        built["_edge_rects"] += 1
+        return edge_rects(*args)
+
+    def per_rank(*_args, **_kwargs):
+        raise AssertionError("no owner count per rank")
+
+    monkeypatch.setattr(dc.Block, "__init__", counted)
+    monkeypatch.setattr(dc, "_edge_rects", edge_counted)
+    monkeypatch.setattr(dc, "_block_owners", per_rank, raising=False)
+    run = RunSpec(mesh=build_mesh(96, 10), machine=builtin_machine("archer2"),
+                  nodes=9, ranks_per_node=128, threads_per_rank=1,
+                  halo_depth=2, mode=mode, memory=BIG_MEMORY)
+    assert simulate(run).total_s > 0
+    assert built["Block"] <= p + q, built
+    assert built["_edge_rects"] <= 6 * 2 * (p + q), built
+
+
+def test_one_rectangle_spans_expand_no_row_runs(monkeypatch):
+    # C12 on 863 ranks: 862 one-cell spans and one two-cell span, each one
+    # rectangle, so simulate counts their messages straight from their
+    # strips and diagonal cells, never from expanded row runs
+    mesh = build_mesh(12, 10)
+    machine = MachineConfig(name="one", cores_per_node=863, clock_ghz=2.0,
+                            max_nodes=1)
+    run = RunSpec(mesh=mesh, machine=machine, nodes=1, ranks_per_node=863,
+                  threads_per_rank=1, halo_depth=3, memory=BIG_MEMORY)
+    expected = bfs_messages(mesh, dc.partition(mesh, 863), 3,
+                            dc.default_bytes_per_cell(mesh))
+    breakdown = oracle_breakdown(run)
+    seen = []
+    exchange_pattern = dc.exchange_pattern
+
+    def recorded(*args):
+        pattern = exchange_pattern(*args)
+        seen.append(pattern.messages)
+        return pattern
+
+    def no_rows(*_args, **_kwargs):
+        raise AssertionError("a one-rectangle span needs no row runs")
+
+    monkeypatch.setattr(dc, "_span_rings", no_rows)
+    monkeypatch.setattr(dc, "exchange_pattern", recorded)
+    result = simulate(run)
+    assert seen == [expected]
+    assert (result.user_s, result.mpi_p2p_s, result.mpi_coll_s,
+            result.etc_s) == breakdown
 
 
 def test_weak_scaling_attribution():

@@ -6,6 +6,7 @@ full, and servers drain in FIFO order.
 """
 
 import contextlib
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import io_oracle
 from cubedsim import iosim, workload
+from cubedsim.cli import main
 from cubedsim.config import load_scenario
 from cubedsim.iosim import (IoConfigError, IoScenario, ServerMemoryError,
                             UnwritableFieldError, metrics_row, simulate_io,
@@ -263,6 +265,41 @@ def _two_level(**overrides):
     base = dict(servers_level2=1, pools=1, files=1, striping_factor=1.0,
                 gather_rate_factor=4.0, pool_penalty=0.0)
     return IoScenario(**{**base, **overrides})
+
+
+def test_sweeps_that_keep_stage_one_simulate_it_once(monkeypatch, tmp_path):
+    # pools, and the writing servers of a two-level layout, change only
+    # stage two: a sweep simulates each of the two stage-one classes (3
+    # and 2 clients per gathering server) once over all its points, and
+    # the shared results give the metrics that unshared ones give
+    calls = []
+    stage_one = iosim._simulate_stage_one
+
+    def counted(chunks, n_clients, *args, **kwargs):
+        calls.append(n_clients)
+        return stage_one(chunks, n_clients, *args, **kwargs)
+
+    monkeypatch.setattr(iosim, "_simulate_stage_one", counted)
+    config = tmp_path / "pools.json"
+    config.write_text(json.dumps({
+        "schedule": {"run_hours": 2.0, "entries": [
+            {"field_count": 3, "period_hours": 0.5, "bytes_per_field": 100}]},
+        "io_scenario": {"clients": 10, "servers_level1": 4,
+                        "servers_level2": 8, "pools": 1, "files": 8,
+                        "buffer_bytes": 250, "base_write_rate": 50.0,
+                        "striping_factor": 1.0, "compute_rate": 10.0},
+        "sweep": {"pools": [1, 2, 4], "servers": [4, 8, 16]}}))
+    for axis in ("pools", "servers"):
+        calls.clear()
+        assert main(["sweep", "--config", str(config), "--axis", axis,
+                     "--out", str(tmp_path / axis)]) == 0
+        assert sorted(calls) == [2, 3]
+    base = load_scenario(config).io_scenario
+    points = [replace(base, pools=pools) for pools in (1, 2, 4)] + \
+        [replace(base, servers_level2=servers) for servers in (4, 16)]
+    shared = {}
+    metrics = [simulate_io(point, shared) for point in points]
+    assert [simulate_io(point) for point in points] == metrics
 
 
 @settings(max_examples=300, deadline=None)
