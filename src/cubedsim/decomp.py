@@ -4,24 +4,24 @@ Ranks own contiguous rectangular blocks within panels.  When the rank
 count is a multiple of six, each panel is split into an identical p x q
 grid of blocks chosen to be as square as possible; otherwise ranks own
 contiguous runs of the linearized cell ordering (a documented fallback
-with imbalance at most one cell).
+with imbalance at most one cell), held as two sizes.
 
 Halos are rings of non-owned cells reachable from the owned block by
 edge adjacency.  `compute_halos` expands every rank cell by cell and is
 the reference.  `halo_counts` sizes every rectangle (a block, or a span
 that is one rectangle on one panel) by one closed form that knows each
-panel corner is a cube corner, and the worst rank once per shape; only
-the other spans are expanded, as row runs.  Span layouts up to C10 are
-walked like `compute_halos`, whose cell counts perfbench reads.
+panel corner is a cube corner, the worst rank once per shape, and the
+other spans once per class (`_span_class`) as row runs.  Span layouts up
+to C10 are walked like `compute_halos`, whose cell counts perfbench reads.
 
 A rectangle's halo at depth d is, on its panel, four strips and
 d(d-1)/2 diagonal cells per corner, and past an edge at gap g < d, in
 depth row s, the cells along the edge within d - g - 1 - s of its side
 (`_edge_rects`), none past a cube corner.  `exchange_pattern` counts one
-message per (owner, holder) pair: for a block grid the whole layout at
-once, one panel's table repeated on all six plus the `_edge_rects` of
-the blocks near an edge, as overlaps with the block offsets; for a span
-its row runs, as overlaps with the span offsets.
+message per (owner, holder) pair from tables, never rank by rank: a
+block grid's from one panel's table and the blocks near an edge, a span
+layout's from one table of owner offsets per class and the owners along
+each panel edge (`_grid_counts`, `_span_counts`).
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import chain
+from functools import partial
 from math import isqrt
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
                     Tuple, Union)
@@ -113,29 +112,37 @@ class Span:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Rank domains held as offsets, each rank's domain derived on demand."""
+    """Rank domains held as offsets or sizes, each rank's domain derived
+    on demand."""
 
     mesh: CubedSphereMesh
     ranks: int
     # block-grid offsets (i, j), the same on every panel (None for spans)
     grid: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
-    # span starts followed by the cell total (None for a block grid)
-    span_offsets: Optional[Tuple[int, ...]] = None
+    # span sizes (base, rem): span k has base + 1 cells for k < rem, else
+    # base, so it starts at k * base + min(k, rem) (None for a block grid)
+    spans: Optional[Tuple[int, int]] = None
+
+    def span_start(self, rank: int) -> int:
+        base, rem = self.spans
+        return rank * base + min(rank, rem)
+
+    def span_owner(self, index: int) -> int:
+        """The span holding linear cell `index`."""
+        base, rem = self.spans
+        big = rem * (base + 1)
+        if index < big:
+            return index // (base + 1)
+        return rem + (index - big) // base
 
     def domain(self, rank: int) -> Union[Block, Span]:
         if self.grid is None:
-            return Span(self.span_offsets[rank], self.span_offsets[rank + 1])
+            return Span(self.span_start(rank), self.span_start(rank + 1))
         i_off, j_off = self.grid
         p = len(i_off) - 1
         panel, local = divmod(rank, p * (len(j_off) - 1))
         bj, bi = divmod(local, p)
         return Block(panel, i_off[bi], i_off[bi + 1], j_off[bj], j_off[bj + 1])
-
-    @cached_property
-    def domains(self) -> Tuple[Union[Block, Span], ...]:
-        """Every rank's domain, built once for a span layout's per-rank
-        passes after the memory guard (a block grid's take tables)."""
-        return tuple(map(self.domain, range(self.ranks)))
 
     def owned_cells(self, rank: int) -> Set[CellId]:
         dom = self.domain(rank)
@@ -144,7 +151,7 @@ class Decomposition:
         return {self.mesh.from_index(k) for k in range(dom.start, dom.stop)}
 
     def owned_count(self, rank: int) -> int:
-        return self.domains[rank].size
+        return self.domain(rank).size
 
     def owner_of(self, cell: CellId) -> int:
         if self.grid is not None:
@@ -152,9 +159,9 @@ class Decomposition:
             p, q = len(i_off) - 1, len(j_off) - 1
             bi = bisect_right(i_off, cell.i) - 1
             return (cell.panel * q + bisect_right(j_off, cell.j) - 1) * p + bi
-        rank = bisect_right(self.span_offsets, self.mesh.to_index(cell)) - 1
-        if 0 <= rank < self.ranks:
-            return rank
+        index = self.mesh.to_index(cell)
+        if 0 <= index < self.mesh.total_horizontal_cells:
+            return self.span_owner(index)
         raise DecompositionError(f"cell {cell} not covered by any rank")
 
 
@@ -194,10 +201,7 @@ def partition(mesh: CubedSphereMesh, ranks: int) -> Decomposition:
                 _grid_offsets(n, p), _grid_offsets(n, q)))
     # larger chunks first for a stable layout: `rem` spans of base + 1
     # cells, then spans of base cells
-    base, rem = divmod(total, ranks)
-    big = rem * (base + 1)
-    return Decomposition(mesh=mesh, ranks=ranks, span_offsets=tuple(
-        chain(range(0, big, base + 1), range(big, total + 1, base))))
+    return Decomposition(mesh=mesh, ranks=ranks, spans=divmod(total, ranks))
 
 
 def local_area(mesh: CubedSphereMesh, total_cores: int) -> Fraction:
@@ -338,22 +342,30 @@ def _grid_counts(decomp: Decomposition, depth: int) -> Dict[int, int]:
     return counts
 
 
-def _rectangle(n: int, dom: Union[Block, Span]) -> Optional[Rect]:
-    """The domain as a rectangle when it is one on one panel: a block, or
-    a span that is part of one row or whole rows."""
-    if isinstance(dom, Block):
-        return dom.panel, dom.i0, dom.i1, dom.j0, dom.j1
-    panel, first = divmod(dom.start, n * n)
-    last = dom.stop - 1 - panel * n * n
-    if last >= n * n:
-        return None
+def _span_class(decomp: Decomposition, depth: int, rank: int) -> Tuple[
+        int, int, Optional[int], Optional[Rect], object]:
+    """A span's start and stop, its panel (None when it crosses one), its
+    rectangle when it is one, and its class key.  Spans of one key have
+    the same halo on their panel up to a shift of cells and ranks: size,
+    start column (none for one row `depth` from both row ends) and rows to
+    the panel's south and north edges up to `depth`.  A span crossing a
+    panel, or near spans of the other size, is keyed by its start."""
+    n = decomp.mesh.panel_size
+    base, rem = decomp.spans
+    start = rank * base + min(rank, rem)
+    stop = start + base + (rank < rem)
+    panel, first = divmod(start, n * n)
     j0, i0 = divmod(first, n)
-    j1, i1 = divmod(last, n)
-    if j0 == j1:
-        return panel, i0, i1 + 1, j0, j0 + 1
-    if i0 == 0 and i1 == n - 1:
-        return panel, 0, n, j0, j1 + 1
-    return None
+    j1, i1 = divmod(stop - 1 - panel * n * n, n)
+    if j1 >= n:
+        return start, stop, None, None, start
+    rect = (panel, i0, i1 + 1, j0, j1 + 1) \
+        if j0 == j1 or (i0 == 0 and i1 == n - 1) else None
+    if rem and start - depth * n < rem * (base + 1) < stop + depth * n:
+        return start, stop, panel, rect, start
+    plain = j0 == j1 and depth <= i0 and i1 + depth < n
+    return start, stop, panel, rect, (stop - start, -1 if plain else i0,
+                                      min(j0, depth), min(n - 1 - j1, depth))
 
 
 def _rect_runs(mesh: CubedSphereMesh, rect: Rect, depth: int) -> Runs:
@@ -394,46 +406,24 @@ def _merge(runs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return out
 
 
-def _subtract(runs: List[Tuple[int, int]],
-              cut: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """The parts of sorted disjoint `runs` outside sorted disjoint `cut`."""
-    out = []
-    for a, b in runs:
-        for c, d in cut:
-            if c >= b:
-                break
-            if d > a:
-                if c > a:
-                    out.append((a, c))
-                a = d
-        if a < b:
-            out.append((a, b))
-    return out
-
-
-def _span_rings(mesh: CubedSphereMesh, span: Span, depth: int) -> List[Runs]:
-    """A span's halo rings up to `depth` as row runs, innermost first:
-    the cells within k steps of the span are those within k steps of one
-    of its rows, each a rectangle (`_rect_runs`), and ring k is what that
-    adds to the cells within k - 1."""
-    rows = inner = _span_runs(mesh.panel_size, span)
-    rings = []
+def _span_near(mesh: CubedSphereMesh, span: Span, depth: int) -> List[Runs]:
+    """The cells within k steps of a span for k = 0..depth as merged row
+    runs: those within k steps of one of its rows, each a rectangle
+    (`_rect_runs`)."""
+    near = [_span_runs(mesh.panel_size, span)]
     for k in range(1, depth + 1):
-        near = {key: list(runs) for key, runs in rows.items()}
-        for (panel, j), [(a, b)] in rows.items():
-            for key, runs in _rect_runs(mesh, (panel, a, b, j, j + 1),
-                                        k).items():
-                near.setdefault(key, []).extend(runs)
-        near = {key: _merge(runs) for key, runs in near.items()}
-        rings.append({key: ring for key, runs in near.items()
-                      if (ring := _subtract(runs, inner.get(key, ())))})
-        inner = near
-    return rings
+        runs = {key: list(row) for key, row in near[0].items()}
+        for (panel, j), [(a, b)] in near[0].items():
+            for key, row in _rect_runs(mesh, (panel, a, b, j, j + 1),
+                                       k).items():
+                runs.setdefault(key, []).extend(row)
+        near.append({key: _merge(row) for key, row in runs.items()})
+    return near
 
 
-def _run_sizes(rings: List[Runs]) -> Tuple[int, ...]:
-    return tuple(sum(b - a for runs in ring.values() for a, b in runs)
-                 for ring in rings)
+def _run_sizes(near: List[Runs]) -> List[int]:
+    return [sum(b - a for runs in rows.values() for a, b in runs)
+            for rows in near]
 
 
 class HaloCounts(NamedTuple):
@@ -445,18 +435,26 @@ class HaloCounts(NamedTuple):
     worst_cells: int
     # every rank's frontier-expansion rings (compute_halos), else empty
     halos: List[Rings]
-    # the row-run rings of the spans that are not one rectangle, by rank
-    expanded: Dict[int, List[Runs]]
+    # halo cells of every rank (compute_halos), else of the spans crossing
+    # a row or near a cube corner, whose halo is not their size's flat form
+    odd: Dict[int, int]
+    # by span class (`_span_class`) not one rectangle: a span's rank and
+    # `_span_near`
+    expanded: Dict[object, Tuple[int, List[Runs]]]
 
     def ring_sizes(self, rank: int) -> Tuple[int, ...]:
         """Cells in each halo ring of `rank`, innermost first."""
         if self.halos:
             return tuple(map(len, self.halos[rank]))
-        if rank in self.expanded:
-            return _run_sizes(self.expanded[rank])
-        n = self.decomp.mesh.panel_size
-        rect = _rectangle(n, self.decomp.domains[rank])
-        totals = [_rect_halo(n, rect, k) for k in range(self.depth + 1)]
+        decomp, depth = self.decomp, self.depth
+        if decomp.grid is None:
+            _, _, _, rect, key = _span_class(decomp, depth, rank)
+        else:
+            dom = decomp.domain(rank)
+            rect = dom.panel, dom.i0, dom.i1, dom.j0, dom.j1
+        n = decomp.mesh.panel_size
+        totals = _run_sizes(self.expanded[key][1]) if rect is None else [
+            _rect_halo(n, rect, k) for k in range(depth + 1)]
         return tuple(b - a for a, b in zip(totals, totals[1:]))
 
     def halo_count(self, rank: int) -> int:
@@ -464,12 +462,16 @@ class HaloCounts(NamedTuple):
 
     def work(self, redundant: bool) -> List[int]:
         """Every rank's owned cells, plus its halo cells when `redundant`,
-        in rank order; a block grid's from one panel's table, which every
-        panel repeats."""
+        in rank order: a block grid's from one panel's table, which every
+        panel repeats, a span layout's from its two sizes and `odd`."""
         decomp, depth = self.decomp, self.depth if redundant else 0
         if decomp.grid is None:
-            return [span.size + (self.halo_count(r) if redundant else 0)
-                    for r, span in enumerate(decomp.domains)]
+            base, rem = decomp.spans
+            work = [base + 1 + _halo_cells(base + 1, 1, depth)] * rem \
+                + [base + _halo_cells(base, 1, depth)] * (decomp.ranks - rem)
+            for rank, cells in self.odd.items() if redundant else ():
+                work[rank] = base + (rank < rem) + cells
+            return work
         n, (i_off, j_off) = decomp.mesh.panel_size, decomp.grid
         return [(i1 - i0) * (j1 - j0)
                 + _rect_halo(n, (0, i0, i1, j0, j1), depth)
@@ -483,9 +485,10 @@ def compute_halos(mesh: CubedSphereMesh, decomp: Decomposition,
     check_halo_depth(mesh, depth)
     halos = [_rank_rings(mesh, decomp, rank, depth)
              for rank in range(decomp.ranks)]
-    worst = max(decomp.owned_count(rank) + sum(map(len, rings))
-                for rank, rings in enumerate(halos))
-    return HaloCounts(decomp, depth, worst, halos, {})
+    odd = {rank: sum(map(len, rings)) for rank, rings in enumerate(halos)}
+    worst = max(decomp.owned_count(rank) + cells
+                for rank, cells in odd.items())
+    return HaloCounts(decomp, depth, worst, halos, odd, {})
 
 
 def _shape_counts(mesh: CubedSphereMesh, decomp: Decomposition,
@@ -494,25 +497,39 @@ def _shape_counts(mesh: CubedSphereMesh, decomp: Decomposition,
     a rectangle away from the cube corners has is sized once by the flat
     form.  The few other ranks are sized one by one: blocks near a corner
     on panel 0 only (every panel has the same grid), and spans near a
-    corner or crossing a row, by `_halo_cells` when one rectangle, else by
-    row runs, which are kept in `expanded`."""
+    corner or crossing a row, by `_rect_halo` when one rectangle, else by
+    the `_span_near` of one span per class, kept in `expanded`."""
     n = mesh.panel_size
+    odd: Dict[int, int] = {}
+    expanded: Dict[object, Tuple[int, List[Runs]]] = {}
+    worst = 0
     if decomp.grid is None:
-        off = decomp.span_offsets
-        base, rem = divmod(off[-1], decomp.ranks)
+        base, rem = decomp.spans
+        owner = decomp.span_owner
         # a span within one row is base + 1 or base cells wide
         shapes = Counter({(base + 1, 1): rem, (base, 1): decomp.ranks - rem})
-        odd = set()
+        # the spans crossing into a row: its first cell x starts no span
+        big = rem * (base + 1)
+        ranks = {owner(x) for x in range(n, PANELS * n * n, n)
+                 if (x % (base + 1) if x < big else (x - big) % base)}
         for row in range(PANELS * n):
-            x = row * n
-            k = bisect_right(off, x) - 1
-            if off[k] < x:  # the span holding cell x also holds x - 1
-                odd.add(k)
             # the cells at each end of the row that are near a corner
             near = min(n, depth - 1 - min(row % n, n - 1 - row % n))
-            if near > 0:
-                odd.update(k for a in (x, x + n - near)
-                           for k, _ in _overlaps(off, a, a + near))
+            for a in (row * n, row * n + n - near) if near > 0 else ():
+                ranks.update(range(owner(a), owner(a + near - 1) + 1))
+        sized: Dict[object, int] = {}
+        for rank in ranks:
+            start, stop, _, rect, key = _span_class(decomp, depth, rank)
+            shapes[stop - start, 1] -= 1
+            if rect is not None:
+                odd[rank] = _rect_halo(n, rect, depth)
+            else:
+                if key not in sized:
+                    near = _span_near(mesh, Span(start, stop), depth)
+                    expanded[key] = rank, near
+                    sized[key] = sum(_run_sizes(near[-1:])) - (stop - start)
+                odd[rank] = sized[key]
+            worst = max(worst, stop - start + odd[rank])
     else:
         i_off, j_off = decomp.grid
         p = len(i_off) - 1
@@ -523,24 +540,15 @@ def _shape_counts(mesh: CubedSphereMesh, decomp: Decomposition,
                           for h, b in heights.items()})
         gi = [min(a, n - b) for a, b in zip(i_off, i_off[1:])]
         gj = [min(a, n - b) for a, b in zip(j_off, j_off[1:])]
-        odd = [bj * p + bi for bj in range(len(gj)) if gj[bj] + 2 <= depth
-               for bi in range(p) if gi[bi] + gj[bj] + 2 <= depth]
-    expanded: Dict[int, List[Runs]] = {}
-    worst = 0
-    for rank in odd:
-        dom = decomp.domain(rank)
-        rect = _rectangle(n, dom)
-        shapes[dom.shape if isinstance(dom, Block) else (dom.size, 1)] -= 1
-        if rect is None:
-            expanded[rank] = rings = _span_rings(mesh, dom, depth)
-            halo = sum(_run_sizes(rings))
-        else:
-            halo = _rect_halo(n, rect, depth)
-        worst = max(worst, dom.size + halo)
+        for dom in (decomp.domain(bj * p + bi) for bj in range(len(gj))
+                    for bi in range(p) if gi[bi] + gj[bj] + 2 <= depth):
+            shapes[dom.shape] -= 1
+            worst = max(worst, dom.size + _rect_halo(
+                n, (0, dom.i0, dom.i1, dom.j0, dom.j1), depth))
     for (w, h), count in shapes.items():
         if count:
             worst = max(worst, w * h + _halo_cells(w, h, depth))
-    return HaloCounts(decomp, depth, worst, [], expanded)
+    return HaloCounts(decomp, depth, worst, [], odd, expanded)
 
 
 def halo_counts(mesh: CubedSphereMesh, decomp: Decomposition,
@@ -551,11 +559,83 @@ def halo_counts(mesh: CubedSphereMesh, decomp: Decomposition,
     cells within depth d, where g is its gap to the corner in columns plus
     rows and T(m) = m(m+1)/2 for m > 0, else 0; ring k has H(k) - H(k-1).
     Blocks and the spans that are one rectangle take this form, the other
-    spans row runs, and span layouts up to C10 `compute_halos`."""
+    spans the row runs of one span per class (`_span_class`), and span
+    layouts up to C10 `compute_halos`."""
     check_halo_depth(mesh, depth)
     if decomp.grid is None and mesh.panel_size <= _SPAN_WALK_MAX_PANEL:
         return compute_halos(mesh, decomp, depth)
     return _shape_counts(mesh, decomp, depth)
+
+
+def _span_counts(halos: HaloCounts) -> Dict[int, int]:
+    """Halo cells per (owner, holder) pair of a span layout, keyed
+    owner * ranks + holder.  A span's cells on its panel come from one
+    table of owner offsets per class (`_span_class`), applied by rank
+    shift.  Past each panel edge, depth row s holds cell t of holder h
+    when h owns the cell g in from the edge and u along it with
+    g + s + |u - t| < depth; a span crossing a panel tables all its cells."""
+    decomp, depth = halos.decomp, halos.depth
+    mesh, ranks = decomp.mesh, decomp.ranks
+    n, owner = mesh.panel_size, decomp.span_owner
+    base, rem = decomp.spans
+    classes: Dict[object, List[int]] = {}
+    for rank in range(ranks):
+        key = _span_class(decomp, depth, rank)[4]
+        classes.setdefault(key, []).append(rank)
+    counts: Dict[int, int] = {}
+    crossing = set()
+    for key, members in classes.items():
+        # owner - rank over the cells within depth of the class's span in
+        # `expanded`, else its first, on its panel (all if it crosses one)
+        start, stop, panel, rect, _ = _span_class(decomp, depth, members[0])
+        first, near = halos.expanded.get(key) or (members[0], [
+            _rect_runs(mesh, rect, depth)] if rect
+            else _span_near(mesh, Span(start, stop), depth))
+        home = decomp.span_start(first) // (n * n)
+        if panel is None:
+            crossing.add(first)
+        offsets: Dict[int, int] = Counter()
+        for (other, j), runs in near[-1].items():
+            for a, b in runs if panel is None or other == home else ():
+                a, b = (other * n + j) * n + a, (other * n + j) * n + b
+                while a < b:
+                    src = owner(a)
+                    end = decomp.span_start(src + 1)
+                    offsets[src - first] += min(b, end) - a
+                    a = end
+        # holder k's key for owner k + shift: k * (ranks + 1) + shift * ranks
+        keys = [k * (ranks + 1) for k in members]
+        for shift, cells in offsets.items():
+            if shift:
+                counts.update(dict.fromkeys(
+                    [k + shift * ranks for k in keys], cells))
+    big = rem * (base + 1)
+    # owners[panel, edge][g]: the owners (`span_owner`, inline) of the
+    # cells g in from the edge, along it: a column for east and west, a
+    # row for north and south
+    owners = {(panel, edge): [[
+        x // (base + 1) if x < big else rem + (x - big) // base
+        for x in (range(panel * n * n + x0, (panel + 1) * n * n, n)
+                  if edge in (EAST, WEST)
+                  else range((panel * n + x0) * n, (panel * n + x0 + 1) * n))]
+        for x0 in (range(depth) if edge in (WEST, SOUTH)
+                   else range(n - 1, n - 1 - depth, -1))]
+        for panel in range(PANELS) for edge in (EAST, WEST, NORTH, SOUTH)}
+    past: List[int] = []
+    for (panel, direction), near in owners.items():
+        other, edge, same = mesh.edges[panel, direction]
+        for s in range(depth):
+            across = owners[other, edge][s][::1 if same else -1]
+            held = set()
+            for g in range(depth - s):
+                for d in range(g + s + 1 - depth, depth - g - s):
+                    held.update(zip(range(max(0, -d), n - max(0, d)),
+                                    near[g][max(0, d):n + min(0, d)]))
+            past += [across[t] * ranks + h for t, h in held
+                     if h not in crossing]
+    for key, cells in Counter(past).items():
+        counts[key] = counts.get(key, 0) + cells
+    return counts
 
 
 def exchange_pattern(halos: HaloCounts,
@@ -564,28 +644,15 @@ def exchange_pattern(halos: HaloCounts,
     counted under the key owner * ranks + holder."""
     if bytes_per_cell < 1:
         raise DecompositionError("bytes_per_cell must be positive")
-    decomp, depth = halos.decomp, halos.depth
-    ranks = decomp.ranks
+    decomp, ranks = halos.decomp, halos.decomp.ranks
     if halos.halos:
         counts = Counter(decomp.owner_of(cell) * ranks + rank
                          for rank, rings in enumerate(halos.halos)
                          for ring in rings for cell in ring)
     elif decomp.grid is not None:
-        counts = _grid_counts(decomp, depth)
+        counts = _grid_counts(decomp, halos.depth)
     else:
-        counts = {}
-        n = decomp.mesh.panel_size
-        for rank, span in enumerate(decomp.domains):
-            # the rings expanded in halo_counts, else the one rectangle's
-            for ring in halos.expanded.get(rank) or [
-                    _rect_runs(decomp.mesh, _rectangle(n, span), depth)]:
-                for (panel, j), runs in ring.items():
-                    row = (panel * n + j) * n
-                    for a, b in runs:
-                        for owner, cells in _overlaps(decomp.span_offsets,
-                                                      row + a, row + b):
-                            key = owner * ranks + rank
-                            counts[key] = counts.get(key, 0) + cells
+        counts = _span_counts(halos)
     keys = sorted(counts)
     cells = [counts[key] for key in keys]
     # tuple.__new__ builds each Message without a Python-level call

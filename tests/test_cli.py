@@ -262,11 +262,16 @@ def test_module_entry_point_warns_nothing():
 
 
 def run_in_child(config, out, limit):
-    """`run` on `config` in a child with `limit` bytes of address space."""
+    """`run` on `config` in a child with `limit` bytes of address space;
+    the last line of its stdout is its peak RSS in KiB, VmHWM, since the
+    child's ru_maxrss keeps the RSS of the process that started it."""
     code = ("import resource, sys\n"
             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
             "from cubedsim.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n")
+            "code = main(sys.argv[1:])\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM')))\n"
+            "sys.exit(code)\n")
     src = Path(cubedsim.__file__).resolve().parent.parent
     return subprocess.run(
         [sys.executable, "-c", code, "run", "--config", str(config),
@@ -309,6 +314,25 @@ def test_huge_rank_count_keeps_the_exit_code_contract(tmp_path):
     assert "Traceback" not in done.stderr
     assert done.returncode == 3, done.stderr
     assert "GiB per node exceeds" in done.stderr
+
+
+def test_huge_span_layout_exits_3_in_little_memory(tmp_path):
+    # 1,000,000 single-thread ranks per node on 11 nodes at C2048: 11 M
+    # spans, which no 6 * p * q grid holds; the guard must speak from the
+    # two span sizes and the classes of the spans crossing a row, in a
+    # child with 1 GiB of address space and under 50 MiB of max RSS
+    doc = {"machine": {"name": "huge", "cores_per_node": 1_000_000,
+                       "clock_ghz": 2.0, "max_nodes": 100},
+           "mesh": {"panel_size": 2048, "levels": 30},
+           "layout": {"nodes": 11, "ranks_per_node": 1_000_000,
+                      "threads_per_rank": 1}}
+    config = tmp_path / "spans.json"
+    config.write_text(json.dumps(doc))
+    done = run_in_child(config, tmp_path / "out", 1024 * 1024 * 1024)
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "GiB per node exceeds" in done.stderr
+    assert int(done.stdout.split()[-1]) < 50 * 1024, done.stdout
 
 
 def test_ratio_report():

@@ -295,6 +295,40 @@ def test_every_small_block_grid_exchanges_the_bfs_messages():
                     bfs_messages(mesh, decomposition, depth, 1), (n, m, depth)
 
 
+@pytest.mark.parametrize("n,deepest", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 3),
+                                       (6, 3)])
+def test_every_small_span_layout_exchanges_the_bfs_messages(n, deepest):
+    # every span layout partition makes on C1-C6, at every depth on C1-C4
+    # and to depth 3 on C5-C6 (every depth there takes about 30 s more),
+    # through the class path past the C10 switch: ring sizes, the worst
+    # rank and the messages against one bfs_halo expansion per rank, whose
+    # first d rings are those at depth d (bfs_messages, summed ring by
+    # ring)
+    mesh = build_mesh(n, 1)
+    for ranks in range(1, 6 * n * n + 1):
+        decomposition = dc.partition(mesh, ranks)
+        if decomposition.grid is not None:
+            continue
+        owner = {cell: decomposition.owner_of(cell) for cell in mesh.cells()}
+        rings = [bfs_halo(mesh, decomposition.owned_cells(rank), deepest)
+                 for rank in range(ranks)]
+        counts = Counter()
+        for depth in range(1, deepest + 1):
+            for dst, rank_rings in enumerate(rings):
+                counts.update((owner[cell], dst)
+                              for cell in rank_rings[depth - 1])
+            halos = dc._shape_counts(mesh, decomposition, depth)
+            sizes = [tuple(map(len, rank_rings[:depth]))
+                     for rank_rings in rings]
+            assert [halos.ring_sizes(r) for r in range(ranks)] == sizes
+            assert halos.worst_cells == max(
+                decomposition.owned_count(r) + sum(sizes[r])
+                for r in range(ranks))
+            assert dc.exchange_pattern(halos, 1).messages == tuple(
+                dc.Message(src, dst, c, c)
+                for (src, dst), c in sorted(counts.items())), (ranks, depth)
+
+
 def test_rectangle_halo_matches_bfs_at_every_depth():
     # every rectangle on one panel, up to C6, ring by ring to depth N:
     # also the row segments and whole-row bands at a corner that spans
@@ -328,7 +362,7 @@ def test_rectangles_walk_no_cells_at_the_corners(monkeypatch):
     def no_cells(*_args, **_kwargs):
         raise AssertionError("a rectangle's halo must not walk cells")
 
-    for name in ("compute_halos", "_rank_rings", "_span_rings"):
+    for name in ("compute_halos", "_rank_rings", "_span_near"):
         monkeypatch.setattr(dc, name, no_cells)
     for decomposition, oracle in zip(layouts, oracles):
         halos = dc.halo_counts(mesh, decomposition, depth=12)
@@ -347,7 +381,8 @@ def test_span_runs_cover_exactly_the_owned_cells():
             decomposition = dc.partition(mesh, ranks)
             if decomposition.grid is not None:
                 continue
-            for rank, span in enumerate(decomposition.domains):
+            for rank in range(ranks):
+                span = decomposition.domain(rank)
                 cells = [CellId(panel, i, j)
                          for (panel, j), runs in dc._span_runs(n, span).items()
                          for a, b in runs for i in range(a, b)]

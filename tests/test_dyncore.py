@@ -236,7 +236,8 @@ def test_guard_worst_cells_match_bfs_oracle(n, ranks, depth):
 
 def test_span_run_walks_no_cells(monkeypatch):
     # C48 on 128 ranks at depth 2: spans, sized and counted as row runs,
-    # each expanded once although every one crosses a row
+    # every one crossing a row, expanded once per class (14 of them: four
+    # start columns, the rows to the panel edges, five crossing a panel)
     run = RunSpec(mesh=build_mesh(48, 10), machine=TOY, nodes=32,
                   ranks_per_node=4, threads_per_rank=1, halo_depth=2,
                   memory=BIG_MEMORY)
@@ -246,20 +247,49 @@ def test_span_run_walks_no_cells(monkeypatch):
         raise AssertionError("a span run must not walk cells")
 
     expanded = Counter()
-    span_rings = dc._span_rings
+    span_near = dc._span_near
 
     def counted(mesh, span, depth):
         expanded[span] += 1
-        return span_rings(mesh, span, depth)
+        return span_near(mesh, span, depth)
 
     monkeypatch.setattr(dc, "compute_halos", no_cells)
     monkeypatch.setattr(dc, "_rank_rings", no_cells)
     monkeypatch.setattr(dc.Decomposition, "owned_cells", no_cells)
-    monkeypatch.setattr(dc, "_span_rings", counted)
+    monkeypatch.setattr(dc, "_span_near", counted)
     result = simulate(run)
     assert (result.user_s, result.mpi_p2p_s, result.mpi_coll_s,
             result.etc_s) == expected
-    assert len(expanded) == run.ranks and set(expanded.values()) == {1}
+    assert len(expanded) <= 16 and set(expanded.values()) == {1}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_span_run_builds_nothing_per_rank(monkeypatch, mode):
+    # C96 on 4,001 span ranks at depth 2: the work table comes from the
+    # two span sizes and the class halos, the messages from one owner
+    # table per class and the owners along each panel edge, so no Span
+    # and no row-run expansion per rank (it takes 45 of each)
+    built = Counter()
+    init = dc.Span.__init__
+    span_near = dc._span_near
+
+    def counted(self, *args, **kwargs):
+        built["Span"] += 1
+        init(self, *args, **kwargs)
+
+    def near_counted(*args):
+        built["_span_near"] += 1
+        return span_near(*args)
+
+    monkeypatch.setattr(dc.Span, "__init__", counted)
+    monkeypatch.setattr(dc, "_span_near", near_counted)
+    machine = MachineConfig(name="one", cores_per_node=4001, clock_ghz=2.0,
+                            max_nodes=1)
+    run = RunSpec(mesh=build_mesh(96, 10), machine=machine, nodes=1,
+                  ranks_per_node=4001, threads_per_rank=1, halo_depth=2,
+                  mode=mode, memory=BIG_MEMORY)
+    assert simulate(run).total_s > 0
+    assert built["Span"] <= 200 and built["_span_near"] <= 200, built
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -317,7 +347,7 @@ def test_one_rectangle_spans_expand_no_row_runs(monkeypatch):
     def no_rows(*_args, **_kwargs):
         raise AssertionError("a one-rectangle span needs no row runs")
 
-    monkeypatch.setattr(dc, "_span_rings", no_rows)
+    monkeypatch.setattr(dc, "_span_near", no_rows)
     monkeypatch.setattr(dc, "exchange_pattern", recorded)
     result = simulate(run)
     assert seen == [expected]
