@@ -1,37 +1,35 @@
 """Domain decomposition: rank partitions, halos and exchange patterns.
 
-Ranks own contiguous rectangular blocks within panels.  When the rank
-count is a multiple of six, each panel is split into an identical p x q
-grid of blocks chosen to be as square as possible; otherwise ranks own
-contiguous runs of the linearized cell ordering (a documented fallback
-with imbalance at most one cell), held as two sizes.
+Rank counts that are a multiple of six split every panel into the same
+p x q grid of blocks, as square as possible.  Other counts fall back to
+contiguous runs (spans) of the linearized cells, held as two sizes, with
+an imbalance of at most one cell.
 
-Halos are rings of non-owned cells reachable from the owned block by
-edge adjacency.  `compute_halos` expands every rank cell by cell and is
-the reference.  `halo_counts` sizes every rectangle (a block, or a span
-that is one rectangle on one panel) by one closed form that knows each
-panel corner is a cube corner, the worst rank once per shape, and the
-other spans once per class (`_span_class`) as row runs.  Span layouts up
-to C10 are walked like `compute_halos`, whose cell counts perfbench reads.
+Halos are rings of non-owned cells reachable by edge adjacency.
+`compute_halos` expands every rank cell by cell and is the reference.
+`halo_counts` sizes every rectangle (a block, or a span that is one
+rectangle on one panel) by one closed form that knows each panel corner
+is a cube corner, the worst rank once per shape, and the other spans
+once per class (`_span_class`) as row runs.  Span layouts up to C10 are
+walked like `compute_halos`, whose cell counts perfbench reads.
 
-A rectangle's halo at depth d is, on its panel, four strips and
-d(d-1)/2 diagonal cells per corner, and past an edge at gap g < d, in
-depth row s, the cells along the edge within d - g - 1 - s of its side
-(`_edge_rects`), none past a cube corner.  `exchange_pattern` counts one
-message per (owner, holder) pair from tables, never rank by rank: a
-block grid's from one panel's table and the blocks near an edge, a span
-layout's from one table of owner offsets per class and the owners along
-each panel edge (`_grid_counts`, `_span_counts`).
+`exchange_pattern` counts one message per (owner, holder) pair the same
+way for every layout, never rank by rank: the cells on a rank's panel
+from one table of owner offsets per rank class (`_rank_classes`), and the
+cells past the panel edges from the owners of the `depth` lines along
+each of the 24 panel edges.  Only `Decomposition.owners` maps cells to
+owners.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import isqrt
+from operator import add
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
                     Tuple, Union)
 
@@ -87,14 +85,9 @@ class Block:
     def size(self) -> int:
         return (self.i1 - self.i0) * (self.j1 - self.j0)
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return self.i1 - self.i0, self.j1 - self.j0
-
     def cells(self) -> Iterator[CellId]:
-        for j in range(self.j0, self.j1):
-            for i in range(self.i0, self.i1):
-                yield CellId(self.panel, i, j)
+        return (CellId(self.panel, i, j) for j in range(self.j0, self.j1)
+                for i in range(self.i0, self.i1))
 
 
 @dataclass(frozen=True)
@@ -112,8 +105,7 @@ class Span:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Rank domains held as offsets or sizes, each rank's domain derived
-    on demand."""
+    """Rank domains held as offsets or sizes, derived on demand."""
 
     mesh: CubedSphereMesh
     ranks: int
@@ -135,6 +127,37 @@ class Decomposition:
             return index // (base + 1)
         return rem + (index - big) // base
 
+    @cached_property
+    def _lines(self) -> Tuple[List[int], ...]:
+        """A block grid's rank offset by column and by row of a panel."""
+        i_off, j_off = self.grid
+        return tuple([k * step for k, (a, b) in enumerate(zip(off, off[1:]))
+                      for _ in range(b - a)]
+                     for off, step in ((i_off, 1), (j_off, len(i_off) - 1)))
+
+    def owners(self, cells: range) -> List[int]:
+        """The owner of each linear cell of `cells`, a range along a row
+        (step 1) or a column (step panel size) of one panel."""
+        if self.grid is None:
+            if cells.step > 1:
+                return list(map(self.span_owner, cells))
+            out: List[int] = []
+            x = cells.start
+            while x < cells.stop:   # along the row, span by span
+                owner = self.span_owner(x)
+                end = min(self.span_start(owner + 1), cells.stop)
+                out += [owner] * (end - x)
+                x = end
+            return out
+        n, (cols, rows) = self.mesh.panel_size, self._lines
+        row, i = divmod(cells.start, n)
+        panel, j = divmod(row, n)
+        # along a row the block column changes, along a column the block row
+        first, along = (rows[j], cols[i:]) if cells.step == 1 else (
+            cols[i], rows[j:])
+        first += panel * (self.ranks // PANELS)
+        return [first + k for k in along[:len(cells)]]
+
     def domain(self, rank: int) -> Union[Block, Span]:
         if self.grid is None:
             return Span(self.span_start(rank), self.span_start(rank + 1))
@@ -154,14 +177,9 @@ class Decomposition:
         return self.domain(rank).size
 
     def owner_of(self, cell: CellId) -> int:
-        if self.grid is not None:
-            i_off, j_off = self.grid
-            p, q = len(i_off) - 1, len(j_off) - 1
-            bi = bisect_right(i_off, cell.i) - 1
-            return (cell.panel * q + bisect_right(j_off, cell.j) - 1) * p + bi
         index = self.mesh.to_index(cell)
         if 0 <= index < self.mesh.total_horizontal_cells:
-            return self.span_owner(index)
+            return self.owners(range(index, index + 1))[0]
         raise DecompositionError(f"cell {cell} not covered by any rank")
 
 
@@ -241,22 +259,10 @@ def default_bytes_per_cell(mesh: CubedSphereMesh) -> int:
     return mesh.levels * 8 * 3
 
 
-def _overlaps(offsets: Sequence[int], a: int, b: int) -> Iterator[Tuple[int, int]]:
-    """(block index, cells in common) of each block interval meeting [a, b)."""
-    if a >= b:
-        return
-    k = bisect_right(offsets, a) - 1
-    while offsets[k] < b:
-        yield k, min(b, offsets[k + 1]) - max(a, offsets[k])
-        k += 1
-
-
 def _halo_cells(w: int, h: int, depth: int, gaps: Sequence[int] = ()) -> int:
     """H(depth) of a w x h rectangle at `gaps` (see `halo_counts`)."""
-    lost = 0
-    for g in gaps:
-        if g < depth - 1:
-            lost += (depth - 1 - g) * (depth - g) // 2
+    lost = sum((depth - 1 - g) * (depth - g) // 2
+               for g in gaps if g < depth - 1)
     return 2 * depth * (w + h + depth - 1) - lost
 
 
@@ -290,58 +296,6 @@ def _edge_rects(mesh: CubedSphereMesh, rect: Rect,
                    else (other, lo, hi, x, x + 1))
 
 
-def _grid_counts(decomp: Decomposition, depth: int) -> Dict[int, int]:
-    """Halo cells per (owner, holder) pair of a block grid, keyed
-    owner * ranks + holder: one panel's table, which every panel repeats,
-    from per-column and per-row overlap tables, and the `_edge_rects` of
-    the blocks within `depth` of a panel edge."""
-    mesh, ranks = decomp.mesh, decomp.ranks
-    n = mesh.panel_size
-    i_off, j_off = decomp.grid
-    p, q = len(i_off) - 1, len(j_off) - 1
-    # on the panel, the columns s < depth past a block's east and west
-    # sides hold the cells within r = depth - 1 - s rows of its rows, and
-    # the rows past its north and south sides the cells of its columns
-    past = [[(bisect_right(i_off, i) - 1, depth - 1 - s)
-             for s in range(depth) for i in (b + s, a - 1 - s) if 0 <= i < n]
-            for a, b in zip(i_off, i_off[1:])]
-    within = [[list(_overlaps(j_off, max(a - r, 0), min(b + r, n)))
-               for r in range(depth)] for a, b in zip(j_off, j_off[1:])]
-    strips = [list(_overlaps(j_off, b, min(b + depth, n)))
-              + list(_overlaps(j_off, max(a - depth, 0), a))
-              for a, b in zip(j_off, j_off[1:])]
-    local: Dict[int, int] = {}
-    for bj in range(q):
-        for bi, (i0, i1) in enumerate(zip(i_off, i_off[1:])):
-            dst = bj * p + bi
-            for k, cells in strips[bj]:
-                local[(k * p + bi) * ranks + dst] = cells * (i1 - i0)
-            for ki, r in past[bi]:
-                for kj, cells in within[bj][r]:
-                    key = (kj * p + ki) * ranks + dst
-                    local[key] = local.get(key, 0) + cells
-    shift = p * q * (ranks + 1)
-    counts = {key + panel * shift: cells for panel in range(PANELS)
-              for key, cells in local.items()}
-    # past the panel edges: every block of a grid row near an edge, and
-    # in the other rows the blocks of the columns near an edge
-    near = [bi for bi, (a, b) in enumerate(zip(i_off, i_off[1:]))
-            if min(a, n - b) < depth]
-    for panel in range(PANELS):
-        for bj, (j0, j1) in enumerate(zip(j_off, j_off[1:])):
-            for bi in range(p) if min(j0, n - j1) < depth else near:
-                dst = (panel * q + bj) * p + bi
-                rect = panel, i_off[bi], i_off[bi + 1], j0, j1
-                for other, xa, xb, ya, yb in _edge_rects(mesh, rect, depth):
-                    cols = list(_overlaps(i_off, xa, xb))
-                    for kj, cj in _overlaps(j_off, ya, yb):
-                        base = (other * q + kj) * p
-                        for ki, ci in cols:
-                            key = (base + ki) * ranks + dst
-                            counts[key] = counts.get(key, 0) + ci * cj
-    return counts
-
-
 def _span_class(decomp: Decomposition, depth: int, rank: int) -> Tuple[
         int, int, Optional[int], Optional[Rect], object]:
     """A span's start and stop, its panel (None when it crosses one), its
@@ -368,21 +322,20 @@ def _span_class(decomp: Decomposition, depth: int, rank: int) -> Tuple[
                                       min(j0, depth), min(n - 1 - j1, depth))
 
 
-def _rect_runs(mesh: CubedSphereMesh, rect: Rect, depth: int) -> Runs:
-    """A rectangle's halo as row runs: on its panel, a row t rows off the
-    rectangle holds the cells within depth - t columns of it, and past
-    the edges each row of an `_edge_rects` rectangle is a run."""
-    n = mesh.panel_size
+def _panel_rows(n: int, rect: Rect, depth: int) -> List[
+        Tuple[Tuple[int, int], List[Tuple[int, int]], int]]:
+    """A rectangle's halo on its panel as (row, runs, times): a row t rows
+    off it holds the cells within depth - t columns of it, and its first
+    row stands for the `times` rows beside it, whose owners match: one
+    block row, or a span's one row or whole rows, with no halo beside."""
     panel, i0, i1, j0, j1 = rect
-    runs: Runs = {}
+    rows = [((panel, j0), [(max(i0 - depth, 0), i0), (i1, min(i1 + depth, n))],
+             j1 - j0)]
     for j in range(max(j0 - depth, 0), min(j1 + depth, n)):
-        r = depth - max(j0 - j, j + 1 - j1, 0)
-        a, b = max(i0 - r, 0), min(i1 + r, n)
-        runs[panel, j] = [(a, i0), (i1, b)] if j0 <= j < j1 else [(a, b)]
-    for other, xa, xb, ya, yb in _edge_rects(mesh, rect, depth):
-        for y in range(ya, yb):
-            runs.setdefault((other, y), []).append((xa, xb))
-    return runs
+        r = depth - max(j0 - j, j + 1 - j1)
+        if r < depth:
+            rows.append(((panel, j), [(max(i0 - r, 0), min(i1 + r, n))], 1))
+    return rows
 
 
 def _span_runs(n: int, span: Span) -> Runs:
@@ -408,15 +361,18 @@ def _merge(runs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
 
 def _span_near(mesh: CubedSphereMesh, span: Span, depth: int) -> List[Runs]:
     """The cells within k steps of a span for k = 0..depth as merged row
-    runs: those within k steps of one of its rows, each a rectangle
-    (`_rect_runs`)."""
+    runs: those within k steps of one of its rows, on its panel
+    (`_panel_rows`) and past its edges, each row of an `_edge_rects`."""
     near = [_span_runs(mesh.panel_size, span)]
     for k in range(1, depth + 1):
         runs = {key: list(row) for key, row in near[0].items()}
         for (panel, j), [(a, b)] in near[0].items():
-            for key, row in _rect_runs(mesh, (panel, a, b, j, j + 1),
-                                       k).items():
-                runs.setdefault(key, []).extend(row)
+            rect = panel, a, b, j, j + 1
+            for key, row, _ in _panel_rows(mesh.panel_size, rect, k):
+                runs[key] = runs.get(key, []) + row
+            for other, xa, xb, ya, yb in _edge_rects(mesh, rect, k):
+                for y in range(ya, yb):
+                    runs.setdefault((other, y), []).append((xa, xb))
         near.append({key: _merge(row) for key, row in runs.items()})
     return near
 
@@ -433,10 +389,10 @@ class HaloCounts(NamedTuple):
     depth: int
     # the largest owned-plus-halo cell count of any rank
     worst_cells: int
-    # every rank's frontier-expansion rings (compute_halos), else empty
+    # every rank's rings from compute_halos, for ring sizes only, else empty
     halos: List[Rings]
-    # halo cells of every rank (compute_halos), else of the spans crossing
-    # a row or near a cube corner, whose halo is not their size's flat form
+    # halo cells for `work`: of every rank (compute_halos), else of the
+    # spans crossing a row or near a cube corner, not their size's flat form
     odd: Dict[int, int]
     # by span class (`_span_class`) not one rectangle: a span's rank and
     # `_span_near`
@@ -450,8 +406,7 @@ class HaloCounts(NamedTuple):
         if decomp.grid is None:
             _, _, _, rect, key = _span_class(decomp, depth, rank)
         else:
-            dom = decomp.domain(rank)
-            rect = dom.panel, dom.i0, dom.i1, dom.j0, dom.j1
+            rect = astuple(decomp.domain(rank))
         n = decomp.mesh.panel_size
         totals = _run_sizes(self.expanded[key][1]) if rect is None else [
             _rect_halo(n, rect, k) for k in range(depth + 1)]
@@ -532,7 +487,6 @@ def _shape_counts(mesh: CubedSphereMesh, decomp: Decomposition,
             worst = max(worst, stop - start + odd[rank])
     else:
         i_off, j_off = decomp.grid
-        p = len(i_off) - 1
         # the shapes and the gaps to the nearest edges, on one panel
         widths = Counter(b - a for a, b in zip(i_off, i_off[1:]))
         heights = Counter(b - a for a, b in zip(j_off, j_off[1:]))
@@ -540,11 +494,12 @@ def _shape_counts(mesh: CubedSphereMesh, decomp: Decomposition,
                           for h, b in heights.items()})
         gi = [min(a, n - b) for a, b in zip(i_off, i_off[1:])]
         gj = [min(a, n - b) for a, b in zip(j_off, j_off[1:])]
-        for dom in (decomp.domain(bj * p + bi) for bj in range(len(gj))
-                    for bi in range(p) if gi[bi] + gj[bj] + 2 <= depth):
-            shapes[dom.shape] -= 1
-            worst = max(worst, dom.size + _rect_halo(
-                n, (0, dom.i0, dom.i1, dom.j0, dom.j1), depth))
+        for rect in ((0, i_off[bi], i_off[bi + 1], j_off[bj], j_off[bj + 1])
+                     for bj in range(len(gj)) for bi in range(len(gi))
+                     if gi[bi] + gj[bj] + 2 <= depth):
+            w, h = rect[2] - rect[1], rect[4] - rect[3]
+            shapes[w, h] -= 1
+            worst = max(worst, w * h + _rect_halo(n, rect, depth))
     for (w, h), count in shapes.items():
         if count:
             worst = max(worst, w * h + _halo_cells(w, h, depth))
@@ -567,92 +522,101 @@ def halo_counts(mesh: CubedSphereMesh, decomp: Decomposition,
     return _shape_counts(mesh, decomp, depth)
 
 
-def _span_counts(halos: HaloCounts) -> Dict[int, int]:
-    """Halo cells per (owner, holder) pair of a span layout, keyed
-    owner * ranks + holder.  A span's cells on its panel come from one
-    table of owner offsets per class (`_span_class`), applied by rank
-    shift.  Past each panel edge, depth row s holds cell t of holder h
-    when h owns the cell g in from the edge and u along it with
-    g + s + |u - t| < depth; a span crossing a panel tables all its cells."""
-    decomp, depth = halos.decomp, halos.depth
-    mesh, ranks = decomp.mesh, decomp.ranks
-    n, owner = mesh.panel_size, decomp.span_owner
-    base, rem = decomp.spans
-    classes: Dict[object, List[int]] = {}
-    for rank in range(ranks):
-        key = _span_class(decomp, depth, rank)[4]
-        classes.setdefault(key, []).append(rank)
-    counts: Dict[int, int] = {}
-    crossing = set()
-    for key, members in classes.items():
-        # owner - rank over the cells within depth of the class's span in
-        # `expanded`, else its first, on its panel (all if it crosses one)
-        start, stop, panel, rect, _ = _span_class(decomp, depth, members[0])
-        first, near = halos.expanded.get(key) or (members[0], [
-            _rect_runs(mesh, rect, depth)] if rect
-            else _span_near(mesh, Span(start, stop), depth))
-        home = decomp.span_start(first) // (n * n)
-        if panel is None:
-            crossing.add(first)
-        offsets: Dict[int, int] = Counter()
-        for (other, j), runs in near[-1].items():
-            for a, b in runs if panel is None or other == home else ():
-                a, b = (other * n + j) * n + a, (other * n + j) * n + b
-                while a < b:
-                    src = owner(a)
-                    end = decomp.span_start(src + 1)
-                    offsets[src - first] += min(b, end) - a
-                    a = end
-        # holder k's key for owner k + shift: k * (ranks + 1) + shift * ranks
-        keys = [k * (ranks + 1) for k in members]
-        for shift, cells in offsets.items():
-            if shift:
-                counts.update(dict.fromkeys(
-                    [k + shift * ranks for k in keys], cells))
-    big = rem * (base + 1)
-    # owners[panel, edge][g]: the owners (`span_owner`, inline) of the
-    # cells g in from the edge, along it: a column for east and west, a
-    # row for north and south
-    owners = {(panel, edge): [[
-        x // (base + 1) if x < big else rem + (x - big) // base
-        for x in (range(panel * n * n + x0, (panel + 1) * n * n, n)
-                  if edge in (EAST, WEST)
-                  else range((panel * n + x0) * n, (panel * n + x0 + 1) * n))]
-        for x0 in (range(depth) if edge in (WEST, SOUTH)
-                   else range(n - 1, n - 1 - depth, -1))]
-        for panel in range(PANELS) for edge in (EAST, WEST, NORTH, SOUTH)}
-    past: List[int] = []
-    for (panel, direction), near in owners.items():
-        other, edge, same = mesh.edges[panel, direction]
-        for s in range(depth):
-            across = owners[other, edge][s][::1 if same else -1]
-            held = set()
-            for g in range(depth - s):
-                for d in range(g + s + 1 - depth, depth - g - s):
-                    held.update(zip(range(max(0, -d), n - max(0, d)),
-                                    near[g][max(0, d):n + min(0, d)]))
-            past += [across[t] * ranks + h for t, h in held
-                     if h not in crossing]
-    for key, cells in Counter(past).items():
-        counts[key] = counts.get(key, 0) + cells
-    return counts
+def _rank_classes(decomp: Decomposition, depth: int) -> List[
+        Tuple[object, List[int], Optional[Rect]]]:
+    """(key, ranks, the first's rectangle or None) per class of ranks whose
+    halos on their panels are alike up to a shift of cells and ranks: by
+    `_span_class`, or a block's gaps to the panel edges up to `depth` and
+    the grid offsets within `depth` of it, from its start, per axis.  As
+    rank = panel * p * q + bj * p + bi, a shift serves every panel."""
+    classes: Dict[object, Tuple[object, List[int], Optional[Rect]]] = {}
+    if decomp.grid is None:
+        for rank in range(decomp.ranks):
+            _, _, _, rect, key = _span_class(decomp, depth, rank)
+            classes.setdefault(key, (key, [], rect))[1].append(rank)
+        return list(classes.values())
+    n, (i_off, j_off) = decomp.mesh.panel_size, decomp.grid
+    axes = []
+    for off in decomp.grid:
+        axis: Dict[object, List[int]] = {}
+        for k, (a, b) in enumerate(zip(off, off[1:])):
+            near = off[bisect_right(off, a - depth):bisect_left(off, b + depth)]
+            axis.setdefault((min(a, depth), min(n - b, depth),
+                             tuple(x - a for x in near)), []).append(k)
+        axes.append(axis.values())
+    p, pq = len(i_off) - 1, decomp.ranks // PANELS
+    return [(None, [panel * pq + bj * p + bi for panel in range(PANELS)
+                    for bj in bjs for bi in bis],
+             (0, i_off[bis[0]], i_off[bis[0] + 1], j_off[bjs[0]],
+              j_off[bjs[0] + 1])) for bjs in axes[1] for bis in axes[0]]
 
 
 def exchange_pattern(halos: HaloCounts,
                      bytes_per_cell: int) -> ExchangePattern:
     """One message per (owner -> halo-holder) pair with shared cells,
-    counted under the key owner * ranks + holder."""
+    counted under the key owner * ranks + holder.  A class (`_rank_classes`)
+    tables the owners of its first rank's halo on its panel, all of it for
+    a span crossing a panel, for every member by rank shift.  Past each
+    panel edge, depth row s holds cell t of holder h when h owns the cell g
+    in from the edge and u along it with g + s + |u - t| < depth."""
     if bytes_per_cell < 1:
         raise DecompositionError("bytes_per_cell must be positive")
-    decomp, ranks = halos.decomp, halos.decomp.ranks
-    if halos.halos:
-        counts = Counter(decomp.owner_of(cell) * ranks + rank
-                         for rank, rings in enumerate(halos.halos)
-                         for ring in rings for cell in ring)
-    elif decomp.grid is not None:
-        counts = _grid_counts(decomp, halos.depth)
-    else:
-        counts = _span_counts(halos)
+    decomp, depth, ranks = halos.decomp, halos.depth, halos.decomp.ranks
+    mesh, n, owners = decomp.mesh, decomp.mesh.panel_size, decomp.owners
+    counts: Dict[int, int] = {}
+    crossing = set()
+    for key, members, rect in _rank_classes(decomp, depth):
+        first, lo, hi = members[0], 0, 0
+        if rect is not None:
+            rows = _panel_rows(n, rect, depth)
+        else:
+            # near its span in `expanded`, else its first, less own [lo, hi)
+            start, stop, panel, _, _ = _span_class(decomp, depth, first)
+            first, near = halos.expanded.get(key) or (
+                first, _span_near(mesh, Span(start, stop), depth))
+            lo, hi = decomp.span_start(first), decomp.span_start(first + 1)
+            if panel is None:
+                crossing.add(first)
+            rows = [(row, runs, 1) for row, runs in near[-1].items()
+                    if panel is None or row[0] == lo // (n * n)]
+        srcs: List[int] = []
+        for (panel, j), runs, times in rows:
+            for a, b in runs:
+                a, b = (panel * n + j) * n + a, (panel * n + j) * n + b
+                srcs += (owners(range(a, min(b, lo)))
+                         + owners(range(max(a, hi), b)) if a < hi and lo < b
+                         else owners(range(a, b)) * times)
+        # holder k's key for owner k + src - first
+        keys = [k * (ranks + 1) - first * ranks for k in members]
+        for src, size in Counter(srcs).items():
+            counts.update(dict.fromkeys([k + src * ranks for k in keys], size))
+    # lines[panel, edge][g]: the owners along the edge, g cells in from it
+    lines = {(panel, edge): [owners(
+        range(panel * n * n + x, (panel + 1) * n * n, n)
+        if edge in (EAST, WEST) else range((panel * n + x) * n,
+                                           (panel * n + x + 1) * n))
+        for x in (range(depth) if edge in (WEST, SOUTH)
+                  else range(n - 1, n - 1 - depth, -1))]
+        for panel in range(PANELS) for edge in (EAST, WEST, NORTH, SOUTH)}
+    past: List[int] = []
+    for (panel, direction), near in lines.items():
+        other, edge, same = mesh.edges[panel, direction]
+        for s in range(depth):
+            across = lines[other, edge][s][::1 if same else -1]
+            if s == depth - 1:   # held only from the cell next to the edge
+                past += map(add, map(ranks.__mul__, across), near[0])
+                continue
+            held = set()
+            for g in range(depth - s):
+                for d in range(g + s + 1 - depth, depth - g - s):
+                    held.update(zip(range(max(0, -d), n - max(0, d)),
+                                    near[g][max(0, d):n + min(0, d)]))
+            past += [across[t] * ranks + h for t, h in held]
+    past = Counter([key for key in past if key % ranks not in crossing]
+                   if crossing else past)
+    for key in past.keys() & counts.keys():
+        past[key] += counts[key]
+    counts.update(past)
     keys = sorted(counts)
     cells = [counts[key] for key in keys]
     # tuple.__new__ builds each Message without a Python-level call

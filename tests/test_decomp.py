@@ -6,7 +6,10 @@ frontier walk used by the implementation.  Both halo results, the
 frontier walk of `compute_halos` and the corner-aware closed form and
 span row runs of `halo_counts` (called directly as `_shape_counts` where
 `halo_counts` walks the cells of a span layout up to C10), are checked
-against it, ring sizes and `exchange_pattern` messages.
+against it, ring sizes and `exchange_pattern` messages, which count
+either result the same way, by rank class and panel-edge owner lines.
+The oracle takes a cell's owner from `owner_of`, a one-cell call of
+`Decomposition.owners`; both are checked against each rank's domain.
 """
 
 from collections import Counter
@@ -93,6 +96,23 @@ def test_owner_of_agrees_with_owned_cells():
         for rank in range(ranks):
             for cell in decomposition.owned_cells(rank):
                 assert decomposition.owner_of(cell) == rank
+
+
+def test_owners_along_rows_and_columns_match_the_domains():
+    # every row and column of every panel, whole and in part, on even and
+    # uneven block grids and on span layouts
+    for n, ranks in ((8, 24), (7, 54), (10, 72), (8, 7), (6, 50)):
+        mesh = build_mesh(n, 1)
+        decomposition = dc.partition(mesh, ranks)
+        owner = {cell: rank for rank in range(ranks)
+                 for cell in decomposition.owned_cells(rank)}
+        for panel in range(6):
+            for x in range(n):
+                row = range((panel * n + x) * n, (panel * n + x + 1) * n)
+                column = range(panel * n * n + x, (panel + 1) * n * n, n)
+                for cells in (row, column, row[1:-1], column[2:]):
+                    assert decomposition.owners(cells) == [
+                        owner[mesh.from_index(k)] for k in cells]
 
 
 def test_span_owner_of_rejects_uncovered_cells():
@@ -303,7 +323,8 @@ def test_every_small_span_layout_exchanges_the_bfs_messages(n, deepest):
     # through the class path past the C10 switch: ring sizes, the worst
     # rank and the messages against one bfs_halo expansion per rank, whose
     # first d rings are those at depth d (bfs_messages, summed ring by
-    # ring)
+    # ring); the messages also from the walked halos halo_counts gives
+    # these small meshes (compute_halos), to depth 6 // n (about 3 s)
     mesh = build_mesh(n, 1)
     for ranks in range(1, 6 * n * n + 1):
         decomposition = dc.partition(mesh, ranks)
@@ -324,9 +345,14 @@ def test_every_small_span_layout_exchanges_the_bfs_messages(n, deepest):
             assert halos.worst_cells == max(
                 decomposition.owned_count(r) + sum(sizes[r])
                 for r in range(ranks))
-            assert dc.exchange_pattern(halos, 1).messages == tuple(
-                dc.Message(src, dst, c, c)
-                for (src, dst), c in sorted(counts.items())), (ranks, depth)
+            expected = tuple(dc.Message(src, dst, c, c)
+                             for (src, dst), c in sorted(counts.items()))
+            found = [halos]
+            if depth * n <= 6:
+                found.append(dc.halo_counts(mesh, decomposition, depth))
+            for each in found:
+                assert dc.exchange_pattern(each, 1).messages == expected, (
+                    ranks, depth)
 
 
 def test_rectangle_halo_matches_bfs_at_every_depth():

@@ -295,33 +295,32 @@ def test_span_run_builds_nothing_per_rank(monkeypatch, mode):
 @pytest.mark.parametrize("mode", list(Mode))
 def test_block_grid_run_builds_nothing_per_rank(monkeypatch, mode):
     # C96 on 1152 ranks, a 16 x 12 grid on each panel at depth 2: the
-    # work table and the messages come from one panel's tables and the
-    # blocks near a panel edge, with no Block or owner count per rank
-    p, q = 16, 12
+    # work table comes from one panel's offsets, and the messages from one
+    # owner table per rank class (9 of them) and the owners along each
+    # panel edge, with no domain per rank and no rectangle past an edge
     built = Counter()
-    init = dc.Block.__init__
-    edge_rects = dc._edge_rects
+    edge_rects, rank_classes = dc._edge_rects, dc._rank_classes
 
-    def counted(self, *args, **kwargs):
-        built["Block"] += 1
-        init(self, *args, **kwargs)
+    def per_rank(*_args, **_kwargs):
+        raise AssertionError("no domain per rank")
 
     def edge_counted(*args):
         built["_edge_rects"] += 1
         return edge_rects(*args)
 
-    def per_rank(*_args, **_kwargs):
-        raise AssertionError("no owner count per rank")
+    def classes_counted(*args):
+        classes = rank_classes(*args)
+        built["class tables"] += len(classes)
+        return classes
 
-    monkeypatch.setattr(dc.Block, "__init__", counted)
+    monkeypatch.setattr(dc.Decomposition, "domain", per_rank)
     monkeypatch.setattr(dc, "_edge_rects", edge_counted)
-    monkeypatch.setattr(dc, "_block_owners", per_rank, raising=False)
+    monkeypatch.setattr(dc, "_rank_classes", classes_counted)
     run = RunSpec(mesh=build_mesh(96, 10), machine=builtin_machine("archer2"),
                   nodes=9, ranks_per_node=128, threads_per_rank=1,
                   halo_depth=2, mode=mode, memory=BIG_MEMORY)
     assert simulate(run).total_s > 0
-    assert built["Block"] <= p + q, built
-    assert built["_edge_rects"] <= 6 * 2 * (p + q), built
+    assert built["_edge_rects"] == 0 and built["class tables"] <= 16, built
 
 
 def test_one_rectangle_spans_expand_no_row_runs(monkeypatch):
