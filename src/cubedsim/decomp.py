@@ -18,7 +18,9 @@ way for every layout, never rank by rank: the cells on a rank's panel
 from one table of owner offsets per rank class (`_rank_classes`), and the
 cells past the panel edges from the owners of the `depth` lines along
 each of the 24 panel edges.  Only `Decomposition.owners` maps cells to
-owners.
+owners.  The `ExchangePattern` it returns holds the sorted message keys
+owner * ranks + holder and their cell counts, which `simulate` folds;
+its `Message` tuple is built only when a caller reads `messages`.
 """
 
 from __future__ import annotations
@@ -183,9 +185,24 @@ class Decomposition:
         raise DecompositionError(f"cell {cell} not covered by any rank")
 
 
-class ExchangePattern(NamedTuple):
-    # one per (owner -> halo-holder) pair, sorted by (src, dst)
-    messages: Tuple[Message, ...]
+class ExchangePattern:
+    """One message per (owner -> halo-holder) pair with shared cells, as
+    its key owner * ranks + holder, the keys sorted, and its cell count.
+    `simulate` folds the keys; `messages` is built when first read."""
+
+    def __init__(self, keys: List[int], cells: List[int], ranks: int,
+                 bytes_per_cell: int):
+        self.keys, self.cells = keys, cells
+        self.ranks, self.bytes_per_cell = ranks, bytes_per_cell
+
+    @cached_property
+    def messages(self) -> Tuple[Message, ...]:
+        """One `Message` per key, sorted by (src, dst)."""
+        keys, ranks, size = self.keys, self.ranks, self.bytes_per_cell
+        # tuple.__new__ builds each Message without a Python-level call
+        return tuple(map(partial(tuple.__new__, Message), zip(
+            [key // ranks for key in keys], [key % ranks for key in keys],
+            self.cells, [c * size for c in self.cells])))
 
 
 def _squarest_factor_pair(m: int) -> Tuple[int, int]:
@@ -377,6 +394,19 @@ def _span_near(mesh: CubedSphereMesh, span: Span, depth: int) -> List[Runs]:
     return near
 
 
+def _stacks(runs: Runs) -> List[list]:
+    """Consecutive rows of one panel holding the same runs, stacked as
+    [panel, first row j, rows, runs], in (panel, j) order."""
+    stacks: List[list] = []
+    for (panel, j), row in sorted(runs.items()):
+        last = stacks[-1] if stacks else None
+        if last and last[3] == row and last[:2] == [panel, j - last[2]]:
+            last[2] += 1
+        else:
+            stacks.append([panel, j, 1, row])
+    return stacks
+
+
 def _run_sizes(near: List[Runs]) -> List[int]:
     return [sum(b - a for runs in rows.values() for a, b in runs)
             for rows in near]
@@ -556,7 +586,8 @@ def exchange_pattern(halos: HaloCounts,
     """One message per (owner -> halo-holder) pair with shared cells,
     counted under the key owner * ranks + holder.  A class (`_rank_classes`)
     tables the owners of its first rank's halo on its panel, all of it for
-    a span crossing a panel, for every member by rank shift.  Past each
+    a span crossing a panel (by column where `_stacks` of its rows are
+    taller than wide), for every member by rank shift.  Past each
     panel edge, depth row s holds cell t of holder h when h owns the cell g
     in from the edge and u along it with g + s + |u - t| < depth."""
     if bytes_per_cell < 1:
@@ -567,6 +598,7 @@ def exchange_pattern(halos: HaloCounts,
     crossing = set()
     for key, members, rect in _rank_classes(decomp, depth):
         first, lo, hi = members[0], 0, 0
+        srcs: List[int] = []
         if rect is not None:
             rows = _panel_rows(n, rect, depth)
         else:
@@ -577,9 +609,20 @@ def exchange_pattern(halos: HaloCounts,
             lo, hi = decomp.span_start(first), decomp.span_start(first + 1)
             if panel is None:
                 crossing.add(first)
-            rows = [(row, runs, 1) for row, runs in near[-1].items()
-                    if panel is None or row[0] == lo // (n * n)]
-        srcs: List[int] = []
+            rows = []
+            for other, j, height, runs in _stacks(near[-1]):
+                if panel is not None and other != lo // (n * n):
+                    continue
+                for a, b in runs:
+                    x = (other * n + j) * n + a
+                    if height <= b - a \
+                            or x < hi and lo < x + (height - 1) * n + b - a:
+                        rows += [((other, y), [(a, b)], 1)
+                                 for y in range(j, j + height)]
+                        continue
+                    # taller than wide, none of it own: column by column
+                    for x in range(x, x + b - a):
+                        srcs += owners(range(x, x + height * n, n))
         for (panel, j), runs, times in rows:
             for a, b in runs:
                 a, b = (panel * n + j) * n + a, (panel * n + j) * n + b
@@ -618,8 +661,5 @@ def exchange_pattern(halos: HaloCounts,
         past[key] += counts[key]
     counts.update(past)
     keys = sorted(counts)
-    cells = [counts[key] for key in keys]
-    # tuple.__new__ builds each Message without a Python-level call
-    return ExchangePattern(tuple(map(partial(tuple.__new__, Message), zip(
-        [key // ranks for key in keys], [key % ranks for key in keys], cells,
-        [c * bytes_per_cell for c in cells]))))
+    return ExchangePattern(keys, list(map(counts.__getitem__, keys)), ranks,
+                           bytes_per_cell)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Dict, List, Optional, Sequence
 
@@ -99,7 +99,8 @@ def simulate(run: RunSpec) -> TimestepBreakdown:
     The memory guard reads the worst rank's cells off `halo_counts`,
     which sizes each distinct domain shape once, so a layout that does
     not fit is rejected before any per-rank table, message or timing is
-    built."""
+    built.  A breakdown term that overflows a float, from finite but
+    extreme cost coefficients, raises SimulationError naming it."""
     cost = run.cost_model
     mesh = run.mesh
     ranks = run.ranks
@@ -120,12 +121,19 @@ def simulate(run: RunSpec) -> TimestepBreakdown:
     # redundant compute computes the halo cells instead of receiving them:
     # no messages, and the halo joins each rank's work
     redundant = run.mode is Mode.REDUNDANT_COMPUTE
-    messages = ()
+    # each message costs alpha + bytes / beta to both ends, added in
+    # message-key order, the (src, dst) order of `messages`
+    per_rank_msg_cost = [0.0] * ranks
     if not redundant:
         bytes_per_cell = run.bytes_per_cell
         if bytes_per_cell is None:
             bytes_per_cell = dc.default_bytes_per_cell(mesh)
-        messages = dc.exchange_pattern(halos, bytes_per_cell).messages
+        pattern = dc.exchange_pattern(halos, bytes_per_cell)
+        alpha, beta = cost.p2p_alpha, cost.p2p_beta
+        for key, cells in zip(pattern.keys, pattern.cells):
+            c = alpha + cells * bytes_per_cell / beta
+            per_rank_msg_cost[key // ranks] += c
+            per_rank_msg_cost[key % ranks] += c
 
     eff = cost.efficiency(threads)
     user_times = [w * mesh.levels * cost.c_cell / (threads * eff)
@@ -133,11 +141,6 @@ def simulate(run: RunSpec) -> TimestepBreakdown:
     user_s = max(user_times)
     user_mean_s = sum(user_times) / ranks
 
-    per_rank_msg_cost = [0.0] * ranks
-    for m in messages:
-        c = cost.p2p_alpha + m.bytes / cost.p2p_beta
-        per_rank_msg_cost[m.src] += c
-        per_rank_msg_cost[m.dst] += c
     p2p_times = [c * cost.halo_exchanges_per_step for c in per_rank_msg_cost]
     mpi_p2p_s = max(p2p_times)
     mpi_p2p_mean_s = sum(p2p_times) / ranks
@@ -150,10 +153,16 @@ def simulate(run: RunSpec) -> TimestepBreakdown:
         + cost.etc_fixed
 
     total_s = user_s + mpi_p2p_s + mpi_coll_s + etc_s
-    return TimestepBreakdown(user_s=user_s, mpi_p2p_s=mpi_p2p_s,
-                             mpi_coll_s=mpi_coll_s, etc_s=etc_s,
-                             total_s=total_s, user_mean_s=user_mean_s,
-                             mpi_p2p_mean_s=mpi_p2p_mean_s)
+    result = TimestepBreakdown(user_s=user_s, mpi_p2p_s=mpi_p2p_s,
+                               mpi_coll_s=mpi_coll_s, etc_s=etc_s,
+                               total_s=total_s, user_mean_s=user_mean_s,
+                               mpi_p2p_mean_s=mpi_p2p_mean_s)
+    for term in fields(result):
+        value = getattr(result, term.name)
+        if not math.isfinite(value):
+            raise SimulationError(
+                f"{term.name} is {value}: the cost model's terms overflow")
+    return result
 
 
 def breakdown_row(run: RunSpec, result: TimestepBreakdown) -> Dict[str, object]:

@@ -3,9 +3,14 @@ status it maps to, and keeps a builtin base so callers may catch either."""
 
 
 class CubedsimError(Exception):
-    """Base of the package's errors; 3 is a simulation failure."""
+    """Base of the package's errors; 3 is a simulation failure.  `key`
+    names the key of the located section the error is about, if one."""
 
     exit_code = 3
+
+    def __init__(self, message: str = "", key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class ConfigError(CubedsimError, ValueError):
@@ -15,7 +20,8 @@ class ConfigError(CubedsimError, ValueError):
 
 
 class located:
-    """Prefix a package error with `where` once, making it a ConfigError."""
+    """Prefix a package error with `where`, and its key if it names one,
+    once, making it a ConfigError."""
 
     def __init__(self, where: str):
         self.where = where
@@ -25,4 +31,5 @@ class located:
 
     def __exit__(self, _kind, exc, _tb):
         if isinstance(exc, CubedsimError) and not isinstance(exc, ConfigError):
-            raise ConfigError(f"{self.where}: {exc}") from exc
+            key = "" if exc.key is None else f".{exc.key}"
+            raise ConfigError(f"{self.where}{key}: {exc}") from exc

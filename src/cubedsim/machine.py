@@ -106,10 +106,15 @@ class CostModel:
         default_factory=lambda: dict(DEFAULT_THREAD_EFFICIENCY))
 
     def __post_init__(self):
-        for attr in ("c_cell", "p2p_alpha", "p2p_beta", "coll_alpha",
-                     "coll_beta", "barrier_cost", "etc_fixed"):
+        for attr in ("c_cell", "p2p_alpha", "coll_alpha", "barrier_cost",
+                     "etc_fixed"):
             if getattr(self, attr) < 0:
                 raise MachineConfigError(f"cost coefficient {attr} must be >= 0")
+        for attr in ("p2p_beta", "coll_beta"):      # bandwidths divide
+            if not getattr(self, attr) > 0:
+                raise MachineConfigError(
+                    f"cost coefficient {attr} must be > 0, got "
+                    f"{getattr(self, attr)}", attr)
         for attr in ("parallel_regions_per_step", "allreduces_per_step",
                      "halo_exchanges_per_step", "reduce_bytes"):
             if getattr(self, attr) < 0:

@@ -391,6 +391,10 @@ CONTRACT = [
      "c.json.machine.interconnect", "unknown key"),
     ("cost-negative", edited(MINIMAL, cost_model={"c_cell": -1}), None,
      "c.json.cost_model", "c_cell"),
+    ("p2p-beta-zero", edited(MINIMAL, cost_model={"p2p_beta": 0}), None,
+     "c.json.cost_model.p2p_beta", "must be > 0"),
+    ("coll-beta-zero", edited(MINIMAL, cost_model={"coll_beta": 0}), None,
+     "c.json.cost_model.coll_beta", "must be > 0"),
     ("efficiency-key", edited(MINIMAL, cost_model={
         "thread_efficiency": {"x": 1.0}}), None,
      "c.json.cost_model.thread_efficiency[x]", "integer key"),
@@ -474,6 +478,22 @@ def test_io_simulation_failure_exits_3(tmp_path, capsys, doc):
     assert code == 3
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("costs,term", [
+    ({"p2p_alpha": 1e308}, "mpi_p2p_s"),
+    ({"coll_beta": 1e-320}, "mpi_coll_s"),
+], ids=["p2p-alpha", "coll-beta"])
+def test_overflowing_breakdown_exits_3(tmp_path, capsys, costs, term):
+    # finite coefficients whose breakdown is not: no inf in dyncore.csv,
+    # and no summary bar drawn from a NaN share
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(edited(MINIMAL, cost_model=costs)))
+    code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"error: {term} is ") and "Traceback" not in err
+    assert not (tmp_path / "o" / "dyncore.csv").exists()
 
 
 @pytest.mark.parametrize("extra", [["--repeat", "0"], ["--repeat", "-1"],

@@ -400,6 +400,27 @@ def test_rectangles_walk_no_cells_at_the_corners(monkeypatch):
     assert dc.exchange_pattern(halos, 1).messages == expected
 
 
+def test_crossing_spans_take_owners_column_by_column(monkeypatch):
+    # C128 on 128 ranks at depth 1: spans of six rows, four of them
+    # crossing a panel, whose halo past a rotated edge is a column of
+    # one-cell rows; each column takes one owners call, not one per cell
+    mesh = build_mesh(128, 1)
+    decomposition = dc.partition(mesh, 128)
+    halos = dc.halo_counts(mesh, decomposition, depth=1)
+    calls = []
+    owners = dc.Decomposition.owners
+
+    def counted(self, cells):
+        calls.append(cells)
+        return owners(self, cells)
+
+    monkeypatch.setattr(dc.Decomposition, "owners", counted)
+    messages = dc.exchange_pattern(halos, 1).messages
+    assert len(calls) <= 150, len(calls)
+    monkeypatch.undo()
+    assert messages == bfs_messages(mesh, decomposition, 1, 1)
+
+
 def test_span_runs_cover_exactly_the_owned_cells():
     for n in range(1, 9):
         mesh = build_mesh(n, 1)

@@ -6,6 +6,7 @@ and the published closed forms, bypassing the simulator internals.
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 from cubedsim import decomp as dc
 from cubedsim.dyncore import (MemoryLimitError, Mode, RunSpec,
-                              SimulationError, breakdown_row, simulate,
-                              strong_scaling_study, thread_sweep)
+                              SimulationError, TimestepBreakdown,
+                              breakdown_row, simulate, strong_scaling_study,
+                              thread_sweep)
 from cubedsim.machine import (LayoutError, MachineConfig, MemoryModel,
                               builtin_machine, default_cost_model)
 from cubedsim.mesh import build_mesh
@@ -352,6 +354,79 @@ def test_one_rectangle_spans_expand_no_row_runs(monkeypatch):
     assert seen == [expected]
     assert (result.user_s, result.mpi_p2p_s, result.mpi_coll_s,
             result.etc_s) == breakdown
+
+
+@pytest.mark.parametrize("n,ranks", [
+    (24, 96),   # a 2 x 2 block grid per panel
+    (16, 28),   # spans, some crossing a panel
+])
+def test_simulate_builds_no_message_tuple(monkeypatch, n, ranks):
+    # simulate folds the message keys; only other callers read `messages`
+    def unread(_pattern):
+        raise AssertionError("simulate must not build the Message tuple")
+
+    monkeypatch.setattr(dc.ExchangePattern, "messages", property(unread))
+    machine = MachineConfig(name="one", cores_per_node=ranks, clock_ghz=2.0,
+                            max_nodes=1)
+    run = RunSpec(mesh=build_mesh(n, 10), machine=machine, nodes=1,
+                  ranks_per_node=ranks, threads_per_rank=1, halo_depth=2,
+                  memory=BIG_MEMORY)
+    assert simulate(run).mpi_p2p_s > 0
+
+
+def folded_breakdown(run):
+    """The breakdown with every rank's p2p cost folded over the
+    `exchange_pattern(...).messages` tuple, message by message in its
+    order, and the other terms by simulate's own formulas."""
+    cost, mesh, ranks = run.cost_model, run.mesh, run.ranks
+    threads = run.threads_per_rank
+    halos = dc.halo_counts(mesh, dc.partition(mesh, ranks), run.halo_depth)
+    redundant = run.mode is Mode.REDUNDANT_COMPUTE
+    eff = cost.efficiency(threads)
+    user = [w * mesh.levels * cost.c_cell / (threads * eff)
+            for w in halos.work(redundant)]
+    per_rank = [0.0] * ranks
+    for m in () if redundant else dc.exchange_pattern(
+            halos, run.bytes_per_cell).messages:
+        c = cost.p2p_alpha + m.bytes / cost.p2p_beta
+        per_rank[m.src] += c
+        per_rank[m.dst] += c
+    p2p = [c * cost.halo_exchanges_per_step for c in per_rank]
+    stages = math.ceil(math.log2(ranks)) if ranks > 1 else 0
+    coll = cost.allreduces_per_step * stages * \
+        (cost.coll_alpha + cost.reduce_bytes / cost.coll_beta)
+    etc = cost.parallel_regions_per_step * cost.barrier_cost * threads \
+        + cost.etc_fixed
+    return TimestepBreakdown(
+        user_s=max(user), mpi_p2p_s=max(p2p), mpi_coll_s=coll, etc_s=etc,
+        total_s=max(user) + max(p2p) + coll + etc,
+        user_mean_s=sum(user) / ranks, mpi_p2p_mean_s=sum(p2p) / ranks)
+
+
+@given(n=st.integers(1, 12), blocks=st.booleans(), a=st.integers(1, 12),
+       b=st.integers(1, 864), depth=st.integers(1, 3),
+       redundant=st.booleans(), alpha=st.floats(1e-7, 1e-3),
+       beta=st.floats(1e6, 1e11), bytes_per_cell=st.integers(1, 5760))
+@example(n=6, blocks=False, a=1, b=7, depth=3, redundant=False, alpha=2e-5,
+         beta=1e9, bytes_per_cell=720)     # spans crossing panels
+@example(n=8, blocks=True, a=8, b=8, depth=3, redundant=False, alpha=2e-5,
+         beta=1e9, bytes_per_cell=720)     # 1 x 1 blocks
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_simulate_equals_the_message_fold(n, blocks, a, b, depth, redundant,
+                                          alpha, beta, bytes_per_cell):
+    # every field, to the last bit: simulate adds each message's cost to
+    # its two ranks in key order, the order of the Message tuple
+    ranks = 6 * min(a, n) * min(b, n) if blocks else min(b, 6 * n * n)
+    machine = MachineConfig(name="one", cores_per_node=ranks, clock_ghz=2.0,
+                            max_nodes=1)
+    cost = replace(default_cost_model(machine), p2p_alpha=alpha,
+                   p2p_beta=beta)
+    run = RunSpec(mesh=build_mesh(n, 10), machine=machine, nodes=1,
+                  ranks_per_node=ranks, threads_per_rank=1, cost=cost,
+                  halo_depth=min(depth, n), bytes_per_cell=bytes_per_cell,
+                  mode=Mode.REDUNDANT_COMPUTE if redundant
+                  else Mode.EXCHANGE_HALOS, memory=BIG_MEMORY)
+    assert simulate(run) == folded_breakdown(run)
 
 
 def test_weak_scaling_attribution():
