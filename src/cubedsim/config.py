@@ -77,16 +77,19 @@ _SECTIONS = ("machine", "cost_model", "memory", "mesh", "layout", "grid",
 _SUPPLIED = frozenset({"mesh", "machine", "cost", "memory"})
 _KINDS = {int: "an integer", float: "a finite number", str: "a string",
           list: "a list", dict: "an object"}
+_LIMITS = {int: 2 ** 53, float: sys.float_info.max}
 
 
 def _expect(kind: type, value: Any, where: str):
-    """`value` as `kind`; an int also takes an integral float such as 8.0."""
-    if type(value) is kind and kind is not float:
+    """`value` as `kind`.  A number is finite, and an int is integral (8.0
+    reads as 8) and at most 2**53 in magnitude, which a double holds
+    exactly (the interoperable range of RFC 8259, section 6)."""
+    if kind in _LIMITS:
+        if type(value) in (int, float) and abs(value) <= _LIMITS[kind] \
+                and (kind is float or value == int(value)):
+            return kind(value)
+    elif type(value) is kind:
         return value
-    if kind in (int, float) and type(value) in (int, float) \
-            and abs(value) <= sys.float_info.max \
-            and (kind is float or value.is_integer()):
-        return kind(value)
     raise ConfigError(f"{where}: expected {_KINDS[kind]}, got {value!r}")
 
 
@@ -269,7 +272,7 @@ def parse_scenario(doc: Dict[str, Any], source: str = "config") -> Scenario:
                 raise ConfigError(f"{at['sweep']}.{axis}: values must not "
                                   f"decrease, got {values}")
             for k, value in enumerate(values):
-                with located(f"{at['sweep']}.{axis}[{k}]"):
+                with located(f"{at['sweep']}.{axis}[{k}]", keyed=False):
                     vary(s, axis, value)
     return s
 

@@ -2,16 +2,18 @@
 
 Rank counts that are a multiple of six split every panel into the same
 p x q grid of blocks, as square as possible.  Other counts fall back to
-contiguous runs (spans) of the linearized cells, held as two sizes, with
-an imbalance of at most one cell.
+spans, contiguous runs of the linearized cells held as two sizes, with an
+imbalance of at most one cell.  A rank's domain is a list of rectangles
+(`Decomposition.rects`): a block, or on each panel a span touches, its
+partial first row, whole rows and partial last row.
 
 Halos are rings of non-owned cells reachable by edge adjacency.
 `compute_halos` expands every rank cell by cell and is the reference.
-`halo_counts` sizes every rectangle (a block, or a span that is one
-rectangle on one panel) by one closed form that knows each panel corner
-is a cube corner, the worst rank once per shape, and the other spans
-once per class (`_span_class`) as row runs.  Span layouts up to C10 are
-walked like `compute_halos`, whose cell counts perfbench reads.
+`halo_counts` sizes a domain of one rectangle by a closed form that knows
+each panel corner is a cube corner, a block grid once per block class,
+and the other spans once per class (`_span_class`) as row runs.  Span
+layouts up to C10 are walked like `compute_halos`, whose cell counts
+perfbench reads.
 
 `exchange_pattern` counts one message per (owner, holder) pair the same
 way for every layout, never rank by rank: the cells on a rank's panel
@@ -27,13 +29,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import isqrt
 from operator import add
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
-                    Tuple, Union)
+                    Tuple)
 
 from .errors import CubedsimError
 from .mesh import EAST, NORTH, PANELS, SOUTH, WEST, CellId, CubedSphereMesh
@@ -71,38 +73,6 @@ def _grid_offsets(n: int, parts: int) -> Tuple[int, ...]:
     one per block starting from the last block."""
     base, rem = divmod(n, parts)
     return tuple(k * base + max(0, k - parts + rem) for k in range(parts + 1))
-
-
-@dataclass(frozen=True)
-class Block:
-    """Half-open rectangular cell range [i0, i1) x [j0, j1) on one panel."""
-
-    panel: int
-    i0: int
-    i1: int
-    j0: int
-    j1: int
-
-    @property
-    def size(self) -> int:
-        return (self.i1 - self.i0) * (self.j1 - self.j0)
-
-    def cells(self) -> Iterator[CellId]:
-        return (CellId(self.panel, i, j) for j in range(self.j0, self.j1)
-                for i in range(self.i0, self.i1))
-
-
-@dataclass(frozen=True)
-class Span:
-    """Contiguous run [start, stop) of linearized cell ids (fallback
-    domain shape when ranks do not factor as 6*p*q)."""
-
-    start: int
-    stop: int
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
 
 
 @dataclass(frozen=True)
@@ -160,23 +130,26 @@ class Decomposition:
         first += panel * (self.ranks // PANELS)
         return [first + k for k in along[:len(cells)]]
 
-    def domain(self, rank: int) -> Union[Block, Span]:
+    def rects(self, rank: int) -> List[Rect]:
+        """The rank's cells as rectangles: a block's one, or a span's
+        (`_span_rects`)."""
         if self.grid is None:
-            return Span(self.span_start(rank), self.span_start(rank + 1))
+            return _span_rects(self.mesh.panel_size, self.span_start(rank),
+                               self.span_start(rank + 1))
         i_off, j_off = self.grid
         p = len(i_off) - 1
         panel, local = divmod(rank, p * (len(j_off) - 1))
         bj, bi = divmod(local, p)
-        return Block(panel, i_off[bi], i_off[bi + 1], j_off[bj], j_off[bj + 1])
+        return [(panel, i_off[bi], i_off[bi + 1], j_off[bj], j_off[bj + 1])]
 
     def owned_cells(self, rank: int) -> Set[CellId]:
-        dom = self.domain(rank)
-        if isinstance(dom, Block):
-            return set(dom.cells())
-        return {self.mesh.from_index(k) for k in range(dom.start, dom.stop)}
+        return {CellId(panel, i, j) for panel, i0, i1, j0, j1
+                in self.rects(rank) for j in range(j0, j1)
+                for i in range(i0, i1)}
 
     def owned_count(self, rank: int) -> int:
-        return self.domain(rank).size
+        return sum((i1 - i0) * (j1 - j0)
+                   for _, i0, i1, j0, j1 in self.rects(rank))
 
     def owner_of(self, cell: CellId) -> int:
         index = self.mesh.to_index(cell)
@@ -355,14 +328,22 @@ def _panel_rows(n: int, rect: Rect, depth: int) -> List[
     return rows
 
 
-def _span_runs(n: int, span: Span) -> Runs:
-    """The span's cells as one run per row it touches."""
-    runs: Runs = {}
-    # the cell index is row * n + i, with row = panel * n + j
-    for row in range(span.start // n, (span.stop - 1) // n + 1):
-        runs[divmod(row, n)] = [(max(span.start - row * n, 0),
-                                 min(span.stop - row * n, n))]
-    return runs
+def _span_rects(n: int, start: int, stop: int) -> List[Rect]:
+    """The linear cells [start, stop) as rectangles: on each panel they
+    touch, a partial first row, the whole rows and a partial last row."""
+    rects: List[Rect] = []
+    for panel in range(start // (n * n), (stop - 1) // (n * n) + 1):
+        # the cell index is (panel * n + j) * n + i
+        j0, i0 = divmod(max(start - panel * n * n, 0), n)
+        j1, i1 = divmod(min(stop - panel * n * n, n * n), n)
+        if i0:
+            rects.append((panel, i0, n if j0 < j1 else i1, j0, j0 + 1))
+            j0 += 1
+        if j0 < j1:
+            rects.append((panel, 0, n, j0, j1))
+        if i1 and j0 <= j1:
+            rects.append((panel, 0, i1, j1, j1 + 1))
+    return rects
 
 
 def _merge(runs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -376,22 +357,24 @@ def _merge(runs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return out
 
 
-def _span_near(mesh: CubedSphereMesh, span: Span, depth: int) -> List[Runs]:
-    """The cells within k steps of a span for k = 0..depth as merged row
-    runs: those within k steps of one of its rows, on its panel
-    (`_panel_rows`) and past its edges, each row of an `_edge_rects`."""
-    near = [_span_runs(mesh.panel_size, span)]
-    for k in range(1, depth + 1):
-        runs = {key: list(row) for key, row in near[0].items()}
-        for (panel, j), [(a, b)] in near[0].items():
-            rect = panel, a, b, j, j + 1
-            for key, row, _ in _panel_rows(mesh.panel_size, rect, k):
-                runs[key] = runs.get(key, []) + row
-            for other, xa, xb, ya, yb in _edge_rects(mesh, rect, k):
-                for y in range(ya, yb):
-                    runs.setdefault((other, y), []).append((xa, xb))
-        near.append({key: _merge(row) for key, row in runs.items()})
-    return near
+def _span_near(mesh: CubedSphereMesh, rects: List[Rect],
+               depth: int) -> Runs:
+    """The cells of `rects` and those within `depth` steps of them as
+    merged row runs: on their panels (`_panel_rows`) and past their edges,
+    each row of an `_edge_rects`."""
+    runs: Runs = {}
+    for rect in rects:
+        panel, i0, i1, j0, j1 = rect
+        for j in range(j0, j1):
+            runs.setdefault((panel, j), []).append((i0, i1))
+        for (panel, j), row, times in _panel_rows(mesh.panel_size, rect,
+                                                  depth):
+            for y in range(j, j + times):
+                runs.setdefault((panel, y), []).extend(row)
+        for other, xa, xb, ya, yb in _edge_rects(mesh, rect, depth):
+            for y in range(ya, yb):
+                runs.setdefault((other, y), []).append((xa, xb))
+    return {key: _merge(row) for key, row in runs.items()}
 
 
 def _stacks(runs: Runs) -> List[list]:
@@ -407,11 +390,6 @@ def _stacks(runs: Runs) -> List[list]:
     return stacks
 
 
-def _run_sizes(near: List[Runs]) -> List[int]:
-    return [sum(b - a for runs in rows.values() for a, b in runs)
-            for rows in near]
-
-
 class HaloCounts(NamedTuple):
     """Halo rings of a decomposition up to `depth`."""
 
@@ -425,21 +403,19 @@ class HaloCounts(NamedTuple):
     # spans crossing a row or near a cube corner, not their size's flat form
     odd: Dict[int, int]
     # by span class (`_span_class`) not one rectangle: a span's rank and
-    # `_span_near`
-    expanded: Dict[object, Tuple[int, List[Runs]]]
+    # its `_span_near`
+    expanded: Dict[object, Tuple[int, Runs]]
 
     def ring_sizes(self, rank: int) -> Tuple[int, ...]:
         """Cells in each halo ring of `rank`, innermost first."""
         if self.halos:
             return tuple(map(len, self.halos[rank]))
-        decomp, depth = self.decomp, self.depth
-        if decomp.grid is None:
-            _, _, _, rect, key = _span_class(decomp, depth, rank)
-        else:
-            rect = astuple(decomp.domain(rank))
-        n = decomp.mesh.panel_size
-        totals = _run_sizes(self.expanded[key][1]) if rect is None else [
-            _rect_halo(n, rect, k) for k in range(depth + 1)]
+        mesh, rects = self.decomp.mesh, self.decomp.rects(rank)
+        depths = range(self.depth + 1)
+        totals = [_rect_halo(mesh.panel_size, rects[0], k) for k in depths] \
+            if len(rects) == 1 else [
+                sum(b - a for row in _span_near(mesh, rects, k).values()
+                    for a, b in row) for k in depths]
         return tuple(b - a for a, b in zip(totals, totals[1:]))
 
     def halo_count(self, rank: int) -> int:
@@ -478,93 +454,53 @@ def compute_halos(mesh: CubedSphereMesh, decomp: Decomposition,
 
 def _shape_counts(mesh: CubedSphereMesh, decomp: Decomposition,
                   depth: int) -> HaloCounts:
-    """The worst rank's cells from shape classes: each (w, h) shape that
-    a rectangle away from the cube corners has is sized once by the flat
-    form.  The few other ranks are sized one by one: blocks near a corner
-    on panel 0 only (every panel has the same grid), and spans near a
-    corner or crossing a row, by `_rect_halo` when one rectangle, else by
-    the `_span_near` of one span per class, kept in `expanded`."""
+    """A span layout's worst rank from its two span sizes: a span within
+    one row and away from the cube corners takes the flat form.  The few
+    other spans, near a corner or crossing a row, are sized one by one, by
+    `_rect_halo` when one rectangle, else by the `_span_near` of one span
+    per class, kept in `expanded`."""
     n = mesh.panel_size
+    base, rem = decomp.spans
+    owner = decomp.span_owner
     odd: Dict[int, int] = {}
-    expanded: Dict[object, Tuple[int, List[Runs]]] = {}
+    expanded: Dict[object, Tuple[int, Runs]] = {}
     worst = 0
-    if decomp.grid is None:
-        base, rem = decomp.spans
-        owner = decomp.span_owner
-        # a span within one row is base + 1 or base cells wide
-        shapes = Counter({(base + 1, 1): rem, (base, 1): decomp.ranks - rem})
-        # the spans crossing into a row: its first cell x starts no span
-        big = rem * (base + 1)
-        ranks = {owner(x) for x in range(n, PANELS * n * n, n)
-                 if (x % (base + 1) if x < big else (x - big) % base)}
-        for row in range(PANELS * n):
-            # the cells at each end of the row that are near a corner
-            near = min(n, depth - 1 - min(row % n, n - 1 - row % n))
-            for a in (row * n, row * n + n - near) if near > 0 else ():
-                ranks.update(range(owner(a), owner(a + near - 1) + 1))
-        sized: Dict[object, int] = {}
-        for rank in ranks:
-            start, stop, _, rect, key = _span_class(decomp, depth, rank)
-            shapes[stop - start, 1] -= 1
-            if rect is not None:
-                odd[rank] = _rect_halo(n, rect, depth)
-            else:
-                if key not in sized:
-                    near = _span_near(mesh, Span(start, stop), depth)
-                    expanded[key] = rank, near
-                    sized[key] = sum(_run_sizes(near[-1:])) - (stop - start)
-                odd[rank] = sized[key]
-            worst = max(worst, stop - start + odd[rank])
-    else:
-        i_off, j_off = decomp.grid
-        # the shapes and the gaps to the nearest edges, on one panel
-        widths = Counter(b - a for a, b in zip(i_off, i_off[1:]))
-        heights = Counter(b - a for a, b in zip(j_off, j_off[1:]))
-        shapes = Counter({(w, h): a * b for w, a in widths.items()
-                          for h, b in heights.items()})
-        gi = [min(a, n - b) for a, b in zip(i_off, i_off[1:])]
-        gj = [min(a, n - b) for a, b in zip(j_off, j_off[1:])]
-        for rect in ((0, i_off[bi], i_off[bi + 1], j_off[bj], j_off[bj + 1])
-                     for bj in range(len(gj)) for bi in range(len(gi))
-                     if gi[bi] + gj[bj] + 2 <= depth):
-            w, h = rect[2] - rect[1], rect[4] - rect[3]
-            shapes[w, h] -= 1
-            worst = max(worst, w * h + _rect_halo(n, rect, depth))
-    for (w, h), count in shapes.items():
+    widths = Counter({base + 1: rem, base: decomp.ranks - rem})
+    # the spans crossing into a row: its first cell x starts no span
+    big = rem * (base + 1)
+    ranks = {owner(x) for x in range(n, PANELS * n * n, n)
+             if (x % (base + 1) if x < big else (x - big) % base)}
+    for row in range(PANELS * n):
+        # the cells at each end of the row that are near a corner
+        near = min(n, depth - 1 - min(row % n, n - 1 - row % n))
+        for a in (row * n, row * n + n - near) if near > 0 else ():
+            ranks.update(range(owner(a), owner(a + near - 1) + 1))
+    for rank in ranks:
+        start, stop, _, rect, key = _span_class(decomp, depth, rank)
+        widths[stop - start] -= 1
+        if rect is not None:
+            odd[rank] = _rect_halo(n, rect, depth)
+        elif key in expanded:
+            odd[rank] = odd[expanded[key][0]]
+        else:
+            near = _span_near(mesh, decomp.rects(rank), depth)
+            expanded[key] = rank, near
+            odd[rank] = sum(b - a for row in near.values()
+                            for a, b in row) - (stop - start)
+        worst = max(worst, stop - start + odd[rank])
+    for w, count in widths.items():
         if count:
-            worst = max(worst, w * h + _halo_cells(w, h, depth))
+            worst = max(worst, w + _halo_cells(w, 1, depth))
     return HaloCounts(decomp, depth, worst, [], odd, expanded)
 
 
-def halo_counts(mesh: CubedSphereMesh, decomp: Decomposition,
-                depth: int = 1) -> HaloCounts:
-    """Halo ring sizes per rank, and the worst rank's cells, with no
-    table per rank (`_shape_counts`).  A w x h rectangle on one panel has
-    H(d) = 2d(w+h+d-1) - sum of T(d-1-g) over the panel's corners halo
-    cells within depth d, where g is its gap to the corner in columns plus
-    rows and T(m) = m(m+1)/2 for m > 0, else 0; ring k has H(k) - H(k-1).
-    Blocks and the spans that are one rectangle take this form, the other
-    spans the row runs of one span per class (`_span_class`), and span
-    layouts up to C10 `compute_halos`."""
-    check_halo_depth(mesh, depth)
-    if decomp.grid is None and mesh.panel_size <= _SPAN_WALK_MAX_PANEL:
-        return compute_halos(mesh, decomp, depth)
-    return _shape_counts(mesh, decomp, depth)
-
-
-def _rank_classes(decomp: Decomposition, depth: int) -> List[
-        Tuple[object, List[int], Optional[Rect]]]:
-    """(key, ranks, the first's rectangle or None) per class of ranks whose
-    halos on their panels are alike up to a shift of cells and ranks: by
-    `_span_class`, or a block's gaps to the panel edges up to `depth` and
-    the grid offsets within `depth` of it, from its start, per axis.  As
-    rank = panel * p * q + bj * p + bi, a shift serves every panel."""
-    classes: Dict[object, Tuple[object, List[int], Optional[Rect]]] = {}
-    if decomp.grid is None:
-        for rank in range(decomp.ranks):
-            _, _, _, rect, key = _span_class(decomp, depth, rank)
-            classes.setdefault(key, (key, [], rect))[1].append(rank)
-        return list(classes.values())
+def _block_classes(decomp: Decomposition, depth: int) -> List[
+        Tuple[List[int], List[int], Rect]]:
+    """(block columns, block rows, the first's rectangle on panel 0) per
+    class of blocks whose halos on their panels are alike up to a shift of
+    cells and ranks.  Each axis keys a block by its gaps to the panel
+    edges up to `depth` and the grid offsets within `depth` of it, from
+    its start, so a class also shares its size and halo size."""
     n, (i_off, j_off) = decomp.mesh.panel_size, decomp.grid
     axes = []
     for off in decomp.grid:
@@ -574,11 +510,49 @@ def _rank_classes(decomp: Decomposition, depth: int) -> List[
             axis.setdefault((min(a, depth), min(n - b, depth),
                              tuple(x - a for x in near)), []).append(k)
         axes.append(axis.values())
-    p, pq = len(i_off) - 1, decomp.ranks // PANELS
+    return [(bis, bjs, (0, i_off[bis[0]], i_off[bis[0] + 1], j_off[bjs[0]],
+                        j_off[bjs[0] + 1]))
+            for bjs in axes[1] for bis in axes[0]]
+
+
+def halo_counts(mesh: CubedSphereMesh, decomp: Decomposition,
+                depth: int = 1) -> HaloCounts:
+    """Halo ring sizes per rank, and the worst rank's cells, with no
+    table per rank.  A w x h rectangle on one panel has
+    H(d) = 2d(w+h+d-1) - sum of T(d-1-g) over the panel's corners halo
+    cells within depth d, where g is its gap to the corner in columns plus
+    rows and T(m) = m(m+1)/2 for m > 0, else 0; ring k has H(k) - H(k-1).
+    A block grid's worst rank is that of one block per class
+    (`_block_classes`); span layouts take `_shape_counts`, and those up to
+    C10 `compute_halos`."""
+    check_halo_depth(mesh, depth)
+    if decomp.grid is not None:
+        n = mesh.panel_size
+        worst = max((rect[2] - rect[1]) * (rect[4] - rect[3])
+                    + _rect_halo(n, rect, depth)
+                    for _, _, rect in _block_classes(decomp, depth))
+        return HaloCounts(decomp, depth, worst, [], {}, {})
+    if mesh.panel_size <= _SPAN_WALK_MAX_PANEL:
+        return compute_halos(mesh, decomp, depth)
+    return _shape_counts(mesh, decomp, depth)
+
+
+def _rank_classes(decomp: Decomposition, depth: int) -> List[
+        Tuple[object, List[int], Optional[Rect]]]:
+    """(key, ranks, the first's rectangle or None) per class of ranks whose
+    halos on their panels are alike up to a shift of cells and ranks: by
+    `_span_class`, or by `_block_classes` on every panel, as
+    rank = panel * p * q + bj * p + bi."""
+    if decomp.grid is None:
+        classes: Dict[object, Tuple[object, List[int], Optional[Rect]]] = {}
+        for rank in range(decomp.ranks):
+            _, _, _, rect, key = _span_class(decomp, depth, rank)
+            classes.setdefault(key, (key, [], rect))[1].append(rank)
+        return list(classes.values())
+    p, pq = len(decomp.grid[0]) - 1, decomp.ranks // PANELS
     return [(None, [panel * pq + bj * p + bi for panel in range(PANELS)
-                    for bj in bjs for bi in bis],
-             (0, i_off[bis[0]], i_off[bis[0] + 1], j_off[bjs[0]],
-              j_off[bjs[0] + 1])) for bjs in axes[1] for bis in axes[0]]
+                    for bj in bjs for bi in bis], rect)
+            for bis, bjs, rect in _block_classes(decomp, depth)]
 
 
 def exchange_pattern(halos: HaloCounts,
@@ -603,14 +577,14 @@ def exchange_pattern(halos: HaloCounts,
             rows = _panel_rows(n, rect, depth)
         else:
             # near its span in `expanded`, else its first, less own [lo, hi)
-            start, stop, panel, _, _ = _span_class(decomp, depth, first)
+            panel = _span_class(decomp, depth, first)[2]
             first, near = halos.expanded.get(key) or (
-                first, _span_near(mesh, Span(start, stop), depth))
+                first, _span_near(mesh, decomp.rects(first), depth))
             lo, hi = decomp.span_start(first), decomp.span_start(first + 1)
             if panel is None:
                 crossing.add(first)
             rows = []
-            for other, j, height, runs in _stacks(near[-1]):
+            for other, j, height, runs in _stacks(near):
                 if panel is not None and other != lo // (n * n):
                     continue
                 for a, b in runs:

@@ -20,16 +20,17 @@ class ConfigError(CubedsimError, ValueError):
 
 
 class located:
-    """Prefix a package error with `where`, and its key if it names one,
-    once, making it a ConfigError."""
+    """Prefix a package error with `where`, and its key if it names one
+    and `keyed`, once, making it a ConfigError.  A sweep value is located
+    by its place in the list, which stands for the key it sets."""
 
-    def __init__(self, where: str):
-        self.where = where
+    def __init__(self, where: str, keyed: bool = True):
+        self.where, self.keyed = where, keyed
 
     def __enter__(self):
         return self
 
     def __exit__(self, _kind, exc, _tb):
         if isinstance(exc, CubedsimError) and not isinstance(exc, ConfigError):
-            key = "" if exc.key is None else f".{exc.key}"
+            key = "" if exc.key is None or not self.keyed else f".{exc.key}"
             raise ConfigError(f"{self.where}{key}: {exc}") from exc

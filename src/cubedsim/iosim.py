@@ -103,16 +103,11 @@ class IoScenario:
     server_memory_bytes: Optional[int] = None
 
     def __post_init__(self):
-        if self.clients < 1:
-            raise IoConfigError(f"clients must be >= 1, got {self.clients}")
-        if self.servers_level1 < 1:
-            raise IoConfigError(
-                f"servers_level1 must be >= 1, got {self.servers_level1}")
-        if self.servers_level2 < 0:
-            raise IoConfigError(
-                f"servers_level2 must be >= 0, got {self.servers_level2}")
-        if self.pools < 1:
-            raise IoConfigError(f"pools must be >= 1, got {self.pools}")
+        for attr, least in (("clients", 1), ("servers_level1", 1),
+                            ("servers_level2", 0), ("pools", 1)):
+            if getattr(self, attr) < least:
+                raise IoConfigError(f"{attr} must be >= {least}, got "
+                                    f"{getattr(self, attr)}", attr)
         if self.writer_count % self.pools:
             raise IoConfigError(
                 f"writing servers ({self.writer_count}) not divisible by "
@@ -121,18 +116,20 @@ class IoScenario:
             raise IoConfigError(
                 f"pools ({self.pools}) exceed files ({self.files}); every "
                 f"pool needs at least one file")
-        if self.buffer_bytes < 1:
-            raise IoConfigError("buffer_bytes must be positive")
-        if self.base_write_rate <= 0:
-            raise IoConfigError("base_write_rate must be positive")
-        if self.striping_factor < 1:
-            raise IoConfigError("striping_factor must be >= 1")
-        if self.compute_rate < 0:
-            raise IoConfigError("compute_rate must be >= 0")
-        if self.gather_rate_factor <= 0 or self.stripe_cap < 1:
-            raise IoConfigError("invalid transfer/striping parameters")
-        if self.pool_penalty < 0:
-            raise IoConfigError("pool_penalty must be >= 0")
+        for attr in ("buffer_bytes", "base_write_rate", "gather_rate_factor"):
+            if not getattr(self, attr) > 0:
+                raise IoConfigError(f"{attr} must be positive", attr)
+        for attr in ("striping_factor", "stripe_cap"):
+            if getattr(self, attr) < 1:
+                raise IoConfigError(f"{attr} must be >= 1", attr)
+        for attr in ("compute_rate", "pool_penalty"):
+            if getattr(self, attr) < 0:
+                raise IoConfigError(f"{attr} must be >= 0", attr)
+        if self.server_memory_bytes is not None \
+                and self.server_memory_bytes < 1:
+            raise IoConfigError(f"server_memory_bytes must be >= 1, got "
+                                f"{self.server_memory_bytes}",
+                                "server_memory_bytes")
 
     @property
     def two_level(self) -> bool:

@@ -41,7 +41,8 @@ class MachineConfig:
     def __post_init__(self):
         for attr in ("cores_per_node", "clock_ghz", "max_nodes"):
             if getattr(self, attr) <= 0:
-                raise MachineConfigError(f"{self.name}: {attr} must be positive")
+                raise MachineConfigError(
+                    f"{self.name}: {attr} must be positive", attr)
 
 
 def builtin_machines() -> List[MachineConfig]:
@@ -109,7 +110,8 @@ class CostModel:
         for attr in ("c_cell", "p2p_alpha", "coll_alpha", "barrier_cost",
                      "etc_fixed"):
             if getattr(self, attr) < 0:
-                raise MachineConfigError(f"cost coefficient {attr} must be >= 0")
+                raise MachineConfigError(
+                    f"cost coefficient {attr} must be >= 0", attr)
         for attr in ("p2p_beta", "coll_beta"):      # bandwidths divide
             if not getattr(self, attr) > 0:
                 raise MachineConfigError(
@@ -118,14 +120,16 @@ class CostModel:
         for attr in ("parallel_regions_per_step", "allreduces_per_step",
                      "halo_exchanges_per_step", "reduce_bytes"):
             if getattr(self, attr) < 0:
-                raise MachineConfigError(f"{attr} must be >= 0")
+                raise MachineConfigError(f"{attr} must be >= 0", attr)
         eff = self.thread_efficiency
         if eff.get(1) != 1.0:
-            raise MachineConfigError("thread_efficiency[1] must be 1.0")
+            raise MachineConfigError("thread_efficiency[1] must be 1.0",
+                                     "thread_efficiency")
         for t, e in eff.items():
             if not (0.0 < e <= 1.0):
                 raise MachineConfigError(
-                    f"thread_efficiency[{t}] must be in (0, 1], got {e}")
+                    f"thread_efficiency[{t}] must be in (0, 1], got {e}",
+                    "thread_efficiency")
 
     def efficiency(self, threads: int) -> float:
         """Parallel efficiency at the given thread count.  Unlisted
@@ -167,12 +171,13 @@ class MemoryModel:
     def __post_init__(self):
         if self.node_memory_bytes < 1:
             raise MachineConfigError(f"node_memory_bytes must be >= 1, "
-                                     f"got {self.node_memory_bytes}")
+                                     f"got {self.node_memory_bytes}",
+                                     "node_memory_bytes")
         for attr in ("words_per_cell_level", "rank_table_bytes_per_rank",
                      "fixed_rank_bytes"):
             if getattr(self, attr) < 0:
                 raise MachineConfigError(
-                    f"{attr} must be >= 0, got {getattr(self, attr)}")
+                    f"{attr} must be >= 0, got {getattr(self, attr)}", attr)
 
     def node_bytes(self, ranks_per_node: int, cells_per_rank: int,
                    levels: int, total_ranks: int) -> int:

@@ -19,6 +19,7 @@ from cubedsim.cli import TableMismatchError, main, ratio_report
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MINIMAL = json.loads((CONFIG_DIR / "minimal.json").read_text())
 IO_RIG = json.loads((CONFIG_DIR / "io-dev-rig.json").read_text())
+IO_C192 = json.loads((CONFIG_DIR / "io-c192-tuned.json").read_text())
 
 
 def run_cli(*argv):
@@ -390,7 +391,7 @@ CONTRACT = [
         "max_nodes": 8, "interconnect": "Slingshot 10"}), None,
      "c.json.machine.interconnect", "unknown key"),
     ("cost-negative", edited(MINIMAL, cost_model={"c_cell": -1}), None,
-     "c.json.cost_model", "c_cell"),
+     "c.json.cost_model.c_cell", "c_cell"),
     ("p2p-beta-zero", edited(MINIMAL, cost_model={"p2p_beta": 0}), None,
      "c.json.cost_model.p2p_beta", "must be > 0"),
     ("coll-beta-zero", edited(MINIMAL, cost_model={"coll_beta": 0}), None,
@@ -401,7 +402,8 @@ CONTRACT = [
     ("memory-string", edited(MINIMAL, memory={"node_memory_bytes": "big"}),
      None, "c.json.memory.node_memory_bytes", "integer"),
     ("memory-negative", edited(MINIMAL, memory={"node_memory_bytes": -1}),
-     None, "c.json.memory", "node_memory_bytes must be >= 1"),
+     None, "c.json.memory.node_memory_bytes",
+     "node_memory_bytes must be >= 1"),
     ("nodes-string", edited(MINIMAL, layout={"nodes": "3"}), None,
      "c.json.layout.nodes", "integer"),
     ("ranks-threads", edited(MINIMAL, layout={"ranks_per_node": 8,
@@ -431,6 +433,11 @@ CONTRACT = [
      "c.json.sweep.nodes[0]", "integer"),
     ("sweep-pools", edited(IO_RIG, sweep={"pools": [1, 3]}), "pools",
      "c.json.sweep.pools[1]", "pools (3)"),
+    # a sweep value is located by its place in the list, not by the key
+    # it sets
+    ("sweep-buffer-zero", edited(IO_RIG, sweep={"buffer_bytes": [0]}),
+     "buffer_bytes", "c.json.sweep.buffer_bytes[0]",
+     "buffer_bytes must be positive"),
     ("sweep-buffer-descending", edited(IO_RIG, sweep={
         "buffer_bytes": [4194304, 2097152]}), "buffer_bytes",
      "c.json.sweep.buffer_bytes", "must not decrease"),
@@ -443,7 +450,24 @@ CONTRACT = [
      "c.json.io_scenario.clients", "integer"),
     ("io-level1-zero", edited(IO_RIG, io_scenario={"servers_level1": 0,
                                                    "servers_level2": 2}),
-     None, "c.json.io_scenario", "servers_level1 must be >= 1"),
+     None, "c.json.io_scenario.servers_level1", "servers_level1 must be >= 1"),
+    # integers past 2**53, which a double does not hold exactly
+    *[(f"{key.replace('_', '-')}-huge", edited(MINIMAL, cost_model={
+        key: 10 ** 309}), None, f"c.json.cost_model.{key}", "integer")
+      for key in ("reduce_bytes", "parallel_regions_per_step",
+                  "allreduces_per_step")],
+    ("bytes-per-cell-huge", edited(MINIMAL, layout={
+        "bytes_per_cell": 10 ** 308}), None, "c.json.layout.bytes_per_cell",
+     "integer"),
+    ("buffer-huge", edited(IO_RIG, io_scenario={"buffer_bytes": 10 ** 309}),
+     None, "c.json.io_scenario.buffer_bytes", "integer"),
+    ("field-bytes-huge", edited(IO_RIG, schedule={"entries": [dict(
+        IO_RIG["schedule"]["entries"][0], bytes_per_field=10 ** 309)]}),
+     None, "c.json.schedule.entries[0].bytes_per_field", "integer"),
+    *[(f"server-memory-{name}", edited(IO_C192, io_scenario={
+        "server_memory_bytes": value}), None,
+       "c.json.io_scenario.server_memory_bytes", "must be >= 1")
+      for name, value in (("negative", -5), ("zero", 0))],
 ]
 
 

@@ -121,6 +121,29 @@ def test_library_errors_get_one_location():
         "config.mesh.panel_size: expected an integer, got 'big'"
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("machine", "cores_per_node", 0), ("machine", "clock_ghz", 0.0),
+    ("cost_model", "etc_fixed", -1.0), ("cost_model", "reduce_bytes", -1),
+    ("cost_model", "thread_efficiency", {"1": 0.5}),
+    ("cost_model", "thread_efficiency", {"1": 1.0, "2": 1.5}),
+    ("memory", "fixed_rank_bytes", -1), ("io_scenario", "pools", 0),
+    ("io_scenario", "buffer_bytes", 0), ("io_scenario", "stripe_cap", 0.5),
+    ("io_scenario", "gather_rate_factor", 0.0),
+    ("io_scenario", "striping_factor", 0.5),
+    ("io_scenario", "pool_penalty", -1.0),
+    ("io_scenario", "server_memory_bytes", 0),
+])
+def test_one_field_checks_name_their_key(section, key, value):
+    doc = json.loads(open(f"{CONFIG_DIR}/io-dev-rig.json").read())
+    del doc["sweep"]
+    doc["machine"] = {"name": "toy", "cores_per_node": 4, "clock_ghz": 2.0,
+                      "max_nodes": 64}
+    doc[section] = dict(doc.get(section, {}), **{key: value})
+    with pytest.raises(ConfigError) as info:
+        parse_scenario(doc)
+    assert str(info.value).startswith(f"config.{section}.{key}: ")
+
+
 @pytest.mark.parametrize("value", [True, None, [], {}, float("nan"),
                                    float("inf"), 10 ** 400, "1"])
 def test_float_fields_take_finite_numbers_only(value):
@@ -128,6 +151,20 @@ def test_float_fields_take_finite_numbers_only(value):
     doc["io_scenario"]["compute_rate"] = value
     with pytest.raises(ConfigError, match="io_scenario.compute_rate"):
         parse_scenario(doc)
+
+
+@pytest.mark.parametrize("value", [True, None, [], {}, 1.5, float("nan"),
+                                   float("inf"), 2 ** 53 + 1, -2 ** 54,
+                                   2.0 ** 54, 10 ** 309, "1"])
+def test_int_fields_take_exact_integers_only(value):
+    # integral and at most 2**53 in magnitude, which a double holds exactly
+    doc = json.loads(open(f"{CONFIG_DIR}/io-dev-rig.json").read())
+    doc["io_scenario"]["buffer_bytes"] = value
+    with pytest.raises(ConfigError, match="io_scenario.buffer_bytes"):
+        parse_scenario(doc)
+    for exact in (2 ** 53, 2.0 ** 53):
+        doc["io_scenario"]["buffer_bytes"] = exact
+        assert parse_scenario(doc).io_scenario.buffer_bytes == 2 ** 53
 
 
 def test_layout_and_grid_round_trip_with_defaults_left_out():

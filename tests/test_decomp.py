@@ -40,6 +40,12 @@ def bfs_halo(mesh, owned, depth):
     return rings
 
 
+def row_run_cells(runs):
+    """The cells of a table of row runs."""
+    return {CellId(panel, i, j) for (panel, j), row in runs.items()
+            for a, b in row for i in range(a, b)}
+
+
 def bfs_messages(mesh, decomposition, depth, bytes_per_cell):
     """Oracle: one message per (owner, holder) pair, counted over the
     `bfs_halo` rings of every rank."""
@@ -358,19 +364,26 @@ def test_every_small_span_layout_exchanges_the_bfs_messages(n, deepest):
 def test_rectangle_halo_matches_bfs_at_every_depth():
     # every rectangle on one panel, up to C6, ring by ring to depth N:
     # also the row segments and whole-row bands at a corner that spans
-    # take and no block grid produces
+    # take and no block grid produces; the closed form counts the rings,
+    # and the row runs of `_span_near` hold the cells within each depth
     for n in range(1, 7):
         mesh = build_mesh(n, 1)
         for i0 in range(n):
             for i1 in range(i0 + 1, n + 1):
                 for j0 in range(n):
                     for j1 in range(j0 + 1, n + 1):
-                        block = dc.Block(0, i0, i1, j0, j1)
-                        totals = [dc._rect_halo(n, (0, i0, i1, j0, j1), k)
+                        rect = (0, i0, i1, j0, j1)
+                        cells = {CellId(0, i, j) for i in range(i0, i1)
+                                 for j in range(j0, j1)}
+                        totals = [dc._rect_halo(n, rect, k)
                                   for k in range(n + 1)]
-                        rings = bfs_halo(mesh, set(block.cells()), n)
+                        rings = bfs_halo(mesh, cells, n)
                         assert [b - a for a, b in zip(totals, totals[1:])] \
-                            == [len(ring) for ring in rings], block
+                            == [len(ring) for ring in rings], rect
+                        for k, ring in enumerate(rings, 1):
+                            cells |= ring
+                            assert row_run_cells(dc._span_near(
+                                mesh, [rect], k)) == cells, (rect, k)
 
 
 def test_rectangles_walk_no_cells_at_the_corners(monkeypatch):
@@ -421,20 +434,36 @@ def test_crossing_spans_take_owners_column_by_column(monkeypatch):
     assert messages == bfs_messages(mesh, decomposition, 1, 1)
 
 
-def test_span_runs_cover_exactly_the_owned_cells():
+def test_rects_tile_the_mesh():
+    # every layout partition makes on C1-C8, block grids and spans: every
+    # cell lies in exactly one rank's rectangles, a span's are its run of
+    # linear cells in at most three per panel, and a rank's areas sum to
+    # owned_count
     for n in range(1, 9):
         mesh = build_mesh(n, 1)
         for ranks in range(1, 6 * n * n + 1):
             decomposition = dc.partition(mesh, ranks)
-            if decomposition.grid is not None:
-                continue
+            covered = Counter()
             for rank in range(ranks):
-                span = decomposition.domain(rank)
-                cells = [CellId(panel, i, j)
-                         for (panel, j), runs in dc._span_runs(n, span).items()
-                         for a, b in runs for i in range(a, b)]
-                assert len(cells) == len(set(cells)) == span.size
-                assert set(cells) == decomposition.owned_cells(rank)
+                rects = decomposition.rects(rank)
+                assert all(0 <= i0 < i1 <= n and 0 <= j0 < j1 <= n
+                           for _, i0, i1, j0, j1 in rects), rects
+                cells = [mesh.to_index(CellId(panel, i, j))
+                         for panel, i0, i1, j0, j1 in rects
+                         for j in range(j0, j1) for i in range(i0, i1)]
+                covered.update(cells)
+                assert sum((i1 - i0) * (j1 - j0)
+                           for _, i0, i1, j0, j1 in rects) \
+                    == decomposition.owned_count(rank) == len(cells)
+                if decomposition.grid is None:
+                    assert sorted(cells) == list(range(
+                        decomposition.span_start(rank),
+                        decomposition.span_start(rank + 1)))
+                    assert max(Counter(rect[0] for rect in rects).values()) \
+                        <= 3, rects
+                else:
+                    assert len(rects) == 1
+            assert covered == Counter(range(6 * n * n)), (n, ranks)
 
 
 def test_halo_counts_errors():

@@ -168,26 +168,27 @@ def test_memory_guard_trips_widest_single_thread_layout():
     ids=["1024-192", "80-192", "96-190", "80-192-depth2"])
 def test_memory_guard_needs_no_halo_geometry(monkeypatch, n, nodes, depth):
     # 96 x 190: 24,320 ranks, not a multiple of six, so spans; the guard
-    # sizes shape classes, building at most one domain per rank it must
-    # size alone: a span crossing a row, one per row boundary, or a block
-    # near a cube corner, as the corner blocks of 80 x 192 are at depth 2
+    # sizes shape classes, taking the rectangles of at most one rank it
+    # must size alone: a span crossing a row, one per row boundary, or a
+    # block near a cube corner, as the corner blocks of 80 x 192 are at
+    # depth 2
     def no_halos(*_args, **_kwargs):
         raise AssertionError("the guard must not need halo cells")
 
     built = Counter()
 
-    def counted(cls):
-        init = cls.__init__
+    def counted(owner, name):
+        original = getattr(owner, name)
 
-        def init_counted(self, *args, **kwargs):
-            built[cls.__name__] += 1
-            init(self, *args, **kwargs)
-        return init_counted
+        def call_counted(*args, **kwargs):
+            built[name] += 1
+            return original(*args, **kwargs)
+        return call_counted
 
     monkeypatch.setattr(dc, "compute_halos", no_halos)
     monkeypatch.setattr(dc, "_rank_rings", no_halos)
-    for cls in (dc.Block, dc.Span):
-        monkeypatch.setattr(cls, "__init__", counted(cls))
+    for owner, name in ((dc.Decomposition, "rects"), (dc, "_span_rects")):
+        monkeypatch.setattr(owner, name, counted(owner, name))
     wide = RunSpec(mesh=build_mesh(n, 120), machine=builtin_machine("archer2"),
                    nodes=nodes, ranks_per_node=128, threads_per_rank=1,
                    halo_depth=depth)
@@ -216,7 +217,9 @@ def test_guard_worst_cells_match_bfs_oracle(n, ranks, depth):
     oracle = dc.compute_halos(mesh, decomposition, depth=depth)
     worst = max(decomposition.owned_count(r) + oracle.halo_count(r)
                 for r in range(ranks))
-    assert dc._shape_counts(mesh, decomposition, depth).worst_cells == worst
+    if decomposition.grid is None:
+        assert dc._shape_counts(mesh, decomposition,
+                                depth).worst_cells == worst
     assert dc.halo_counts(mesh, decomposition, depth).worst_cells == worst
     node_bytes = MemoryModel().node_bytes(ranks, worst, mesh.levels, ranks)
     machine = MachineConfig(name="one", cores_per_node=ranks, clock_ghz=2.0,
@@ -251,9 +254,9 @@ def test_span_run_walks_no_cells(monkeypatch):
     expanded = Counter()
     span_near = dc._span_near
 
-    def counted(mesh, span, depth):
-        expanded[span] += 1
-        return span_near(mesh, span, depth)
+    def counted(mesh, rects, depth):
+        expanded[tuple(rects)] += 1
+        return span_near(mesh, rects, depth)
 
     monkeypatch.setattr(dc, "compute_halos", no_cells)
     monkeypatch.setattr(dc, "_rank_rings", no_cells)
@@ -269,21 +272,21 @@ def test_span_run_walks_no_cells(monkeypatch):
 def test_span_run_builds_nothing_per_rank(monkeypatch, mode):
     # C96 on 4,001 span ranks at depth 2: the work table comes from the
     # two span sizes and the class halos, the messages from one owner
-    # table per class and the owners along each panel edge, so no Span
-    # and no row-run expansion per rank (it takes 45 of each)
+    # table per class and the owners along each panel edge, so no span's
+    # rectangles and no row-run expansion per rank (it takes 45 of each)
     built = Counter()
-    init = dc.Span.__init__
+    span_rects = dc._span_rects
     span_near = dc._span_near
 
-    def counted(self, *args, **kwargs):
-        built["Span"] += 1
-        init(self, *args, **kwargs)
+    def counted(*args):
+        built["_span_rects"] += 1
+        return span_rects(*args)
 
     def near_counted(*args):
         built["_span_near"] += 1
         return span_near(*args)
 
-    monkeypatch.setattr(dc.Span, "__init__", counted)
+    monkeypatch.setattr(dc, "_span_rects", counted)
     monkeypatch.setattr(dc, "_span_near", near_counted)
     machine = MachineConfig(name="one", cores_per_node=4001, clock_ghz=2.0,
                             max_nodes=1)
@@ -291,7 +294,7 @@ def test_span_run_builds_nothing_per_rank(monkeypatch, mode):
                   ranks_per_node=4001, threads_per_rank=1, halo_depth=2,
                   mode=mode, memory=BIG_MEMORY)
     assert simulate(run).total_s > 0
-    assert built["Span"] <= 200 and built["_span_near"] <= 200, built
+    assert built["_span_rects"] <= 200 and built["_span_near"] <= 200, built
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -315,7 +318,7 @@ def test_block_grid_run_builds_nothing_per_rank(monkeypatch, mode):
         built["class tables"] += len(classes)
         return classes
 
-    monkeypatch.setattr(dc.Decomposition, "domain", per_rank)
+    monkeypatch.setattr(dc.Decomposition, "rects", per_rank)
     monkeypatch.setattr(dc, "_edge_rects", edge_counted)
     monkeypatch.setattr(dc, "_rank_classes", classes_counted)
     run = RunSpec(mesh=build_mesh(96, 10), machine=builtin_machine("archer2"),

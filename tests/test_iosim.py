@@ -364,9 +364,15 @@ def test_stages_equal_the_per_chunk_oracle(scenario, piece, runs_from):
                         [theirs[key].arrivals for key in members], *args)
         assert _outcome(scenario) == _outcome(scenario, oracle=True)
         if scenario.two_level:
-            # the memory guard decides the same at the peak and just below
+            # the memory guard decides the same at the peak and just below;
+            # a limit under one byte is a configuration error
             total = _oracle_staging_total(scenario, keys, theirs)
-            for limit in (total, math.nextafter(total, -math.inf)):
+            below = math.nextafter(total, -math.inf)
+            if below < 1:
+                with pytest.raises(IoConfigError, match="server_memory"):
+                    replace(scenario, server_memory_bytes=below)
+                return
+            for limit in (total, below):
                 limited = replace(scenario, server_memory_bytes=limit)
                 assert _outcome(limited) == _outcome(limited, oracle=True)
             assert _outcome(limited) == "OUT_OF_MEMORY"
