@@ -204,9 +204,12 @@ def _timestep_runs(scenario: Scenario) -> List[dyncore.RunSpec]:
     levels = scenario.mesh.levels if scenario.mesh is not None else 120
     runs = []
     for k, point in enumerate(scenario.grid.points):
-        with located(f"{scenario.source}.grid.points[{k}]"):
+        where = f"{scenario.source}.grid.points[{k}]"
+        with located(where):
             mesh = build_mesh(point.panel_size,
                               levels if point.levels is None else point.levels)
+        # the layout's keys are not the point's
+        with located(where, keyed=False):
             runs += [scenario.run_spec(mesh, point.nodes, threads)
                      for threads in scenario.grid.threads or [None]]
     return runs

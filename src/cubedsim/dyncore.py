@@ -58,7 +58,8 @@ class RunSpec:
             raise SimulationError(f"nodes must be in 1..max_nodes "
                                   f"{self.machine.max_nodes}, got {self.nodes}")
         if self.timesteps < 1:
-            raise SimulationError(f"timesteps must be >= 1, got {self.timesteps}")
+            raise SimulationError(
+                f"timesteps must be >= 1, got {self.timesteps}", "timesteps")
         validate_layout(self.machine, self.ranks_per_node, self.threads_per_rank)
         if self.ranks > self.mesh.total_horizontal_cells:
             raise SimulationError(
@@ -66,7 +67,8 @@ class RunSpec:
         dc.check_halo_depth(self.mesh, self.halo_depth)
         if self.bytes_per_cell is not None and self.bytes_per_cell < 1:
             raise SimulationError(
-                f"bytes_per_cell must be >= 1, got {self.bytes_per_cell}")
+                f"bytes_per_cell must be >= 1, got {self.bytes_per_cell}",
+                "bytes_per_cell")
 
     @property
     def ranks(self) -> int:

@@ -44,8 +44,11 @@ classes, and streams of short runs, are merged chunk by chunk.
 Exact means the same IEEE-754 operations in the same order as the
 per-chunk code kept in `tests/io_oracle.py`, so every output is the same
 float; running sums use `accumulate` and `reduce`, never `sum`.  Peak
-staging replays the (time, +-bytes) events one time window at a time,
-so it holds a window and the chunks not yet written, not the whole run.
+staging holds each writer's done times as backlogged runs, as stage one
+holds its output, and replays the (time, +-bytes) events in sorted order
+a bounded window at a time, expanding a run only as far as the window
+reaches.  It stops at the last arrival, since later dones only lower the
+level, so it holds a window and the runs, not the writers' backlog.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from heapq import heappop, heappush, merge
 from itertools import accumulate, chain, compress, groupby, islice, repeat
+from math import inf, nextafter
 from operator import add, gt, indexOf, itemgetter, lt, ne, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -66,6 +70,7 @@ from .workload import DiagnosticSchedule
 MIB = 1024.0 * 1024.0
 _EPS = 1e-6  # bytes; absorbs float rounding in buffer bookkeeping
 _PIECE = 1 << 14  # chunks per stage-two step; bounds its working memory
+_WINDOW = 1 << 12  # staging events per stream in one step of the replay
 # runs shorter than this cost more to step over than their chunks one
 # by one: stage one batches and chains only when a buffer holds this many
 # of the largest chunks, and stage two steps over a stream's runs only
@@ -176,7 +181,8 @@ class IoMetrics:
 
 
 class _Arrivals:
-    """A stage-one server's FIFO output, held as backlogged runs.
+    """A FIFO server's output, held as backlogged runs: a stage-one
+    server's arrivals at level 2, or a writer's done times.
 
     A run `(first_done, dur, count, bytes)` is `count` chunks of `bytes`:
     the first done at `first_done` and each later one `dur` after the one
@@ -413,11 +419,12 @@ def _dones(start: float, durs: Iterable[float]) -> List[float]:
 
 
 def _write(ts: List[float], copies: int, dur: float, free: float,
-           dones: Optional[List[float]]) -> float:
+           held: Optional[_Arrivals], size: float) -> float:
     """One writer's recursion `free = max(free, t) + dur` over the
     non-decreasing arrival times `ts`, each arriving `copies` times in a
-    row, one backlogged stretch at a time.  Appends each completion to
-    `dones` unless it is None and returns the writer's new free time."""
+    row, one backlogged stretch at a time.  Adds each stretch of
+    completions of chunks of `size` to `held` as one run unless it is
+    None, and returns the writer's new free time."""
     if not ts:
         return free
     n = len(ts)
@@ -426,8 +433,8 @@ def _write(ts: List[float], copies: int, dur: float, free: float,
     start = free if free > t else t
     i = 0
     while True:
-        items = (n - i) * copies
-        stretch = accumulate(repeat(dur, items), add, initial=start)
+        stretch = accumulate(repeat(dur, (n - i) * copies), add,
+                             initial=start)
         next(stretch)
         # arrival i + 1 + j idles the writer iff it comes after the last
         # copy of arrival i + j is done
@@ -435,56 +442,103 @@ def _write(ts: List[float], copies: int, dur: float, free: float,
             j = indexOf(map(gt, rest, islice(stretch, copies - 1, None,
                                              copies)), True)
         except ValueError:
-            if dones is None:
-                return max(stretch)     # the last arrival's copies
-            dones += _dones(start, repeat(dur, items))
-            return dones[-1]
-        if dones is not None:
-            dones += _dones(start, repeat(dur, (j + 1) * copies))
+            j = n - i - 1               # the stretch reaches the last arrival
+        if held is not None:
+            # only the first stretch can start as the writer comes free
+            held.add(start == free, start + dur, dur, (j + 1) * copies, size)
         i += j + 1
+        if i == n:
+            return max(stretch)         # the last arrival's copies
         start = ts[i]
+
+
+def _take(run: list, cut: float) -> List[float]:
+    """Take the done times before `cut` off the front of the run
+    `[first_done, dur, count, bytes]`, expanding it only that far."""
+    first, dur, n, _b = run
+    ts = [first]
+    while ts[-1] < cut and len(ts) < n:
+        more = n - len(ts)
+        if dur > 0 and (cut - ts[-1]) / dur + 2 < more:
+            more = int((cut - ts[-1]) / dur) + 2
+        ts += _dones(ts[-1], repeat(dur, more))
+    k = bisect_left(ts, cut)
+    if k < n:
+        run[0] = ts[k]
+    run[2] = n - k
+    del ts[k:]
+    return ts
+
+
+def _nth(runs: List[list], k: int) -> float:
+    """About the time of the k-th done in `runs`, by estimate."""
+    for first, dur, n, _b in runs:
+        if n > k:
+            return first + dur * k
+        k -= n
+    return inf
 
 
 class _Staging:
     """Peak of the bytes staged at level 2: each chunk adds its size when
-    it arrives and takes it off when written.  The (time, +-bytes) events
-    are replayed in sorted order one time window at a time, carrying the
-    level, so only a window and the unwritten chunks are held."""
+    it arrives and takes it off when written.  Arrival times are held per
+    size and each writer's done times as its runs, all in time order, and
+    the (time, +-bytes) events are replayed in sorted order about
+    `_WINDOW` per stream at a time, carrying the level."""
 
-    def __init__(self, copies: int):
+    def __init__(self, copies: int, n_writers: int):
         self.copies = copies    # each held arrival comes this many times
-        self.held: Dict[float, Tuple[List[float], List[float]]] = {}
+        self.arrived: Dict[float, List[float]] = {}
+        self.written = [_Arrivals() for _ in range(n_writers)]
+        self.last = -inf        # the latest arrival
         self.level = 0.0
         self.peak = 0.0
 
-    def of(self, size: float) -> Tuple[List[float], List[float]]:
-        """The held arrival and done times of chunks of `size`."""
-        return self.held.setdefault(size, ([], []))
+    def of(self, size: float) -> List[float]:
+        """The held arrival times of chunks of `size`."""
+        return self.arrived.setdefault(size, [])
 
     def replay(self, cut: float):
         """Replay the held events before time `cut`; later ones wait."""
-        released = {}
-        for size, (arrived, done) in list(self.held.items()):
-            done.sort()
-            i = bisect_left(arrived, cut)
-            j = bisect_left(done, cut)
-            released[size] = (arrived[:i] * self.copies, done[:j])
-            del arrived[:i], done[:j]
-            if not arrived and not done:
-                del self.held[size]
-        # list the events by delta, then sort them stably by time: that is
-        # the (time, delta) order of the per-chunk replay
-        times: List[float] = []
-        deltas: List[float] = []
-        for size in sorted(released, reverse=True):
-            done = released[size][1]
-            times += done
-            deltas += repeat(-size, len(done))
-        for size in sorted(released):
-            arrived = released[size][0]
-            times += arrived
-            deltas += repeat(size, len(arrived))
-        if times:
+        while True:
+            # a window ends near each stream's `_WINDOW`-th event, or sooner:
+            # any end keeps the (time, delta) order, since the events at one
+            # time all fall on one side of it, but it must pass the first
+            firsts = [ts[0] for ts in self.arrived.values()]
+            firsts += [out.runs[0][0] for out in self.written if out.runs]
+            first = min(firsts, default=inf)
+            if first >= cut:
+                return
+            k = max(1, _WINDOW // self.copies)  # each arrival is `copies`
+            ends = [ts[k] for ts in self.arrived.values() if len(ts) > k]
+            ends += [_nth(out.runs, _WINDOW) for out in self.written]
+            end = max(min(cut, *ends), nextafter(first, inf))
+            gone: Dict[float, List[float]] = {}
+            for out in self.written:
+                spent = 0
+                for run in out.runs:
+                    if run[0] >= end:
+                        break
+                    gone.setdefault(run[3], []).extend(_take(run, end))
+                    if run[2]:
+                        break
+                    spent += 1
+                del out.runs[:spent]
+            # list the events by delta, then sort them stably by time: that
+            # is the (time, delta) order of the per-chunk replay
+            times: List[float] = []
+            deltas: List[float] = []
+            for size in sorted(gone, reverse=True):
+                times += gone[size]
+                deltas += repeat(-size, len(gone[size]))
+            for size in sorted(self.arrived):
+                ts = self.arrived[size]
+                i = bisect_left(ts, end)
+                times += ts[:i] * self.copies
+                deltas += repeat(size, i * self.copies)
+                del ts[:i]
+                if not ts:
+                    del self.arrived[size]
             order = sorted(range(len(times)), key=times.__getitem__)
             path = _running(self.level, map(deltas.__getitem__, order))
             top = max(path)
@@ -507,40 +561,43 @@ def _stage_two(arrival_streams: Sequence[_Arrivals], n_writers: int,
             len(first) >= _RUNS_FROM * len(first.runs):
         # identical members, in runs long enough to pay for themselves:
         # the merge repeats each chunk once per member
-        staging = _Staging(copies) if track_staging else None
+        staging = _Staging(copies, n_writers) if track_staging else None
+        held = repeat(None)
         seq = 0
         for ts, b in first.pieces(_PIECE):
             dur = b / rate
             busy = reduce(add, repeat(dur, len(ts) * copies), busy)
-            dones = None
             if staging is not None:
                 staging.replay(ts[0])
-                arrived, dones = staging.of(b)
-                arrived += ts
-            for w in range(n_writers):
+                staging.of(b).extend(ts)
+                staging.last = ts[-1]
+                held = staging.written
+            for w, out in zip(range(n_writers), held):
                 free[w] = _write(ts[(w - seq) % n_writers::n_writers], copies,
-                                 dur, free[w], dones)
+                                 dur, free[w], out, b)
             seq += len(ts)
     else:
         # members of different classes, or short runs: merge chunk by chunk
-        staging = _Staging(1) if track_staging else None
+        staging = _Staging(1, n_writers) if track_staging else None
         merged = merge(*[stream.tagged() for stream in arrival_streams])
         while block := list(islice(merged, _PIECE)):
             if staging is not None:
                 staging.replay(block[0][0])
+                staging.last = block[-1][0]
             for t, seq, b in block:
                 w = seq % n_writers
                 dur = b / rate
-                done = (free[w] if free[w] > t else t) + dur
+                f = free[w]
+                done = (f if f > t else t) + dur
                 free[w] = done
                 busy += dur
                 if staging is not None:
-                    arrived, dones = staging.of(b)
-                    arrived.append(t)
-                    dones.append(done)
+                    staging.of(b).append(t)
+                    staging.written[w].add(f >= t, done, dur, 1, b)
     peak = 0.0
     if staging is not None:
-        staging.replay(float("inf"))
+        # the dones after the last arrival only lower the level
+        staging.replay(nextafter(staging.last, inf))
         peak = staging.peak
     return busy, max(free), peak
 

@@ -82,9 +82,10 @@ class CubedSphereMesh:
 
     def __init__(self, panel_size: int, levels: int):
         if panel_size < 1:
-            raise MeshError(f"panel_size must be >= 1, got {panel_size}")
+            raise MeshError(f"panel_size must be >= 1, got {panel_size}",
+                            "panel_size")
         if levels < 1:
-            raise MeshError(f"levels must be >= 1, got {levels}")
+            raise MeshError(f"levels must be >= 1, got {levels}", "levels")
         self.panel_size = panel_size
         self.levels = levels
         self.edges = self._build_stitching()

@@ -414,7 +414,9 @@ CONTRACT = [
     ("depth-too-deep", edited(MINIMAL, layout={"halo_depth": 99}), None,
      "c.json.layout", "halo depth"),
     ("bytes-zero", edited(MINIMAL, layout={"bytes_per_cell": 0}), None,
-     "c.json.layout", "bytes_per_cell"),
+     "c.json.layout.bytes_per_cell", "must be >= 1"),
+    ("timesteps-zero", edited(MINIMAL, layout={"timesteps": 0}), None,
+     "c.json.layout.timesteps", "must be >= 1"),
     ("timesteps-fraction", edited(MINIMAL, layout={"timesteps": 1.5}), None,
      "c.json.layout.timesteps", "integer"),
     ("nodes-above-max", edited(MINIMAL, layout={"nodes": 6000}), None,
@@ -427,6 +429,9 @@ CONTRACT = [
     ("grid-threads", edited(MINIMAL, grid={
         "points": [{"panel_size": 24, "nodes": 3}], "threads": [3]}), None,
      "c.json.grid.points[0]", "threads_per_rank (3)"),
+    ("grid-panel-zero", edited(MINIMAL, grid={
+        "points": [{"panel_size": 0, "nodes": 3}]}), None,
+     "c.json.grid.points[0].panel_size", "must be >= 1"),
     ("sweep-threads", edited(MINIMAL, sweep={"threads": [3]}), "threads",
      "c.json.sweep.threads[0]", "cores_per_node"),
     ("sweep-nodes-string", edited(MINIMAL, sweep={"nodes": ["a"]}), "nodes",

@@ -114,7 +114,11 @@ def test_sweep_section_validation():
 def test_library_errors_get_one_location():
     with pytest.raises(ConfigError) as info:
         parse_scenario({"mesh": {"panel_size": 0, "levels": 10}})
-    assert str(info.value) == "config.mesh: panel_size must be >= 1, got 0"
+    assert str(info.value) == \
+        "config.mesh.panel_size: panel_size must be >= 1, got 0"
+    with pytest.raises(ConfigError) as info:
+        parse_scenario({"mesh": {"panel_size": 4, "levels": 0}})
+    assert str(info.value) == "config.mesh.levels: levels must be >= 1, got 0"
     with pytest.raises(ConfigError) as info:
         parse_scenario({"mesh": {"panel_size": "big", "levels": 10}})
     assert str(info.value) == \

@@ -302,8 +302,9 @@ def test_sweeps_that_keep_stage_one_simulate_it_once(monkeypatch, tmp_path):
     assert [simulate_io(point) for point in points] == metrics
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(scenario=io_scenarios(), piece=st.sampled_from([1, 2, 3, 7, 1 << 14]),
+       window=st.sampled_from([1, 2, 3, 7, iosim._WINDOW]),
        runs_from=st.sampled_from([0, iosim._RUNS_FROM]))
 # a chain whose drain-one/push-one cycle moves the fill by an ulp, with
 # the buffer set between the two fills' last pushes
@@ -311,35 +312,37 @@ def test_sweeps_that_keep_stage_one_simulate_it_once(monkeypatch, tmp_path):
     clients=6, servers_level1=3, buffer_bytes=893.1666656666666,
     base_write_rate=50.0, compute_rate=0.0,
     schedule=make_schedule([(5, 0.5, 7), (4, 2.0, 101), (6, 1.0, 977)], 2.0)),
-    piece=2, runs_from=0)
+    piece=2, window=1, runs_from=0)
 # a resume at the same instant as the next client's event, which has the
 # lower id and so goes first
 @example(scenario=_two_level(
     clients=5, servers_level1=1, buffer_bytes=342, base_write_rate=50.0,
     compute_rate=2.0, schedule=make_schedule(
         [(5, 2.0, 64), (11, 0.5, 250), (3, 1.0, 977), (9, 1.0, 64)], 3.0)),
-    piece=2, runs_from=0)
+    piece=2, window=1, runs_from=0)
 # a lone client whose queue holds a chunk of another size just after the
 # ones a chain would drain
 @example(scenario=_two_level(
     clients=6, servers_level1=1, buffer_bytes=61, base_write_rate=25.0,
     compute_rate=3.7, schedule=make_schedule(
         [(8, 1.0, 7), (4, 2.0, 100), (3, 0.5, 101), (9, 1.0, 101)], 4.5)),
-    piece=2, runs_from=0)
+    piece=2, window=1, runs_from=0)
 # uneven classes in one pool, all done at whole instants: at equal times
 # the merge orders chunks by position, then size, then stream
 @example(scenario=_two_level(
     clients=4, servers_level1=3, buffer_bytes=8, base_write_rate=25.0,
     striping_factor=2.0, compute_rate=0.0, gather_rate_factor=1.0,
     schedule=make_schedule([(1, 0.5, 7), (1, 0.5, 30)], 1.0)),
-    piece=1, runs_from=0)
-def test_stages_equal_the_per_chunk_oracle(scenario, piece, runs_from):
+    piece=1, window=2, runs_from=0)
+def test_stages_equal_the_per_chunk_oracle(scenario, piece, window, runs_from):
     """Every float of both stages, and the metrics, equal the oracle's
-    with ==, whatever the stage-two window (`_PIECE`) is, and with stage
-    one's batches and chains on for any buffer (`_RUNS_FROM` 0)."""
+    with ==, whatever the stage-two step (`_PIECE`) and the staging
+    replay's window (`_WINDOW`) are, and with stage one's batches and
+    chains on for any buffer (`_RUNS_FROM` 0)."""
     chunks, keys = _stage_inputs(scenario)
     cap = float(scenario.buffer_bytes)
-    with mock.patch.multiple(iosim, _PIECE=piece, _RUNS_FROM=runs_from):
+    with mock.patch.multiple(iosim, _PIECE=piece, _WINDOW=window,
+                             _RUNS_FROM=runs_from):
         ours, theirs = {}, {}
         for key in set(k for k in keys if k[0]):
             args = (chunks, key[0], key[1], cap, scenario.compute_rate,
@@ -394,9 +397,11 @@ def _outcome(scenario, oracle=False):
 def test_peak_staging_memory_is_bounded():
     """Stage two of io-c192-tuned.json with staging tracked, as the
     benchmark's memory-limited pool has, replays 2.3 M staging events.
-    Replayed one window at a time they take about 10 MiB of traced
-    allocation; sorted all at once, as the per-chunk replay did, they took
-    194 MiB.  Stage one runs before tracing starts."""
+    Replayed a bounded window at a time, with the writers' done times held
+    as runs, they take about 2.7 MiB of traced allocation.  Holding every
+    done time not yet replayed took about 10 MiB, and sorting all events
+    at once, as the per-chunk replay does, took 194 MiB.  Stage one runs
+    before tracing starts."""
     config = Path(__file__).resolve().parent.parent / "configs"
     scenario = load_scenario(config / "io-c192-tuned.json").io_scenario
     chunks, keys = _stage_inputs(scenario)
@@ -415,4 +420,33 @@ def test_peak_staging_memory_is_bounded():
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * MIB
+    assert peak < 6 * MIB
+
+
+def test_peak_staging_holds_no_writer_backlog():
+    """Two members gather 50,000 chunks each, five times as fast as their
+    one writer writes, so the writer finishes ten times later than the last
+    arrival.  The replay holds the writer's done times as one run, expands
+    it a window at a time and stops at the last arrival: about 1.6 MiB of
+    traced allocation, where holding every done time took 10.7 MiB.  The
+    result is the per-chunk oracle's, float for float."""
+    scenario = _two_level(clients=2, servers_level1=2, buffer_bytes=4000,
+                          base_write_rate=1000.0, compute_rate=0.0,
+                          gather_rate_factor=5.0,
+                          schedule=make_schedule([(50_000, 1.0, 1000)], 1.0))
+    chunks, keys = _stage_inputs(scenario)
+    args = (chunks, *keys[0], float(scenario.buffer_bytes), 0.0, True)
+    ours = iosim._simulate_stage_one(*args).arrivals
+    assert len(ours.runs) == 1
+    writing = (1, scenario.writer_rate(0), True)
+    tracemalloc.start()
+    try:
+        result = iosim._stage_two([ours, ours], *writing)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * MIB
+    theirs = io_oracle.simulate_stage_one(*args).arrivals
+    assert result == io_oracle.stage_two([theirs, theirs], *writing)
+    # the writer ends ten times later than the last arrival
+    assert result[1] > 9.9 * theirs[-1][0]
