@@ -9,13 +9,15 @@ Three subcommands:
 Exit status (`CubedsimError.exit_code`): 0 on success, 2 for configuration
 problems and unusable paths, 3 for simulation failures (memory guard,
 unwritable field, server overflow).
-Output files are written atomically (temp file then rename).
+Output files are written atomically (temp file then rename), with the
+mode a plain open() gives them: 0666 less the umask.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import statistics
 import sys
@@ -45,6 +47,11 @@ def _write_atomic(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp makes the file 0600; give it the mode open() would, 0666
+        # less the umask, which can only be read by setting it
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -296,7 +303,10 @@ def _repeat_count(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every
+    later call in the process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cubedsim",
         description="performance model for a cubed-sphere dynamical core "

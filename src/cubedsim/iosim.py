@@ -34,34 +34,29 @@ by `config.vary` and simulated like any other.
 Both stages step over runs, not single chunks.  A FIFO server that stays
 backlogged runs the Lindley recursion `free = max(free, t) + d` as a
 plain running sum, so its output is held as runs of chunks each done
-one duration after the last.  Stage one pushes a client's chunks of one
-size that fit at one instant as one batch, and advances a blocked client
-whose resume comes before every other client's event through all of its
-drain-one/push-one cycles at once, when its buffer holds enough chunks
-for that to pay.  Stage two gives each writer every n-th chunk of a
-stream and adds its durations up stretch by stretch; pools of mixed
-classes, and streams of short runs, are merged chunk by chunk.
-Exact means the same IEEE-754 operations in the same order as the
-per-chunk code kept in `tests/io_oracle.py`, so every output is the same
-float; running sums use `accumulate` and `reduce`, never `sum`.  Peak
-staging holds each writer's done times as backlogged runs, as stage one
-holds its output, and replays the (time, +-bytes) events in sorted order
-a bounded window at a time, expanding a run only as far as the window
-reaches.  It stops at the last arrival, since later dones only lower the
-level, so it holds a window and the runs, not the writers' backlog.
+one duration after the last.  Exact means the same IEEE-754 operations
+in the same order as the per-chunk code kept in `tests/io_oracle.py`, so
+every output is the same float and no running sum is a `sum`.  A sum of
+one duration n times is `_add_n`: below the top of a binade each such
+addition adds the same whole number of ulps, so it steps once per binade,
+not once per chunk copy.  Stage two's busy time and each writer's
+backlogged stretch are one `_add_n`, and a writer finds the arrivals a
+stretch takes by bisecting the stream's runs.  Pools of mixed classes,
+and streams of short runs, are merged chunk by chunk.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 from heapq import heappop, heappush, merge
 from itertools import accumulate, chain, compress, groupby, islice, repeat
-from math import inf, nextafter
-from operator import add, gt, indexOf, itemgetter, lt, ne, sub
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from math import inf, nextafter, ulp
+from operator import add, itemgetter, lt, ne, sub
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from . import workload
 from .errors import CubedsimError
@@ -76,6 +71,7 @@ _WINDOW = 1 << 12  # staging events per stream in one step of the replay
 # of the largest chunks, and stage two steps over a stream's runs only
 # when they average this many chunks
 _RUNS_FROM = 16
+_BINADE = 1 << 53  # the top of a binade, in its ulps counted from 0
 
 
 class IoConfigError(CubedsimError, ValueError):
@@ -418,56 +414,84 @@ def _dones(start: float, durs: Iterable[float]) -> List[float]:
     return dones
 
 
-def _write(ts: List[float], copies: int, dur: float, free: float,
+def _add_n(x: float, d: float, n: int) -> float:
+    """`reduce(add, repeat(d, n), x)` for x, d >= 0, bit for bit, in time
+    that grows with the binades crossed, not with n.  Up to the top of the
+    binade of x, 2**53 of its ulps, each step adds d rounded to whole ulps:
+    the same count every time, once a half-ulp tie starts from an even
+    count, where rounding to even keeps it.  Those steps are one exact
+    jump, and the step across the top is a plain addition."""
+    while n and x < inf:
+        u = ulp(x)
+        q = d / u                       # exact while below 2**53
+        if q < _BINADE and not (q % 1 == 0.5 and x / u % 2):
+            step = round(q)             # ulps per step; a tie rounds to even
+            if not step:
+                return x
+            k = min(n - 1, int(_BINADE - x / u) // step)
+            x += k * step * u
+            n -= k
+        x += d
+        n -= 1
+    return x
+
+
+class _Timeline:
+    """Runs of one size as a sequence of done times, never expanded."""
+
+    def __init__(self, runs: List[list]):
+        self.runs = runs
+        self.starts = list(accumulate(map(itemgetter(2), runs), initial=0))
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def __getitem__(self, i: int) -> float:
+        r = bisect_right(self.starts, i) - 1
+        return _add_n(self.runs[r][0], self.runs[r][1], i - self.starts[r])
+
+    def upto(self, t: float, lo: int, hi: int) -> int:
+        """The first i in [lo, hi) whose time is after t, or hi."""
+        r = max(bisect_right(self.runs, t, key=itemgetter(0)) - 1, 0)
+        first, dur, n, _b = self.runs[r]
+        k = bisect_right(range(n), t, key=partial(_add_n, first, dur))
+        return min(max(self.starts[r] + k, lo), hi)
+
+
+def _write(ts: Sequence[float], upto: Callable[[float, int, int], int],
+           i: int, step: int, copies: int, dur: float, free: float,
            held: Optional[_Arrivals], size: float) -> float:
-    """One writer's recursion `free = max(free, t) + dur` over the
-    non-decreasing arrival times `ts`, each arriving `copies` times in a
-    row, one backlogged stretch at a time.  Adds each stretch of
-    completions of chunks of `size` to `held` as one run unless it is
-    None, and returns the writer's new free time."""
-    if not ts:
-        return free
-    n = len(ts)
-    rest = iter(ts)
-    t = next(rest)
-    start = free if free > t else t
-    i = 0
-    while True:
-        stretch = accumulate(repeat(dur, (n - i) * copies), add,
-                             initial=start)
-        next(stretch)
-        # arrival i + 1 + j idles the writer iff it comes after the last
-        # copy of arrival i + j is done
-        try:
-            j = indexOf(map(gt, rest, islice(stretch, copies - 1, None,
-                                             copies)), True)
-        except ValueError:
-            j = n - i - 1               # the stretch reaches the last arrival
+    """One writer's recursion `free = max(free, t) + dur` over arrivals
+    `ts[i]`, `ts[i + step]`, ... of the sorted `ts`, each `copies` times
+    in a row; `upto(t, lo, hi)` is the first index in [lo, hi) after t,
+    or hi.  A backlogged writer takes all its arrivals at or before `free`
+    as one `_add_n`.  Adds each backlogged stretch of completions of
+    chunks of `size` to `held` as one run unless it is None, and returns
+    the writer's new free time."""
+    stop = len(ts)
+    while i < stop:
+        t = ts[i]
+        start = done = free if free > t else t
+        taken = 0
+        while i < stop and (m := -(-(upto(done, i, stop) - i) // step)) > 0:
+            done = _add_n(done, dur, m * copies)
+            taken += m
+            i += m * step
         if held is not None:
             # only the first stretch can start as the writer comes free
-            held.add(start == free, start + dur, dur, (j + 1) * copies, size)
-        i += j + 1
-        if i == n:
-            return max(stretch)         # the last arrival's copies
-        start = ts[i]
+            held.add(start == free, start + dur, dur, taken * copies, size)
+        free = done
+    return free
 
 
 def _take(run: list, cut: float) -> List[float]:
     """Take the done times before `cut` off the front of the run
-    `[first_done, dur, count, bytes]`, expanding it only that far."""
+    `[first_done, dur, count, bytes]`, expanding only those."""
     first, dur, n, _b = run
-    ts = [first]
-    while ts[-1] < cut and len(ts) < n:
-        more = n - len(ts)
-        if dur > 0 and (cut - ts[-1]) / dur + 2 < more:
-            more = int((cut - ts[-1]) / dur) + 2
-        ts += _dones(ts[-1], repeat(dur, more))
-    k = bisect_left(ts, cut)
-    if k < n:
-        run[0] = ts[k]
+    k = bisect_left(range(n), cut, key=partial(_add_n, first, dur))
+    run[0] = _add_n(first, dur, k)
     run[2] = n - k
-    del ts[k:]
-    return ts
+    return _running(first, repeat(dur, k - 1)) if k else []
 
 
 def _nth(runs: List[list], k: int) -> float:
@@ -488,15 +512,11 @@ class _Staging:
 
     def __init__(self, copies: int, n_writers: int):
         self.copies = copies    # each held arrival comes this many times
-        self.arrived: Dict[float, List[float]] = {}
+        self.arrived: Dict[float, List[float]] = defaultdict(list)
         self.written = [_Arrivals() for _ in range(n_writers)]
         self.last = -inf        # the latest arrival
         self.level = 0.0
         self.peak = 0.0
-
-    def of(self, size: float) -> List[float]:
-        """The held arrival times of chunks of `size`."""
-        return self.arrived.setdefault(size, [])
 
     def replay(self, cut: float):
         """Replay the held events before time `cut`; later ones wait."""
@@ -560,21 +580,24 @@ def _stage_two(arrival_streams: Sequence[_Arrivals], n_writers: int,
     if all(s is first for s in arrival_streams) and \
             len(first) >= _RUNS_FROM * len(first.runs):
         # identical members, in runs long enough to pay for themselves:
-        # the merge repeats each chunk once per member
+        # the merge repeats each chunk once per member.  Tracked staging
+        # takes the arrival times a piece at a time.
         staging = _Staging(copies, n_writers) if track_staging else None
-        held = repeat(None)
+        held = repeat(None) if staging is None else staging.written
         seq = 0
-        for ts, b in first.pieces(_PIECE):
+        for ts, b in (first.pieces(_PIECE) if staging is not None else
+                      ((_Timeline(list(group)), b) for b, group in
+                       groupby(first.runs, key=itemgetter(3)))):
             dur = b / rate
-            busy = reduce(add, repeat(dur, len(ts) * copies), busy)
+            busy = _add_n(busy, dur, len(ts) * copies)
+            upto = ts.upto if staging is None else partial(bisect_right, ts)
             if staging is not None:
                 staging.replay(ts[0])
-                staging.of(b).extend(ts)
+                staging.arrived[b].extend(ts)
                 staging.last = ts[-1]
-                held = staging.written
             for w, out in zip(range(n_writers), held):
-                free[w] = _write(ts[(w - seq) % n_writers::n_writers], copies,
-                                 dur, free[w], out, b)
+                free[w] = _write(ts, upto, (w - seq) % n_writers, n_writers,
+                                 copies, dur, free[w], out, b)
             seq += len(ts)
     else:
         # members of different classes, or short runs: merge chunk by chunk
@@ -592,7 +615,7 @@ def _stage_two(arrival_streams: Sequence[_Arrivals], n_writers: int,
                 free[w] = done
                 busy += dur
                 if staging is not None:
-                    staging.of(b).append(t)
+                    staging.arrived[b].append(t)
                     staging.written[w].add(f >= t, done, dur, 1, b)
     peak = 0.0
     if staging is not None:

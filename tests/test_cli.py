@@ -262,6 +262,58 @@ def test_module_entry_point_warns_nothing():
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_files_follow_the_umask(tmp_path, umask, mode):
+    # as files written by open() would, not private as mkstemp makes them
+    old = os.umask(umask)
+    try:
+        assert run_cli("run", "--config", str(CONFIG_DIR / "minimal.json"),
+                       "--out", str(tmp_path / "out")) == 0
+    finally:
+        os.umask(old)
+    files = sorted((tmp_path / "out").iterdir())
+    assert [path.name for path in files] == ["dyncore.csv", "summary.txt"]
+    assert [path.stat().st_mode & 0o777 for path in files] == [mode, mode]
+
+
+def test_one_process_answers_as_fresh_ones(tmp_path, capsys):
+    # main builds its parser once per process: a run, an argument error, a
+    # sweep and a report in one process give the exit codes, output and
+    # files that each gives in a fresh process
+    out = tmp_path / "out"
+    calls = [
+        ["run", "--config", str(CONFIG_DIR / "io-dev-rig.json"),
+         "--out", str(out / "run")],
+        ["run", "--config", str(CONFIG_DIR / "minimal.json"),
+         "--out", str(out / "bad"), "--repeat", "0"],
+        ["sweep", "--config", str(CONFIG_DIR / "io-dev-rig.json"),
+         "--axis", "servers", "--out", str(out / "sweep")],
+        ["report", str(out / "run" / "io.csv"), str(out / "run" / "io.csv"),
+         "--out", str(out / "report")],
+    ]
+
+    def files():
+        return {path: path.read_bytes() for path in out.rglob("*")
+                if path.is_file()}
+
+    src = Path(cubedsim.__file__).resolve().parent.parent
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        here = (code, *capsys.readouterr(), files())
+        fresh = subprocess.run(
+            [sys.executable, "-m", "cubedsim.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=60)
+        assert here == (fresh.returncode, fresh.stdout, fresh.stderr, files())
+        codes.append(code)
+    assert codes == [0, 2, 0, 0]
+    assert cubedsim.cli.build_parser() is cubedsim.cli.build_parser()
+
+
 def run_in_child(config, out, limit):
     """`run` on `config` in a child with `limit` bytes of address space;
     the last line of its stdout is its peak RSS in KiB, VmHWM, since the

@@ -10,6 +10,9 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
+from itertools import repeat
+from operator import add
 from pathlib import Path
 from unittest import mock
 
@@ -334,6 +337,25 @@ def test_sweeps_that_keep_stage_one_simulate_it_once(monkeypatch, tmp_path):
     striping_factor=2.0, compute_rate=0.0, gather_rate_factor=1.0,
     schedule=make_schedule([(1, 0.5, 7), (1, 0.5, 30)], 1.0)),
     piece=1, window=2, runs_from=0)
+# with the shipped steps, so identical members take the run-wise writers:
+# writers backlogged within each output hour and idle between hours,
+@example(scenario=_two_level(
+    clients=8, servers_level1=2, servers_level2=2, files=2, buffer_bytes=5000,
+    base_write_rate=97.3, compute_rate=1000.0,
+    schedule=make_schedule([(40, 1.0, 1000)], 4.0)),
+    piece=iosim._PIECE, window=iosim._WINDOW, runs_from=iosim._RUNS_FROM)
+# writers faster than the gathering, idle at every arrival,
+@example(scenario=_two_level(
+    clients=4, servers_level1=1, servers_level2=2, files=2, buffer_bytes=5000,
+    base_write_rate=50.0, striping_factor=2.0, gather_rate_factor=1.0,
+    compute_rate=0.0, schedule=make_schedule([(60, 1.0, 1000)], 2.0)),
+    piece=iosim._PIECE, window=iosim._WINDOW, runs_from=iosim._RUNS_FROM)
+# and a stream of three chunk sizes, its writers backlogged across them
+@example(scenario=_two_level(
+    clients=4, servers_level1=2, servers_level2=2, files=2, buffer_bytes=5000,
+    base_write_rate=64.0, compute_rate=200.0, schedule=make_schedule(
+        [(30, 1.0, 1000), (20, 1.0, 600), (10, 2.0, 300)], 4.0)),
+    piece=iosim._PIECE, window=iosim._WINDOW, runs_from=iosim._RUNS_FROM)
 def test_stages_equal_the_per_chunk_oracle(scenario, piece, window, runs_from):
     """Every float of both stages, and the metrics, equal the oracle's
     with ==, whatever the stage-two step (`_PIECE`) and the staging
@@ -392,6 +414,95 @@ def _outcome(scenario, oracle=False):
             return simulate_io(scenario)
         except ServerMemoryError:
             return "OUT_OF_MEMORY"
+
+
+def test_untracked_identical_members_expand_no_run():
+    """With staging off, the writers of identical members bisect the
+    stream's runs: the stage builds no list with an entry per chunk, so
+    50,000 chunks in one run take a few KiB of traced allocation.  The
+    result is the per-chunk oracle's, float for float."""
+    scenario = _two_level(clients=2, servers_level1=2, servers_level2=2,
+                          files=2, buffer_bytes=4000, base_write_rate=1000.0,
+                          compute_rate=0.0, gather_rate_factor=5.0,
+                          schedule=make_schedule([(50_000, 1.0, 1000)], 1.0))
+    chunks, keys = _stage_inputs(scenario)
+    args = (chunks, *keys[0], float(scenario.buffer_bytes), 0.0, True)
+    ours = iosim._simulate_stage_one(*args).arrivals
+    assert len(ours.runs) == 1
+    theirs = io_oracle.simulate_stage_one(*args).arrivals
+    writing = (2, scenario.writer_rate(0), False)
+    expected = io_oracle.stage_two([theirs, theirs], *writing)
+
+    def expand(*_args):
+        raise AssertionError("untracked stage two expanded the stream")
+
+    with mock.patch.multiple(iosim._Arrivals, pieces=expand, tagged=expand):
+        tracemalloc.start()
+        try:
+            result = iosim._stage_two([ours, ours], *writing)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert result == expected
+    assert peak < 64 * 1024
+
+
+def _binade(x):
+    """The index of the binade of x >= 0, in which the floats are the
+    multiples of ulp(x); zero and the subnormals share the lowest."""
+    if x == math.inf:
+        return 1025
+    return max(math.frexp(x)[1], -1021) if x else -1021
+
+
+@st.composite
+def _sums(draw):
+    """(x, d, n) for `_add_n`: d anywhere, subnormal, a multiple of a
+    quarter ulp of x (so below half an ulp, or a half-ulp tie), a power of
+    two, or at least x."""
+    x = draw(st.one_of(st.just(0.0), st.floats(0.0, allow_infinity=False)))
+    kind = draw(st.sampled_from(["any", "subnormal", "ulps", "two", "above"]))
+    if kind == "any":
+        d = draw(st.floats(0.0, allow_infinity=False))
+    elif kind == "subnormal":
+        d = draw(st.floats(0.0, 2.0 ** -1022, exclude_max=True))
+    elif kind == "ulps":
+        d = math.ulp(x) * (draw(st.integers(0, 1 << 20)) / 4)
+    elif kind == "two":
+        d = math.ldexp(1.0, draw(st.integers(-1074, 1023)))
+    else:
+        d = min(x * draw(st.floats(1.0, 1e6)), 1e308)
+    n = draw(st.one_of(st.integers(0, 64), st.integers(0, 10**6)))
+    return x, d, n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_sums())
+@example(case=(0.0, 5e-324, 10**6))
+@example(case=(0.0, 2.0 ** -1073, 999_999))
+@example(case=(1.0, 1.5 * 2.0 ** -52, 10**6))      # (M + 1/2) ulps, M = 1
+@example(case=(1.0, 2.0 ** -53, 10**6))            # a tie that stays put
+@example(case=(1.0 + 2.0 ** -52, 2.0 ** -53, 3))   # a tie from an odd count
+@example(case=(3.0, 2.0 ** -60, 10**6))            # below half an ulp
+@example(case=(2.0 - 2.0 ** -52, 1.25 * 2.0 ** -52, 3))  # an ulp below a top
+@example(case=(2.0 ** -40, 1.0, 10**6))            # across 60 binades
+@example(case=(1.5e308, 1e303, 10**6))             # overflows to inf
+def test_add_n_is_n_additions(case):
+    """`_add_n(x, d, n)` is n additions of d to x, bit for bit, and takes
+    at most two steps per binade the sum enters, so a binade bound that
+    is off by one, and steps back or one ulp at a time, fails here."""
+    x, d, n = case
+    steps = []
+
+    def ulp(y):
+        steps.append(y)
+        assert len(steps) <= 2 * (_binade(math.inf) - _binade(x) + 1)
+        return math.ulp(y)
+
+    with mock.patch.object(iosim, "ulp", ulp):
+        total = iosim._add_n(x, d, n)
+    assert total == reduce(add, repeat(d, n), x)
+    assert len(steps) <= 2 * (_binade(total) - _binade(x) + 1)
 
 
 def test_peak_staging_memory_is_bounded():
