@@ -88,6 +88,10 @@ class ServerMemoryError(CubedsimError, RuntimeError):
 
 @dataclass(frozen=True)
 class IoScenario:
+    """An I/O layout and its output schedule.  `server_memory_bytes`, if
+    set, limits the summed peak staging of the level-2 pools; a flat
+    layout stages nothing, so it ignores the limit."""
+
     clients: int
     servers_level1: int
     servers_level2: int
@@ -629,7 +633,34 @@ def simulate_io(scenario: IoScenario,
                 shared: Optional[Dict[tuple, object]] = None) -> IoMetrics:
     """Run the scenario to completion and report the key measures;
     `shared` keeps chunks and stage-one results by their inputs for the
-    calls given it, such as a sweep's points, and nothing changes them."""
+    calls given it, such as a sweep's points, and nothing changes them.
+
+    A two-level layout with `server_memory_bytes` set raises
+    ServerMemoryError when the summed peak staging of its pools exceeds
+    the limit.  The guard first tries a bound that needs no replay: with
+    T = `total_bytes`, n chunk arrivals at level 2 (one per client and
+    chunk), P pools, u = 2**-53 and m = n + P + 3 <= 2**53, the staging
+    total is at most B = T * (1 + 2*m*u).  When the limit is at least
+    ceil(B), compared in integers, stage two tracks nothing.  Otherwise
+    the exact replay runs, and it alone decides and gives the number.
+
+    Why B bounds it.  A chunk's size is fl(fl(bytes) * fl(1/clients)),
+    three roundings to nearest, each within a factor (1 + u), so a
+    field's shares over all clients sum to at most bytes * (1+u)**3.  A
+    pool's level is a float running sum of its +size and -size events,
+    in any order.  Rounding is monotone and a -size step never raises a
+    float, so by induction the level never exceeds the float running sum
+    of the arrivals so far.  That sum never falls, so the pool's peak,
+    which starts at 0, is at most its final value, a float sum of the
+    pool's n_p arrivals, which is at most their exact sum times
+    (1+u)**n_p (Higham, "Accuracy and Stability of Numerical Algorithms",
+    2002, section 4.2).  Each chunk reaches exactly one pool, and the
+    pools' peaks are summed with P more roundings.  So the total is at
+    most T * (1+u)**m <= T * exp(m*u) <= T * (1 + 2*m*u), as m*u <= 1.
+    This takes no sum to overflow, which needs T near 2**1024; a
+    config's schedule holds at most 2**73 bytes.  The bound is loose
+    when the writers keep up: io-c192-tuned.json's exact peak is 0.026
+    of its B, so its limit still takes the replay."""
     sched = scenario.schedule
     shared = {} if shared is None else shared
     emitted = (sched, scenario.clients)
@@ -679,7 +710,12 @@ def simulate_io(scenario: IoScenario,
     busy_write = 0.0
     last_done = 0.0
     if two_level:
-        track = scenario.server_memory_bytes is not None
+        limit = scenario.server_memory_bytes
+        m = scenario.clients * len(chunks) + pools + 3
+        # at or above ceil(B) (see the docstring) the guard cannot fire
+        track = limit is not None and not (
+            m <= _BINADE
+            and limit >= -(-total_bytes * (_BINADE + 2 * m) // _BINADE))
         writers_per_pool = scenario.servers_level2 // pools
         staging_total = 0.0
         pool_cache: Dict[tuple, Tuple[float, float, float]] = {}
@@ -697,10 +733,12 @@ def simulate_io(scenario: IoScenario,
             staging_total += peak
             if done > last_done:
                 last_done = done
-        if track and staging_total > scenario.server_memory_bytes:
+        if track and staging_total > limit:
             raise ServerMemoryError(
-                f"peak server staging {staging_total / MIB:.1f} MiB exceeds "
-                f"limit {scenario.server_memory_bytes / MIB:.1f} MiB")
+                f"peak server staging of {staging_total!r} bytes "
+                f"({staging_total / MIB:.1f} MiB) exceeds the "
+                f"server_memory_bytes limit of {limit!r} bytes "
+                f"({limit / MIB:.1f} MiB)")
     else:
         for key, res in classes.items():
             busy_write += multiplicity[key] * res.busy_s

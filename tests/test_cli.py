@@ -545,20 +545,38 @@ def test_config_problem_exits_2_naming_its_location(tmp_path, capsys, doc,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("doc", [
+@pytest.mark.parametrize("doc,text", [
     # a field share larger than the client buffer
-    edited(IO_RIG, io_scenario={"buffer_bytes": 1024}),
-    # two-level staging beyond the server memory
-    edited(IO_RIG, io_scenario={"servers_level1": 2, "servers_level2": 2,
-                                "server_memory_bytes": 1}),
+    (edited(IO_RIG, io_scenario={"buffer_bytes": 1024}),
+     "exceeds the 1024-byte client buffer"),
+    # two-level staging beyond the server memory: the peak and the limit
+    # in exact bytes, and the key that sets the limit
+    (edited(IO_RIG, io_scenario={"servers_level1": 2, "servers_level2": 2,
+                                 "server_memory_bytes": 1}),
+     "peak server staging of 102760448.0 bytes (98.0 MiB) exceeds the "
+     "server_memory_bytes limit of 1 bytes (0.0 MiB)"),
 ], ids=["unwritable-field", "staging-overflow"])
-def test_io_simulation_failure_exits_3(tmp_path, capsys, doc):
+def test_io_simulation_failure_exits_3(tmp_path, capsys, doc, text):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(doc))
     code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert code == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and text in err
     assert not (tmp_path / "o").exists()
+
+
+def test_flat_layouts_ignore_the_staging_limit(tmp_path):
+    # only level-2 servers stage data, so a flat layout runs as if the
+    # limit were unset, however small it is
+    cfg = tmp_path / "c.json"
+    outputs = []
+    for extra in ({}, {"server_memory_bytes": 1}):
+        cfg.write_text(json.dumps(edited(IO_RIG, io_scenario=extra)))
+        out = tmp_path / f"out{len(outputs)}"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
+        outputs.append((out / "io.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("costs,term", [

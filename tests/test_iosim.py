@@ -10,6 +10,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 from operator import add
@@ -400,20 +401,69 @@ def test_stages_equal_the_per_chunk_oracle(scenario, piece, window, runs_from):
             for limit in (total, below):
                 limited = replace(scenario, server_memory_bytes=limit)
                 assert _outcome(limited) == _outcome(limited, oracle=True)
-            assert _outcome(limited) == "OUT_OF_MEMORY"
+            assert _outcome(limited).startswith("OUT_OF_MEMORY: ")
 
 
 def _outcome(scenario, oracle=False):
-    """simulate_io's metrics, or OUT_OF_MEMORY; with the oracle's stages
-    when `oracle` is set."""
+    """simulate_io's metrics, or OUT_OF_MEMORY with the error's text; with
+    the oracle's stages when `oracle` is set."""
     stages = mock.patch.multiple(
         iosim, _simulate_stage_one=io_oracle.simulate_stage_one,
         _stage_two=io_oracle.stage_two)
     with stages if oracle else contextlib.nullcontext():
         try:
             return simulate_io(scenario)
-        except ServerMemoryError:
-            return "OUT_OF_MEMORY"
+        except ServerMemoryError as err:
+            return f"OUT_OF_MEMORY: {err}"
+
+
+def _staging_bound(scenario):
+    """simulate_io's bound on the summed peak staging, exactly:
+    B = T * (1 + 2*m*2**-53), m = clients * field writes + pools + 3."""
+    sched = scenario.schedule
+    m = scenario.clients * workload.total_fields(sched) + scenario.pools + 3
+    return workload.total_bytes(sched) * (1 + Fraction(2 * m, 2 ** 53))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scenario=io_scenarios().filter(lambda s: s.two_level))
+# a writer that finishes nothing before the last arrival, so the peak is
+# the whole running sum of the arrivals, here above the total bytes: the
+# bound's tightest case
+@example(scenario=_two_level(
+    clients=9, servers_level1=2, buffer_bytes=10**6, base_write_rate=50.0,
+    gather_rate_factor=1000.0, compute_rate=0.0,
+    schedule=make_schedule([(7, 0.5, 100), (3, 1.0, 977)], 1.0)))
+def test_staging_bound_spares_the_replay(scenario):
+    """The bound is at least the oracle's staging total.  At a limit of
+    ceil(bound) the guard replays nothing and passes, as the oracle does.
+    Between the total and the bound, and just below the total, the replay
+    runs and the guard decides, and words its error, as the oracle does."""
+    chunks, keys = _stage_inputs(scenario)
+    classes = {key: io_oracle.simulate_stage_one(
+        chunks, key[0], key[1], float(scenario.buffer_bytes),
+        scenario.compute_rate, True) for key in set(keys) if key[0]}
+    total = _oracle_staging_total(scenario, keys, classes)
+    bound = _staging_bound(scenario)
+    assert total <= bound
+
+    def refuse(*_args):
+        raise AssertionError("the staging replay ran above the bound")
+
+    limited = replace(scenario, server_memory_bytes=max(math.ceil(bound), 1))
+    with mock.patch.object(iosim._Staging, "replay", refuse):
+        assert _outcome(limited) == _outcome(limited, oracle=True) \
+            == simulate_io(scenario)
+    if total <= 1:
+        return      # no limit below the total is valid
+    between = float((Fraction(total) + bound) / 2)
+    assert total < between < bound
+    for limit in (between, math.nextafter(total, -math.inf)):
+        limited = replace(scenario, server_memory_bytes=limit)
+        with mock.patch.object(iosim._Staging, "replay", autospec=True,
+                               side_effect=iosim._Staging.replay) as replay:
+            assert _outcome(limited) == _outcome(limited, oracle=True)
+        assert replay.called
 
 
 def test_untracked_identical_members_expand_no_run():
@@ -506,8 +556,8 @@ def test_add_n_is_n_additions(case):
 
 
 def test_peak_staging_memory_is_bounded():
-    """Stage two of io-c192-tuned.json with staging tracked, as the
-    benchmark's memory-limited pool has, replays 2.3 M staging events.
+    """Stage two of io-c192-tuned.json with staging tracked, as any
+    limit below its bound makes it, replays 2.3 M staging events.
     Replayed a bounded window at a time, with the writers' done times held
     as runs, they take about 2.7 MiB of traced allocation.  Holding every
     done time not yet replayed took about 10 MiB, and sorting all events
