@@ -31,7 +31,9 @@ independently and identical ones are deduplicated, which is exact
 because nothing couples them.  A sweep point is a whole scenario, built
 by `config.vary` and simulated like any other.
 
-Both stages step over runs, not single chunks.  A FIFO server that stays
+Both stages step over runs, not single chunks.  Stage one takes each
+client's emissions as groups of one hour and size, and runs a blocked
+client's drain-one/push-one cycles as one chain.  A FIFO server that stays
 backlogged runs the Lindley recursion `free = max(free, t) + d` as a
 plain running sum, so its output is held as runs of chunks each done
 one duration after the last.  Exact means the same IEEE-754 operations
@@ -51,10 +53,10 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from functools import partial, reduce
-from heapq import heappop, heappush, merge
-from itertools import accumulate, chain, compress, groupby, islice, repeat
+from heapq import heappop, heappushpop, merge
+from itertools import accumulate, chain, groupby, islice, repeat
 from math import inf, nextafter, ulp
-from operator import add, itemgetter, lt, ne, sub
+from operator import add, itemgetter, lt, sub
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -235,6 +237,27 @@ class _Arrivals:
                     seq += 1
 
 
+class _Chunks:
+    """One client's emissions as groups `(model_hour, count, bytes)` of
+    consecutive chunks, no two neighbours of one hour and size.  `len()`
+    is the number of chunks, as it is for `_Arrivals`."""
+
+    __slots__ = ("groups", "count")
+
+    def __init__(self, groups: Iterable[Tuple[float, int, float]]):
+        self.groups = [(t, sum(map(itemgetter(1), run)), b) for (t, b), run
+                       in groupby(groups, key=itemgetter(0, 2))]
+        self.count = sum(map(itemgetter(1), self.groups))
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def _expand(values: Iterable, counts: Iterable[int]) -> list:
+    """Each value repeated its count of times, in order."""
+    return list(chain.from_iterable(map(repeat, values, counts)))
+
+
 @dataclass
 class _StageOneResult:
     waits: List[float]              # per client
@@ -243,17 +266,20 @@ class _StageOneResult:
     arrivals: _Arrivals             # completions in FIFO order
 
 
-def _simulate_stage_one(chunks: Sequence[Tuple[float, float]], n_clients: int,
-                        rate: float, cap: float, compute_rate: float,
+def _simulate_stage_one(chunks: _Chunks, n_clients: int, rate: float,
+                        cap: float, compute_rate: float,
                         collect_arrivals: bool) -> _StageOneResult:
     """One server draining n identical clients.
 
-    `chunks` is the per-client emission list of (model_hour, bytes).  At
-    equal times clients act in id order, each pushing as many chunks as
-    fit before yielding.  When a buffer holds `_RUNS_FROM` of the largest
-    chunks, a client's pushes at one instant go as one batch, and a
-    blocked client whose next resume comes before every other client's
-    event runs its drain-one/push-one cycles as one chain.
+    `chunks` holds each client's emissions in groups of one hour and
+    size.  At equal times clients act in id order, each pushing as many
+    chunks as fit before yielding; a client's next event that comes
+    before every other's is taken at once, as the heap would hand it
+    back.  When a buffer holds `_RUNS_FROM` of the largest chunks, a
+    client's pushes at one instant go as one batch, and a blocked client
+    whose drain-one/push-one cycle keeps its fill is chained: its resume
+    runs `_cycles` up to the next other event or the last chunk of its
+    stretch, which the per-event step pushes before it goes on.
     """
     waits = [0.0] * n_clients
     arrivals = _Arrivals()
@@ -262,28 +288,42 @@ def _simulate_stage_one(chunks: Sequence[Tuple[float, float]], n_clients: int,
         return _StageOneResult(waits=waits, busy_s=0.0, last_done=0.0,
                                arrivals=arrivals)
     n_chunks = len(chunks)
-    hours = list(map(itemgetter(0), chunks))
-    sizes = list(map(itemgetter(1), chunks))
+    groups = chunks.groups
+    counts = list(map(itemgetter(1), groups))
+    hours = _expand(map(itemgetter(0), groups), counts)
+    sizes = _expand(map(itemgetter(2), groups), counts)
     limit = cap + _EPS
-    shortcuts = limit >= _RUNS_FROM * max(sizes)
-    # where each stretch of chunks of one hour and one size starts
-    stretches = list(compress(range(1, n_chunks),
-                              map(ne, chunks[1:], chunks))) \
-        if shortcuts else []
-    stretches.append(n_chunks)
+    shortcuts = limit >= _RUNS_FROM * max(map(itemgetter(2), groups))
+    if shortcuts:
+        # per chunk, the end of its stretch and of its run of one size
+        stops = _expand(accumulate(counts), counts)
+        spans = [sum(map(itemgetter(1), run))
+                 for _b, run in groupby(groups, key=itemgetter(2))]
+        size_ends = _expand(accumulate(spans), spans)
     ptr = [0] * n_clients
     fill = [0.0] * n_clients
     # per client, the done times of its queued chunks: the last ones it
     # pushed, so their sizes are sizes[ptr - len(queue):ptr]
     pend: List[List[float]] = [[] for _ in range(n_clients)]
+    chained = [False] * n_clients
     srv_free = 0.0
     busy = 0.0
     heap = [(hours[0] * compute_rate, c) for c in range(n_clients)]
     # already sorted by client id; heapify is a no-op ordering-wise
-    while heap:
-        t, c = heappop(heap)
+    t, c = heappop(heap)
+    while True:
         pt = pend[c]
         k = ptr[c]
+        if chained[c]:
+            # blocked on chunk k, resuming at t == pt[0]
+            share = sizes[k]
+            k, srv_free, busy, waits[c], chained[c] = _cycles(
+                pt, size_ends, k, stops[k], heap, c, share, share / rate,
+                srv_free, busy, waits[c],
+                arrivals if collect_arrivals else None)
+            ptr[c] = k
+            t, c = heappushpop(heap, (pt[0], c))
+            continue
         f = fill[c]
         if pt and pt[0] <= t:
             if len(pt) == 1 or pt[1] > t:
@@ -305,16 +345,18 @@ def _simulate_stage_one(chunks: Sequence[Tuple[float, float]], n_clients: int,
             dur = share / rate
             start = srv_free if srv_free > t else t
             if shortcuts and grown + 3 * share <= limit and \
-                    (same := stretches[bisect_right(stretches, k)] - k) > 3:
+                    (same := stops[k] - k) > 3:
                 # four or more of this size fit: push them as one batch
-                n, f = _fit(f, repeat(share, min(
-                    same, int((limit - f) / share) + 2)), limit)
-                dones = _dones(start, repeat(dur, n))
-                busy = reduce(add, repeat(dur, n), busy)
+                fills = _running(f, repeat(share, min(
+                    same, int((limit - f) / share) + 2)))
+                n = bisect_right(fills, limit, 1) - 1   # as many as fit
+                f = fills[n]
+                first = start + dur
+                busy = _add_n(busy, dur, n)
                 if collect_arrivals:
-                    arrivals.add(start == srv_free, dones[0], dur, n, share)
-                srv_free = dones[-1]
-                pt += dones
+                    arrivals.add(start == srv_free, first, dur, n, share)
+                pt += accumulate(repeat(dur, n - 1), add, initial=first)
+                srv_free = pt[-1]
                 k += n
             else:
                 done = start + dur
@@ -329,6 +371,8 @@ def _simulate_stage_one(chunks: Sequence[Tuple[float, float]], n_clients: int,
                 pt.append(done)
                 f = grown
                 k += 1
+        fill[c] = f
+        ptr[c] = k
         if blocked:
             # resume when enough of our queued chunks drain
             lo = i = k - len(pt)
@@ -340,69 +384,67 @@ def _simulate_stage_one(chunks: Sequence[Tuple[float, float]], n_clients: int,
                     break
                 i += 1
             waits[c] += resume - t
-            if (shortcuts and len(pt) > 1 and sizes[lo] == share
-                    and f - share + share == f):
-                k, srv_free, busy, waits[c] = _cycles(
-                    pt, sizes, k, stretches[bisect_right(stretches, k)],
-                    heap, c, share / rate, srv_free, busy, waits[c],
-                    arrivals if collect_arrivals else None)
-                resume = pt[0]
-            heappush(heap, (resume, c))
+            chained[c] = (shortcuts and len(pt) > 1 and sizes[lo] == share
+                          and f - share + share == f)
+            t, c = heappushpop(heap, (resume, c))
         elif k < n_chunks:
-            heappush(heap, (t + (hours[k] - hour) * compute_rate, c))
-        fill[c] = f
-        ptr[c] = k
+            t, c = heappushpop(heap, (t + (hours[k] - hour) * compute_rate, c))
+        elif heap:
+            t, c = heappop(heap)
+        else:
+            break
     if collect_arrivals:
         arrivals.count = n_chunks * n_clients
     return _StageOneResult(waits=waits, busy_s=busy, last_done=srv_free,
                            arrivals=arrivals)
 
 
-def _cycles(pt: List[float], sizes: List[float], k: int, stop: int,
-            heap: list, c: int, dur: float, srv_free: float, busy: float,
-            wait: float, arrivals: Optional[_Arrivals]
-            ) -> Tuple[int, float, float, float]:
-    """Run the drain-one/push-one cycles of blocked client `c`, whose
-    queued chunks are done at `pt` and are `sizes[k - len(pt):k]`, while
-    its resume comes before the first event in `heap` (ties go to the
-    lower id).
+def _cycles(pt: List[float], size_ends: List[int], k: int, stop: int,
+            heap: list, c: int, share: float, dur: float, srv_free: float,
+            busy: float, wait: float, arrivals: Optional[_Arrivals]
+            ) -> Tuple[int, float, float, float, bool]:
+    """Run the drain-one/push-one cycles of chained client `c`, blocked on
+    chunk k, from its resume at pt[0], the first of its queued chunks'
+    done times, while each resume comes before the first event in `heap`
+    (ties go to the lower id).  Chunks k to `stop` - 1 are of size
+    `share`, and chunk i's run of one size ends at `size_ends[i]`.
 
-    Each cycle drains the first queued chunk and pushes chunk k, of the
-    same size; the caller has checked that this leaves the fill
-    bit-identical, so every cycle repeats the decisions of the first.
-    Chunks k to `stop` - 1 have that size.  A cycle needs the next queued
-    chunk to be of that size and to be done strictly later, or else the
-    per-event step must take it.  Returns the next chunk to push and the
-    new server free time, busy time and client wait."""
-    share = sizes[k]
+    Chained means that two or more chunks are queued, the first of size
+    `share`, and that f - share + share == f for the fill f.  Then the
+    per-event step at t = pt[0] makes exactly one cycle when pt[1] > t,
+    chunk k + 1 is in the stretch and the second queued chunk is of size
+    `share`: it drains pt[0] alone, pushes chunk k, which fits (the fill
+    is f again) and goes singly (f + share does not fit), at the server's
+    free time >= pt[-1] > t; chunk k + 1 blocks at fill f until pt[1],
+    the wait grows by pt[1] - pt[0], and the client is chained again.
+    n cycles take the queued done times up to pt[n], which must increase
+    strictly: that is proven when `dur` >= ulp(pt[n]), since each queued
+    done is at least fl(the one before + dur).
+
+    Returns the chunk blocked on, the server's free time, busy time and
+    client wait, and whether the heap's first event cut the chain, so
+    that the client resumes at pt[0] still chained."""
     while True:
         lo = k - len(pt)
-        most = min(len(pt) - 1, stop - 1 - k)
+        most = min(len(pt) - 1, stop - 1 - k, size_ends[lo] - 1 - lo)
+        n = most
         if heap:
             top_t, top_c = heap[0]
-            most = (bisect_right if c < top_c else bisect_left)(
-                pt, top_t, 0, most)
-        if (most < 1 or sizes[lo:lo + most + 1].count(share) <= most
-                or not all(map(lt, pt, pt[1:most + 1]))):
-            return k, srv_free, busy, wait
-        wait = reduce(add, map(sub, pt[1:most + 1], pt), wait)
-        dones = _dones(srv_free, repeat(dur, most))
-        busy = reduce(add, repeat(dur, most), busy)
+            n = (bisect_right if c < top_c else bisect_left)(pt, top_t,
+                                                             hi=most)
+        if not n or dur < ulp(pt[n]) and not all(map(lt, pt, pt[1:n + 1])):
+            return k, srv_free, busy, wait, not n and most > 0
+        wait = reduce(add, map(sub, pt[1:n + 1], pt), wait)
+        busy = _add_n(busy, dur, n)
+        first = srv_free + dur
+        pt += accumulate(repeat(dur, n - 1), add, initial=first)
+        srv_free = pt[-1]
         if arrivals is not None:
-            arrivals.add(True, dones[0], dur, most, share)
-        srv_free = dones[-1]
-        del pt[:most]
-        pt += dones
-        k += most
-
-
-def _fit(fill: float, sizes: Iterable[float],
-         limit: float) -> Tuple[int, float]:
-    """How many of `sizes` fit, pushed in order onto `fill` while it stays
-    within `limit`, and the fill after them."""
-    fills = _running(fill, sizes)
-    n = bisect_right(fills, limit, 1) - 1
-    return n, fills[n]
+            arrivals.add(True, first, dur, n, share)
+        del pt[:n]
+        k += n
+        if n < most:
+            return k, srv_free, busy, wait, True
 
 
 def _running(first: float, steps: Iterable[float]) -> List[float]:
@@ -411,20 +453,16 @@ def _running(first: float, steps: Iterable[float]) -> List[float]:
     return list(accumulate(steps, add, initial=first))
 
 
-def _dones(start: float, durs: Iterable[float]) -> List[float]:
-    """Completion times of chunks written back to back from `start`."""
-    dones = _running(start, durs)
-    del dones[0]
-    return dones
-
-
 def _add_n(x: float, d: float, n: int) -> float:
     """`reduce(add, repeat(d, n), x)` for x, d >= 0, bit for bit, in time
     that grows with the binades crossed, not with n.  Up to the top of the
     binade of x, 2**53 of its ulps, each step adds d rounded to whole ulps:
     the same count every time, once a half-ulp tie starts from an even
     count, where rounding to even keeps it.  Those steps are one exact
-    jump, and the step across the top is a plain addition."""
+    jump, and the step across the top is a plain addition.  Below 32
+    additions, adding one by one is cheaper."""
+    if n < 32:
+        return reduce(add, repeat(d, n), x)
     while n and x < inf:
         u = ulp(x)
         q = d / u                       # exact while below 2**53
@@ -666,13 +704,14 @@ def simulate_io(scenario: IoScenario,
     emitted = (sched, scenario.clients)
     if emitted not in shared:
         share_of = 1.0 / scenario.clients
-        shared[emitted] = [(ev.time_hours, ev.bytes * share_of)
-                           for ev in workload.emission_events(sched)]
+        shared[emitted] = _Chunks(
+            (t, n, b * share_of)
+            for t, n, b in workload.emission_groups(sched))
     chunks = shared[emitted]
     total_bytes = workload.total_bytes(sched)
     cap = float(scenario.buffer_bytes)
     if chunks:
-        biggest = max(b for _t, b in chunks)
+        biggest = max(map(itemgetter(2), chunks.groups))
         if biggest > cap + _EPS:
             raise UnwritableFieldError(
                 f"field share of {biggest:.0f} bytes exceeds the "
@@ -682,12 +721,12 @@ def simulate_io(scenario: IoScenario,
     two_level = scenario.two_level
     pools = scenario.pools
     n_gather = scenario.servers_level1
+    rates = [scenario.writer_rate(p) for p in range(pools)]
     # per level-1 server: its clients, round-robin by client id, and its
     # stage-one rate (gathering, or in a flat layout writing)
     keys = [(scenario.clients // n_gather
              + (1 if s < scenario.clients % n_gather else 0),
-             scenario.gather_rate if two_level
-             else scenario.writer_rate(s % pools))
+             scenario.gather_rate if two_level else rates[s % pools])
             for s in range(n_gather)]
 
     # deduplicate identical stage-one subsystems, in server order
@@ -723,7 +762,7 @@ def simulate_io(scenario: IoScenario,
             # level-1 servers go round-robin to pools; every pool has the
             # same writer count, so its members and rate identify it
             members = tuple(key for key in keys[p::pools] if key[0])
-            sig = (members, scenario.writer_rate(p))
+            sig = (members, rates[p])
             if sig not in pool_cache:
                 pool_cache[sig] = _stage_two(
                     [classes[key].arrivals for key in members],

@@ -4,13 +4,19 @@ A schedule is a list of (field_count, period_hours, bytes_per_field)
 entries over a run of run_hours model hours.  The first output of an
 entry happens one full period into the run, never at time zero, so an
 18-hour field is written twice in a 48-hour run.  A schedule holds at
-most MAX_FIELD_WRITES field writes: the I/O simulation builds one event
-per write, at about 250 bytes each while it runs.
+most MAX_FIELD_WRITES field writes, which bounds the I/O simulation's
+memory and time: its input is one group per output (`emission_groups`),
+but stage one still holds each write's hour and size and steps through
+each client's writes.  Measured with tracemalloc at 1,000,000 writes, it
+holds 16 bytes per write, or 32 when the client buffer is large enough
+for its batch and chain shortcuts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import List, NamedTuple, Tuple
 
 from .errors import CubedsimError
@@ -61,6 +67,12 @@ class EmissionEvent(NamedTuple):
     bytes: int
 
 
+class EmissionGroup(NamedTuple):
+    time_hours: float
+    count: int
+    bytes: int
+
+
 def _outputs_per_entry(entry: ScheduleEntry, run_hours: float) -> int:
     return int((run_hours + _EPS) / entry.period_hours)
 
@@ -92,6 +104,19 @@ def emission_events(schedule: DiagnosticSchedule) -> List[EmissionEvent]:
     raw.sort()
     return [EmissionEvent(t, idx, b)
             for idx, (t, _entry, _f, b) in enumerate(raw)]
+
+
+def emission_groups(schedule: DiagnosticSchedule) -> List[EmissionGroup]:
+    """The emissions of `emission_events` as maximal runs of one time and
+    one size, in the same order, built per output of each entry rather
+    than per field write."""
+    outputs = sorted(
+        (k * entry.period_hours, entry_idx, entry.field_count,
+         entry.bytes_per_field)
+        for entry_idx, entry in enumerate(schedule.entries)
+        for k in range(1, _outputs_per_entry(entry, schedule.run_hours) + 1))
+    return [EmissionGroup(t, sum(map(itemgetter(2), run)), b)
+            for (t, b), run in groupby(outputs, key=itemgetter(0, 3))]
 
 
 def make_schedule(entries: List[Tuple[int, float, int]],

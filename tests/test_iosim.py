@@ -6,6 +6,7 @@ full, and servers drain in FIFO order.
 """
 
 import contextlib
+import heapq
 import json
 import math
 import tracemalloc
@@ -210,17 +211,28 @@ def test_simulate_io_is_deterministic():
 
 # --- run-compressed stages against the per-chunk oracle --------------------
 
+def _expanded(chunks):
+    """The (model_hour, bytes) of every chunk of iosim's grouped chunks."""
+    return [(t, b) for t, n, b in chunks.groups for _ in range(n)]
+
+
 def _stage_inputs(scenario):
-    """simulate_io's per-client chunks and per-level-1-server keys."""
-    events = workload.emission_events(scenario.schedule)
-    chunks = [(ev.time_hours, ev.bytes * (1.0 / scenario.clients))
-              for ev in events]
+    """simulate_io's per-client chunks, grouped as iosim takes them and
+    one by one as the oracle takes them, and its per-level-1-server
+    keys."""
+    share_of = 1.0 / scenario.clients
+    groups = iosim._Chunks((t, n, b * share_of) for t, n, b in
+                           workload.emission_groups(scenario.schedule))
+    chunks = [(ev.time_hours, ev.bytes * share_of)
+              for ev in workload.emission_events(scenario.schedule)]
+    assert _expanded(groups) == chunks
+    assert len(groups) == len(chunks)
     n = scenario.servers_level1
     keys = [(scenario.clients // n + (1 if s < scenario.clients % n else 0),
              scenario.gather_rate if scenario.two_level
              else scenario.writer_rate(s % scenario.pools))
             for s in range(n)]
-    return chunks, keys
+    return groups, chunks, keys
 
 
 def _oracle_staging_total(scenario, keys, classes):
@@ -357,21 +369,38 @@ def test_sweeps_that_keep_stage_one_simulate_it_once(monkeypatch, tmp_path):
     base_write_rate=64.0, compute_rate=200.0, schedule=make_schedule(
         [(30, 1.0, 1000), (20, 1.0, 600), (10, 2.0, 300)], 4.0)),
     piece=iosim._PIECE, window=iosim._WINDOW, runs_from=iosim._RUNS_FROM)
+# two clients of one server whose chains cut each other short in turn
+@example(scenario=tiny(
+    clients=2, buffer_bytes=1000, compute_rate=1.0,
+    schedule=make_schedule([(60, 1.0, 100)], 2.0)),
+    piece=iosim._PIECE, window=iosim._WINDOW, runs_from=iosim._RUNS_FROM)
+# a lone client whose chain leaves the last chunk of an hour, which it
+# pushes at once before its next compute arrival,
+@example(scenario=tiny(
+    buffer_bytes=2000, compute_rate=1000.0,
+    schedule=make_schedule([(30, 1.0, 100)], 2.0)),
+    piece=iosim._PIECE, window=iosim._WINDOW, runs_from=iosim._RUNS_FROM)
+# and one whose last chunk of a size is followed in that hour by chunks of
+# another size, which it pushes event by event
+@example(scenario=tiny(
+    buffer_bytes=2000, compute_rate=1000.0,
+    schedule=make_schedule([(30, 1.0, 100), (10, 1.0, 60)], 2.0)),
+    piece=iosim._PIECE, window=iosim._WINDOW, runs_from=iosim._RUNS_FROM)
 def test_stages_equal_the_per_chunk_oracle(scenario, piece, window, runs_from):
     """Every float of both stages, and the metrics, equal the oracle's
     with ==, whatever the stage-two step (`_PIECE`) and the staging
     replay's window (`_WINDOW`) are, and with stage one's batches and
     chains on for any buffer (`_RUNS_FROM` 0)."""
-    chunks, keys = _stage_inputs(scenario)
+    groups, chunks, keys = _stage_inputs(scenario)
     cap = float(scenario.buffer_bytes)
     with mock.patch.multiple(iosim, _PIECE=piece, _WINDOW=window,
                              _RUNS_FROM=runs_from):
         ours, theirs = {}, {}
         for key in set(k for k in keys if k[0]):
-            args = (chunks, key[0], key[1], cap, scenario.compute_rate,
+            args = (key[0], key[1], cap, scenario.compute_rate,
                     scenario.two_level)
-            ours[key] = iosim._simulate_stage_one(*args)
-            theirs[key] = io_oracle.simulate_stage_one(*args)
+            ours[key] = iosim._simulate_stage_one(groups, *args)
+            theirs[key] = io_oracle.simulate_stage_one(chunks, *args)
             assert ours[key].waits == theirs[key].waits
             assert ours[key].busy_s == theirs[key].busy_s
             assert ours[key].last_done == theirs[key].last_done
@@ -404,11 +433,39 @@ def test_stages_equal_the_per_chunk_oracle(scenario, piece, window, runs_from):
             assert _outcome(limited).startswith("OUT_OF_MEMORY: ")
 
 
+def test_a_lone_client_takes_a_heap_event_per_output_hour():
+    """A lone client whose buffer holds 20 of its chunks blocks every
+    hour.  Its chains, and the push and the compute arrival after each,
+    come before any other client's event, so they are taken without the
+    heap: at most one heap event per output hour, where resuming through
+    the heap took two.  The metrics are the oracle's."""
+    scenario = tiny(buffer_bytes=2000, compute_rate=10.0,
+                    schedule=make_schedule([(50, 1.0, 100)], 6.0))
+    events = []
+
+    def pop(heap):
+        events.append("pop")
+        return heapq.heappop(heap)
+
+    def pushpop(heap, item):
+        out = heapq.heappushpop(heap, item)
+        if out is not item:
+            events.append("exchange")
+        return out
+
+    with mock.patch.multiple(iosim, heappop=pop, heappushpop=pushpop):
+        metrics = simulate_io(scenario)
+    assert metrics.client_wait_s > 0
+    assert len(events) <= 6
+    assert metrics == _outcome(scenario, oracle=True)
+
+
 def _outcome(scenario, oracle=False):
     """simulate_io's metrics, or OUT_OF_MEMORY with the error's text; with
     the oracle's stages when `oracle` is set."""
     stages = mock.patch.multiple(
-        iosim, _simulate_stage_one=io_oracle.simulate_stage_one,
+        iosim, _simulate_stage_one=lambda chunks, *args:
+        io_oracle.simulate_stage_one(_expanded(chunks), *args),
         _stage_two=io_oracle.stage_two)
     with stages if oracle else contextlib.nullcontext():
         try:
@@ -439,7 +496,7 @@ def test_staging_bound_spares_the_replay(scenario):
     ceil(bound) the guard replays nothing and passes, as the oracle does.
     Between the total and the bound, and just below the total, the replay
     runs and the guard decides, and words its error, as the oracle does."""
-    chunks, keys = _stage_inputs(scenario)
+    _groups, chunks, keys = _stage_inputs(scenario)
     classes = {key: io_oracle.simulate_stage_one(
         chunks, key[0], key[1], float(scenario.buffer_bytes),
         scenario.compute_rate, True) for key in set(keys) if key[0]}
@@ -475,11 +532,11 @@ def test_untracked_identical_members_expand_no_run():
                           files=2, buffer_bytes=4000, base_write_rate=1000.0,
                           compute_rate=0.0, gather_rate_factor=5.0,
                           schedule=make_schedule([(50_000, 1.0, 1000)], 1.0))
-    chunks, keys = _stage_inputs(scenario)
-    args = (chunks, *keys[0], float(scenario.buffer_bytes), 0.0, True)
-    ours = iosim._simulate_stage_one(*args).arrivals
+    groups, chunks, keys = _stage_inputs(scenario)
+    args = (*keys[0], float(scenario.buffer_bytes), 0.0, True)
+    ours = iosim._simulate_stage_one(groups, *args).arrivals
     assert len(ours.runs) == 1
-    theirs = io_oracle.simulate_stage_one(*args).arrivals
+    theirs = io_oracle.simulate_stage_one(chunks, *args).arrivals
     writing = (2, scenario.writer_rate(0), False)
     expected = io_oracle.stage_two([theirs, theirs], *writing)
 
@@ -565,9 +622,9 @@ def test_peak_staging_memory_is_bounded():
     before tracing starts."""
     config = Path(__file__).resolve().parent.parent / "configs"
     scenario = load_scenario(config / "io-c192-tuned.json").io_scenario
-    chunks, keys = _stage_inputs(scenario)
+    groups, _chunks, keys = _stage_inputs(scenario)
     classes = {key: iosim._simulate_stage_one(
-        chunks, key[0], key[1], float(scenario.buffer_bytes),
+        groups, key[0], key[1], float(scenario.buffer_bytes),
         scenario.compute_rate, True) for key in set(keys) if key[0]}
     # the distinct pools, as simulate_io simulates them
     pools = {(tuple(key for key in keys[p::scenario.pools] if key[0]),
@@ -595,9 +652,9 @@ def test_peak_staging_holds_no_writer_backlog():
                           base_write_rate=1000.0, compute_rate=0.0,
                           gather_rate_factor=5.0,
                           schedule=make_schedule([(50_000, 1.0, 1000)], 1.0))
-    chunks, keys = _stage_inputs(scenario)
-    args = (chunks, *keys[0], float(scenario.buffer_bytes), 0.0, True)
-    ours = iosim._simulate_stage_one(*args).arrivals
+    groups, chunks, keys = _stage_inputs(scenario)
+    args = (*keys[0], float(scenario.buffer_bytes), 0.0, True)
+    ours = iosim._simulate_stage_one(groups, *args).arrivals
     assert len(ours.runs) == 1
     writing = (1, scenario.writer_rate(0), True)
     tracemalloc.start()
@@ -607,7 +664,7 @@ def test_peak_staging_holds_no_writer_backlog():
     finally:
         tracemalloc.stop()
     assert peak < 3 * MIB
-    theirs = io_oracle.simulate_stage_one(*args).arrivals
+    theirs = io_oracle.simulate_stage_one(chunks, *args).arrivals
     assert result == io_oracle.stage_two([theirs, theirs], *writing)
     # the writer ends ten times later than the last arrival
     assert result[1] > 9.9 * theirs[-1][0]

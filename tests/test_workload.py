@@ -3,13 +3,13 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubedsim.config import load_scenario
 from cubedsim.workload import (MAX_FIELD_WRITES, ScheduleError,
-                               emission_events, make_schedule, total_bytes,
-                               total_fields)
+                               emission_events, emission_groups, make_schedule,
+                               total_bytes, total_fields)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -108,3 +108,26 @@ def test_schedule_size_is_bounded_at_load():
         make_schedule([(MAX_FIELD_WRITES // 24 + 1, 1.0, 10)], 24.0)
     with pytest.raises(ScheduleError, match="field writes"):
         make_schedule([(1, 5e-324, 10)], 24.0)    # no overflow on the way
+
+
+@given(st.lists(st.tuples(st.integers(1, 6),
+                          st.sampled_from([0.1, 0.3, 0.5, 0.75, 1.0, 1.5, 2.5,
+                                           7.0]),
+                          st.sampled_from([1, 10, 10**6])),
+                min_size=1, max_size=5),
+       st.sampled_from([1.0, 4.5, 6.0, 24.0]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+# equal times across entries (1.5 * 2 == 1.0 * 3), of equal and of other
+# sizes, and periods that do not divide the run
+@example([(2, 1.0, 10), (3, 1.5, 10), (1, 1.5, 1), (4, 2.5, 10)], 6.0)
+@example([(1, 0.1, 10), (2, 0.3, 10)], 1.0)
+def test_groups_expand_to_the_events(entries, run_hours):
+    """Each group stands for `count` writes of one time and size; expanded,
+    the groups are the events' (time, bytes), in order, and no two
+    neighbouring groups share both."""
+    schedule = make_schedule(entries, run_hours)
+    groups = emission_groups(schedule)
+    assert [(t, b) for t, n, b in groups for _ in range(n)] == \
+        [(e.time_hours, e.bytes) for e in emission_events(schedule)]
+    assert all((g.time_hours, g.bytes) != (h.time_hours, h.bytes)
+               for g, h in zip(groups, groups[1:]))
