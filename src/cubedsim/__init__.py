@@ -11,8 +11,7 @@ from .machine import (CostModel, LayoutError, MachineConfig, MemoryModel,
 from .workload import (DiagnosticSchedule, ScheduleEntry, emission_events,
                        make_schedule, total_bytes, total_fields)
 from .dyncore import (MemoryLimitError, Mode, RunSpec, SimulationError,
-                      TimestepBreakdown, simulate, strong_scaling_study,
-                      thread_sweep)
+                      TimestepBreakdown, simulate)
 from .iosim import (IoMetrics, IoScenario, IoConfigError, ServerMemoryError,
                     UnwritableFieldError, simulate_io, striping_compare)
 from .config import Scenario, load_scenario, parse_scenario
@@ -30,8 +29,7 @@ __all__ = [
     "DiagnosticSchedule", "ScheduleEntry", "emission_events",
     "make_schedule", "total_bytes", "total_fields",
     "MemoryLimitError", "Mode", "RunSpec", "SimulationError",
-    "TimestepBreakdown",
-    "simulate", "strong_scaling_study", "thread_sweep",
+    "TimestepBreakdown", "simulate",
     "IoMetrics", "IoScenario", "IoConfigError", "ServerMemoryError",
     "UnwritableFieldError", "simulate_io", "striping_compare",
     "Scenario", "load_scenario", "parse_scenario",

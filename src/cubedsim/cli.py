@@ -22,7 +22,7 @@ import os
 import statistics
 import sys
 import tempfile
-import warnings
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Sequence
 
@@ -250,30 +250,37 @@ def cmd_sweep(args) -> int:
     if axis not in scenario.sweep:
         raise ConfigError(f"{scenario.source}.sweep: no axis {axis!r} "
                           f"(available: {sorted(scenario.sweep) or 'none'})")
-    values = scenario.sweep[axis]
-    if axis == "threads":
-        run = scenario.run_spec()
-        rows = dyncore.thread_sweep(run.mesh, run.machine, run.nodes, values,
-                                    cost=run.cost_model, memory=run.memory)
-    elif axis == "nodes":
-        run = scenario.run_spec()
-        with warnings.catch_warnings(record=True) as skipped:
-            warnings.simplefilter("always")
-            rows = dyncore.strong_scaling_study(
-                run.mesh, run.machine, values,
-                run.ranks_per_node, run.threads_per_rank,
-                cost=run.cost_model, memory=run.memory)
-        where = f"{scenario.source}.sweep.nodes"
-        for warning in skipped:
-            print(f"warning: {where}: {warning.message}", file=sys.stderr)
-        if not rows:
-            raise dyncore.MemoryLimitError(
-                f"{where}: every value trips the memory guard")
-    else:
-        shared: dict = {}  # stage one, where sweep points leave it alone
-        rows = [{axis: v, **iosim.metrics_row(
-                    iosim.simulate_io(vary(scenario, axis, v), shared))}
-                for v in values]
+    where = f"{scenario.source}.sweep.{axis}"
+    shared: dict = {}  # stage one, where sweep points leave it alone
+    rows = []
+    for value in scenario.sweep[axis]:
+        point = vary(scenario, axis, value)
+        if isinstance(point, iosim.IoScenario):
+            rows.append({axis: value, **iosim.metrics_row(
+                iosim.simulate_io(point, shared))})
+            continue
+        # threads and nodes sweeps drop the layout's mode, halo depth and
+        # bytes per cell: the recorded benchmark outputs encode that
+        point = replace(point, mode=dyncore.Mode.EXCHANGE_HALOS,
+                        halo_depth=1, bytes_per_cell=None)
+        try:
+            rows.append(dyncore.breakdown_row(point, dyncore.simulate(point)))
+        except dyncore.MemoryLimitError as exc:
+            if axis != "nodes":
+                raise
+            print(f"warning: {where}: skipping {value} nodes: {exc}",
+                  file=sys.stderr)
+    if not rows:
+        raise dyncore.MemoryLimitError(
+            f"{where}: every value trips the memory guard")
+    if axis == "nodes":     # ideal scaling from the first point kept
+        total0, nodes0 = rows[0]["total_s"], rows[0]["nodes"]
+        for row in rows:
+            row["ideal_s"] = total0 * nodes0 / row["nodes"]
+    elif axis == "threads":  # the fewest threads win an exact tie
+        best = min(rows, key=lambda row: (row["total_s"], row["threads"]))
+        for row in rows:
+            row["best"] = row is best
     out = Path(args.out)
     write_csv(out / f"sweep_{axis}.csv", rows)
     print(f"wrote {out / f'sweep_{axis}.csv'}")

@@ -11,9 +11,10 @@ this module adds the location, so every error is a ConfigError reading
 name or MachineConfig's fields.  The layout is checked against the
 machine and mesh.  `vary` turns a sweep value into the run or I/O
 scenario it stands for; the loader builds each one to check it.  The
-`sweep` command simulates what it returns on the I/O axes; its
-`threads` and `nodes` sweeps drop the layout's mode, halo depth and
-bytes per cell.  `nodes` and `buffer_bytes` lists must not decrease.
+`sweep` command simulates what it returns, except for one line in
+`cli.cmd_sweep`: on the `threads` and `nodes` axes it drops the layout's
+mode, halo depth and bytes per cell, kept because the recorded benchmark
+outputs encode it.  `nodes` and `buffer_bytes` lists must not decrease.
 """
 
 from __future__ import annotations

@@ -12,10 +12,9 @@ per-rank serialized message cost.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from . import decomp as dc
 from .errors import CubedsimError
@@ -179,48 +178,3 @@ def breakdown_row(run: RunSpec, result: TimestepBreakdown) -> Dict[str, object]:
         "etc_s": result.etc_s,
         "total_s": result.total_s,
     }
-
-
-def strong_scaling_study(mesh: CubedSphereMesh, machine: MachineConfig,
-                         node_counts: Sequence[int], ranks_per_node: int,
-                         threads_per_rank: int,
-                         **run_kwargs) -> List[Dict[str, object]]:
-    """Time per timestep against node count, with an ideal-scaling
-    reference column anchored at the first entry.  Configurations that
-    trip the memory guard are skipped with a warning."""
-    rows: List[Dict[str, object]] = []
-    anchor = None
-    for nodes in node_counts:
-        run = RunSpec(mesh=mesh, machine=machine, nodes=nodes,
-                      ranks_per_node=ranks_per_node,
-                      threads_per_rank=threads_per_rank, **run_kwargs)
-        try:
-            result = simulate(run)
-        except MemoryLimitError as exc:
-            warnings.warn(f"skipping {nodes} nodes: {exc}")
-            continue
-        row = breakdown_row(run, result)
-        if anchor is None:
-            anchor = (nodes, result.total_s)
-        row["ideal_s"] = anchor[1] * anchor[0] / nodes
-        rows.append(row)
-    return rows
-
-
-def thread_sweep(mesh: CubedSphereMesh, machine: MachineConfig, nodes: int,
-                 thread_list: Sequence[int],
-                 **run_kwargs) -> List[Dict[str, object]]:
-    """Breakdown per thread count at fixed nodes; the lowest-total row
-    is flagged, smallest thread count winning exact ties."""
-    rows: List[Dict[str, object]] = []
-    for t in thread_list:
-        run = RunSpec(mesh=mesh, machine=machine, nodes=nodes,
-                      ranks_per_node=machine.cores_per_node // t,
-                      threads_per_rank=t, **run_kwargs)
-        rows.append(breakdown_row(run, simulate(run)))
-    best_total = min(row["total_s"] for row in rows)
-    flagged = False
-    for row in sorted(rows, key=lambda r: r["threads"]):
-        row["best"] = (not flagged) and row["total_s"] == best_total
-        flagged = flagged or row["best"]
-    return rows

@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 
 from cubedsim import decomp as dc
-from cubedsim.cli import main as cli_main
+from cubedsim.cli import main as cli_main, read_csv
 from cubedsim.config import load_scenario
-from cubedsim.dyncore import RunSpec, breakdown_row, simulate, thread_sweep
+from cubedsim.dyncore import RunSpec, breakdown_row, simulate
 from cubedsim.iosim import IoScenario, simulate_io, striping_compare
 from cubedsim.machine import builtin_machine
 from cubedsim.mesh import build_mesh
@@ -123,9 +123,12 @@ def test_criterion_05_weak_scaling_attribution():
           f"growth (>= 90%)")
 
 
-def test_criterion_06_thread_sweep_shape():
-    rows = thread_sweep(build_mesh(512, 120), builtin_machine("archer2"),
-                        nodes=48, thread_list=[1, 2, 4, 8, 16])
+def test_criterion_06_thread_sweep_shape(tmp_path):
+    # C512 with 120 levels on 48 ARCHER2 nodes, threads 1, 2, 4, 8 and 16
+    assert cli_main(["sweep", "--config",
+                     str(CONFIG_DIR / "threads-c512.json"),
+                     "--axis", "threads", "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "sweep_threads.csv")
     totals = {row["threads"]: row["total_s"] for row in rows}
     best = min(totals, key=totals.get)
     assert best in (1, 2, 4)

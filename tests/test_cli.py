@@ -14,7 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cubedsim
-from cubedsim.cli import TableMismatchError, main, ratio_report
+from cubedsim.cli import TableMismatchError, main, ratio_report, read_csv
+from cubedsim.config import parse_scenario, vary
+from cubedsim.dyncore import simulate
+from cubedsim.machine import builtin_machine
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MINIMAL = json.loads((CONFIG_DIR / "minimal.json").read_text())
@@ -135,6 +138,75 @@ def test_nodes_sweep_names_skipped_points(tmp_path, capsys, nodes, code):
         assert [row.split(",")[1] for row in rows[1:]] == ["12"]
 
 
+TOY = {"name": "toy", "cores_per_node": 4, "clock_ghz": 2.0, "max_nodes": 64}
+BIG_MEMORY = {"node_memory_bytes": 2 ** 50}
+
+
+def run_sweep(tmp_path, doc, axis):
+    """Sweep `doc` over `axis`; the path of the CSV written."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("sweep", "--config", str(cfg), "--axis", axis,
+                   "--out", str(tmp_path / "sweep")) == 0
+    return tmp_path / "sweep" / f"sweep_{axis}.csv"
+
+
+def test_strong_scaling_study(tmp_path):
+    rows = read_csv(run_sweep(tmp_path, {
+        "machine": TOY, "memory": BIG_MEMORY,
+        "mesh": {"panel_size": 16, "levels": 10},
+        "layout": {"nodes": 1, "ranks_per_node": 4, "threads_per_rank": 1},
+        "sweep": {"nodes": [1, 2, 4, 6]}}, "nodes"))
+    assert [row["nodes"] for row in rows] == [1, 2, 4, 6]
+    totals = [row["total_s"] for row in rows]
+    assert totals == sorted(totals, reverse=True)
+    assert rows[0]["ideal_s"] == totals[0]
+    assert rows[1]["ideal_s"] == pytest.approx(totals[0] / 2)
+
+
+def test_strong_scaling_skips_oom_points(tmp_path, capsys):
+    rows = read_csv(run_sweep(tmp_path, {
+        "machine": {"builtin": "ARCHER2"},
+        "mesh": {"panel_size": 256, "levels": 120},
+        "layout": {"nodes": 12, "ranks_per_node": 128, "threads_per_rank": 1},
+        "sweep": {"nodes": [12, 384]}}, "nodes"))
+    assert capsys.readouterr().err.startswith(
+        "warning: c.json.sweep.nodes: skipping 384 nodes: ")
+    assert [row["nodes"] for row in rows] == [12]
+    assert rows[0]["ideal_s"] == rows[0]["total_s"]
+
+
+def test_thread_sweep_flags_single_best(tmp_path):
+    rows = read_csv(run_sweep(tmp_path, {
+        "machine": TOY, "memory": BIG_MEMORY,
+        "mesh": {"panel_size": 16, "levels": 10},
+        "layout": {"nodes": 6, "ranks_per_node": 4, "threads_per_rank": 1},
+        "sweep": {"threads": [1, 2, 4]}}, "threads"))
+    assert [row["best"] for row in rows].count("True") == 1
+    best = min(rows, key=lambda r: r["total_s"])
+    assert best["best"] == "True"
+
+
+def test_thread_sweep_tie_goes_to_fewer_threads(tmp_path):
+    """Without halo exchanges, allreduces or barriers, 1 and 2 threads
+    per rank take exactly the same time; the 1-thread row is flagged
+    although the sweep lists it second."""
+    doc = {"machine": {"builtin": "ARCHER2"},
+           "mesh": {"panel_size": 16, "levels": 10},
+           "layout": {"nodes": 1, "ranks_per_node": 128,
+                      "threads_per_rank": 1},
+           "cost_model": {"halo_exchanges_per_step": 0,
+                          "allreduces_per_step": 0, "barrier_cost": 0.0},
+           "sweep": {"threads": [2, 1, 4]}}
+    scenario = parse_scenario(doc)
+    total = {t: simulate(vary(scenario, "threads", t)).total_s
+             for t in (2, 1)}
+    assert total[2] == total[1]
+    rows = read_csv(run_sweep(tmp_path, doc, "threads"))
+    assert [(row["threads"], row["best"]) for row in rows] == \
+        [(2, "False"), (1, "True"), (4, "False")]
+
+
 def test_sweep_unknown_axis_exits_2(tmp_path, capsys):
     code = run_cli("sweep", "--config", str(CONFIG_DIR / "threads-c512.json"),
                    "--axis", "nodes", "--out", str(tmp_path))
@@ -163,13 +235,43 @@ SMALL_POOLS = {
 }
 
 
+# the layout keys that threads and nodes sweeps drop, so the run of one
+# of their points leaves them out too
+DROPPED = ("mode", "halo_depth", "bytes_per_cell")
+
+
 def _varied(doc, axis, value):
     """`doc` as the single run that one sweep value stands for."""
+    if axis in ("threads", "nodes"):
+        layout = {k: v for k, v in doc["layout"].items() if k not in DROPPED}
+        if axis == "threads":
+            cores = builtin_machine(doc["machine"]["builtin"]).cores_per_node
+            layout.update(threads_per_rank=value, ranks_per_node=cores // value)
+        else:
+            layout["nodes"] = value
+        return {"machine": doc["machine"], "mesh": doc["mesh"],
+                "layout": layout}
     io = dict(doc["io_scenario"])
     if axis == "servers":
         axis = "servers_level2" if io["servers_level2"] else "servers_level1"
     io[axis] = value
     return {"schedule": doc["schedule"], "io_scenario": io}
+
+
+def _sweep_and_runs(tmp_path, doc, axis):
+    """The header and rows of the sweep of `doc` over `axis`, and the
+    header and row of the run of each value."""
+    header, *rows = run_sweep(tmp_path, doc, axis).read_text().splitlines()
+    name = "io.csv" if "io_scenario" in doc else "dyncore.csv"
+    runs = []
+    for k, value in enumerate(doc["sweep"][axis]):
+        point = tmp_path / f"point{k}"
+        point.with_suffix(".json").write_text(
+            json.dumps(_varied(doc, axis, value)))
+        assert run_cli("run", "--config", str(point.with_suffix(".json")),
+                       "--out", str(point)) == 0
+        runs.append((point / name).read_text().splitlines())
+    return header, rows, runs
 
 
 @pytest.mark.parametrize("doc,axis", [
@@ -179,23 +281,40 @@ def _varied(doc, axis, value):
     (SMALL_POOLS, "servers"),
 ], ids=["rig-buffer_bytes", "rig-servers", "pools", "two-level-servers"])
 def test_io_sweep_rows_equal_the_runs_they_vary(tmp_path, doc, axis):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(doc))
-    assert run_cli("sweep", "--config", str(cfg), "--axis", axis,
-                   "--out", str(tmp_path / "sweep")) == 0
-    header, *rows = (tmp_path / "sweep" / f"sweep_{axis}.csv") \
-        .read_text().splitlines()
+    header, rows, runs = _sweep_and_runs(tmp_path, doc, axis)
     assert header.startswith(f"{axis},")
     assert [int(row.split(",")[0]) for row in rows] == doc["sweep"][axis]
-    for k, value in enumerate(doc["sweep"][axis]):
-        point = tmp_path / f"point{k}"
-        point.with_suffix(".json").write_text(
-            json.dumps(_varied(doc, axis, value)))
-        assert run_cli("run", "--config", str(point.with_suffix(".json")),
-                       "--out", str(point)) == 0
-        run_header, run_row = (point / "io.csv").read_text().splitlines()
+    for value, row, (run_header, run_row) in zip(doc["sweep"][axis], rows,
+                                                 runs):
         assert header == f"{axis},{run_header}"
-        assert rows[k] == f"{value},{run_row}"
+        assert row == f"{value},{run_row}"
+
+
+SMALL_LAYOUT = {
+    "machine": {"builtin": "ARCHER2"},
+    "mesh": {"panel_size": 48, "levels": 30},
+    "layout": {"nodes": 2, "ranks_per_node": 64, "threads_per_rank": 2},
+    "sweep": {"threads": [1, 2, 4], "nodes": [1, 2, 4]},
+}
+REDUNDANT_LAYOUT = dict(SMALL_LAYOUT, layout=dict(
+    SMALL_LAYOUT["layout"], mode="redundant_compute", halo_depth=2,
+    bytes_per_cell=40))
+
+
+@pytest.mark.parametrize("doc", [SMALL_LAYOUT, REDUNDANT_LAYOUT],
+                         ids=["default", "redundant-depth2"])
+@pytest.mark.parametrize("axis,extra", [("threads", "best"),
+                                        ("nodes", "ideal_s")])
+def test_timestep_sweep_rows_equal_the_runs_they_vary(tmp_path, doc, axis,
+                                                      extra):
+    """Each row is its point's run plus one column.  The runs leave out
+    the layout's mode, halo depth and bytes per cell, which threads and
+    nodes sweeps drop."""
+    header, rows, runs = _sweep_and_runs(tmp_path, doc, axis)
+    assert len(rows) == len(runs) == len(doc["sweep"][axis])
+    for row, (run_header, run_row) in zip(rows, runs):
+        assert header == f"{run_header},{extra}"
+        assert row.rpartition(",")[0] == run_row
 
 
 def test_report_two_inputs_ratio(tmp_path):

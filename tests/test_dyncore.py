@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 from cubedsim import decomp as dc
 from cubedsim.dyncore import (MemoryLimitError, Mode, RunSpec,
                               SimulationError, TimestepBreakdown,
-                              breakdown_row, simulate, strong_scaling_study,
-                              thread_sweep)
-from cubedsim.machine import (LayoutError, MachineConfig, MemoryModel,
-                              builtin_machine, default_cost_model)
+                              breakdown_row, simulate)
+from cubedsim.machine import (MachineConfig, MemoryModel, builtin_machine,
+                              default_cost_model)
 from cubedsim.mesh import build_mesh
 from test_decomp import bfs_messages
 
@@ -445,36 +444,6 @@ def test_weak_scaling_attribution():
     colls = [row["coll_s"] for row in rows]
     assert max(users) / min(users) < 1.01
     assert colls[0] < colls[1] < colls[2]
-
-
-def test_strong_scaling_study():
-    rows = strong_scaling_study(build_mesh(16, 10), TOY, [1, 2, 4, 6],
-                                ranks_per_node=4, threads_per_rank=1,
-                                memory=BIG_MEMORY)
-    assert [row["nodes"] for row in rows] == [1, 2, 4, 6]
-    totals = [row["total_s"] for row in rows]
-    assert totals == sorted(totals, reverse=True)
-    assert rows[0]["ideal_s"] == totals[0]
-    assert rows[1]["ideal_s"] == pytest.approx(totals[0] / 2)
-
-
-def test_strong_scaling_skips_oom_points():
-    archer2 = builtin_machine("archer2")
-    with pytest.warns(UserWarning):
-        rows = strong_scaling_study(build_mesh(256, 120), archer2,
-                                    [12, 384], ranks_per_node=128,
-                                    threads_per_rank=1)
-    assert [row["nodes"] for row in rows] == [12]
-
-
-def test_thread_sweep_flags_single_best():
-    rows = thread_sweep(build_mesh(16, 10), TOY, nodes=6, thread_list=[1, 2, 4],
-                        memory=BIG_MEMORY)
-    assert sum(row["best"] for row in rows) == 1
-    best = min(rows, key=lambda r: r["total_s"])
-    assert best["best"]
-    with pytest.raises(LayoutError):
-        thread_sweep(build_mesh(16, 10), TOY, nodes=6, thread_list=[3])
 
 
 def test_clock_scaling_between_machines():
