@@ -253,21 +253,24 @@ def cmd_sweep(args) -> int:
     where = f"{scenario.source}.sweep.{axis}"
     shared: dict = {}  # stage one, where sweep points leave it alone
     rows = []
-    for value in scenario.sweep[axis]:
+    for k, value in enumerate(scenario.sweep[axis]):
         point = vary(scenario, axis, value)
-        if isinstance(point, iosim.IoScenario):
-            rows.append({axis: value, **iosim.metrics_row(
-                iosim.simulate_io(point, shared))})
-            continue
-        # threads and nodes sweeps drop the layout's mode, halo depth and
-        # bytes per cell: the recorded benchmark outputs encode that
-        point = replace(point, mode=dyncore.Mode.EXCHANGE_HALOS,
-                        halo_depth=1, bytes_per_cell=None)
         try:
+            if isinstance(point, iosim.IoScenario):
+                rows.append({axis: value, **iosim.metrics_row(
+                    iosim.simulate_io(point, shared))})
+                continue
+            # threads and nodes sweeps drop the layout's mode, halo depth
+            # and bytes per cell: the recorded benchmark outputs encode that
+            point = replace(point, mode=dyncore.Mode.EXCHANGE_HALOS,
+                            halo_depth=1, bytes_per_cell=None)
             rows.append(dyncore.breakdown_row(point, dyncore.simulate(point)))
-        except dyncore.MemoryLimitError as exc:
-            if axis != "nodes":
-                raise
+        except CubedsimError as exc:
+            if axis != "nodes" or \
+                    not isinstance(exc, dyncore.MemoryLimitError):
+                # named by its point, of the same class and exit status
+                raise type(exc)(f"{where}[{k}] = {value}: {exc}",
+                                exc.key) from exc
             print(f"warning: {where}: skipping {value} nodes: {exc}",
                   file=sys.stderr)
     if not rows:

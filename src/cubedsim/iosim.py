@@ -41,10 +41,11 @@ in the same order as the per-chunk code kept in `tests/io_oracle.py`, so
 every output is the same float and no running sum is a `sum`.  A sum of
 one duration n times is `_add_n`: below the top of a binade each such
 addition adds the same whole number of ulps, so it steps once per binade,
-not once per chunk copy.  Stage two's busy time and each writer's
-backlogged stretch are one `_add_n`, and a writer finds the arrivals a
-stretch takes by bisecting the stream's runs.  Pools of mixed classes,
-and streams of short runs, are merged chunk by chunk.
+not once per chunk copy.  Stage one folds its busy time once per run of
+equal durations, and stage two's busy time and each writer's backlogged
+stretch are one `_add_n`.  A writer finds the arrivals a stretch takes
+by a search of the stream's runs that starts at its estimate.  Pools of
+mixed classes, and streams of short runs, are merged chunk by chunk.
 """
 
 from __future__ import annotations
@@ -307,7 +308,9 @@ def _simulate_stage_one(chunks: _Chunks, n_clients: int, rate: float,
     pend: List[List[float]] = [[] for _ in range(n_clients)]
     chained = [False] * n_clients
     srv_free = 0.0
+    # the busy time is `busy` and then bn more additions of bdur, pending
     busy = 0.0
+    bdur, bn = sizes[0] / rate, 0
     heap = [(hours[0] * compute_rate, c) for c in range(n_clients)]
     # already sorted by client id; heapify is a no-op ordering-wise
     t, c = heappop(heap)
@@ -317,11 +320,14 @@ def _simulate_stage_one(chunks: _Chunks, n_clients: int, rate: float,
         if chained[c]:
             # blocked on chunk k, resuming at t == pt[0]
             share = sizes[k]
-            k, srv_free, busy, waits[c], chained[c] = _cycles(
-                pt, size_ends, k, stops[k], heap, c, share, share / rate,
-                srv_free, busy, waits[c],
-                arrivals if collect_arrivals else None)
-            ptr[c] = k
+            dur = share / rate
+            if dur != bdur:
+                busy, bdur, bn = _add_n(busy, bdur, bn), dur, 0
+            n, srv_free, waits[c], chained[c] = _cycles(
+                pt, size_ends, k, stops[k], heap, c, share, dur, srv_free,
+                waits[c], arrivals if collect_arrivals else None)
+            ptr[c] = k + n
+            bn += n
             t, c = heappushpop(heap, (pt[0], c))
             continue
         f = fill[c]
@@ -343,6 +349,8 @@ def _simulate_stage_one(chunks: _Chunks, n_clients: int, rate: float,
                 blocked = True
                 break
             dur = share / rate
+            if dur != bdur:
+                busy, bdur, bn = _add_n(busy, bdur, bn), dur, 0
             start = srv_free if srv_free > t else t
             if shortcuts and grown + 3 * share <= limit and \
                     (same := stops[k] - k) > 3:
@@ -352,7 +360,7 @@ def _simulate_stage_one(chunks: _Chunks, n_clients: int, rate: float,
                 n = bisect_right(fills, limit, 1) - 1   # as many as fit
                 f = fills[n]
                 first = start + dur
-                busy = _add_n(busy, dur, n)
+                bn += n
                 if collect_arrivals:
                     arrivals.add(start == srv_free, first, dur, n, share)
                 pt += accumulate(repeat(dur, n - 1), add, initial=first)
@@ -360,7 +368,7 @@ def _simulate_stage_one(chunks: _Chunks, n_clients: int, rate: float,
                 k += n
             else:
                 done = start + dur
-                busy += dur
+                bn += 1
                 if collect_arrivals:
                     # `arrivals.add` inline: a call per chunk costs more
                     if start == srv_free and runs and runs[-1][3] == share:
@@ -395,14 +403,14 @@ def _simulate_stage_one(chunks: _Chunks, n_clients: int, rate: float,
             break
     if collect_arrivals:
         arrivals.count = n_chunks * n_clients
-    return _StageOneResult(waits=waits, busy_s=busy, last_done=srv_free,
-                           arrivals=arrivals)
+    return _StageOneResult(waits=waits, busy_s=_add_n(busy, bdur, bn),
+                           last_done=srv_free, arrivals=arrivals)
 
 
 def _cycles(pt: List[float], size_ends: List[int], k: int, stop: int,
             heap: list, c: int, share: float, dur: float, srv_free: float,
-            busy: float, wait: float, arrivals: Optional[_Arrivals]
-            ) -> Tuple[int, float, float, float, bool]:
+            wait: float, arrivals: Optional[_Arrivals]
+            ) -> Tuple[int, float, float, bool]:
     """Run the drain-one/push-one cycles of chained client `c`, blocked on
     chunk k, from its resume at pt[0], the first of its queued chunks'
     done times, while each resume comes before the first event in `heap`
@@ -421,9 +429,10 @@ def _cycles(pt: List[float], size_ends: List[int], k: int, stop: int,
     strictly: that is proven when `dur` >= ulp(pt[n]), since each queued
     done is at least fl(the one before + dur).
 
-    Returns the chunk blocked on, the server's free time, busy time and
+    Returns the number of chunks pushed, the server's free time and the
     client wait, and whether the heap's first event cut the chain, so
     that the client resumes at pt[0] still chained."""
+    pushed = 0
     while True:
         lo = k - len(pt)
         most = min(len(pt) - 1, stop - 1 - k, size_ends[lo] - 1 - lo)
@@ -433,9 +442,8 @@ def _cycles(pt: List[float], size_ends: List[int], k: int, stop: int,
             n = (bisect_right if c < top_c else bisect_left)(pt, top_t,
                                                              hi=most)
         if not n or dur < ulp(pt[n]) and not all(map(lt, pt, pt[1:n + 1])):
-            return k, srv_free, busy, wait, not n and most > 0
+            return pushed, srv_free, wait, not n and most > 0
         wait = reduce(add, map(sub, pt[1:n + 1], pt), wait)
-        busy = _add_n(busy, dur, n)
         first = srv_free + dur
         pt += accumulate(repeat(dur, n - 1), add, initial=first)
         srv_free = pt[-1]
@@ -443,8 +451,9 @@ def _cycles(pt: List[float], size_ends: List[int], k: int, stop: int,
             arrivals.add(True, first, dur, n, share)
         del pt[:n]
         k += n
+        pushed += n
         if n < most:
-            return k, srv_free, busy, wait, True
+            return pushed, srv_free, wait, True
 
 
 def _running(first: float, steps: Iterable[float]) -> List[float]:
@@ -495,9 +504,25 @@ class _Timeline:
     def upto(self, t: float, lo: int, hi: int) -> int:
         """The first i in [lo, hi) whose time is after t, or hi."""
         r = max(bisect_right(self.runs, t, key=itemgetter(0)) - 1, 0)
-        first, dur, n, _b = self.runs[r]
-        k = bisect_right(range(n), t, key=partial(_add_n, first, dur))
+        k = _search(bisect_right, self.runs[r], t)
         return min(max(self.starts[r] + k, lo), hi)
+
+
+def _search(side: Callable, run: list, t: float) -> int:
+    """`side(times, t)`, `side` being `bisect_left` or `bisect_right`, over
+    the done times of the run `[first_done, dur, count, bytes]`, expanding
+    none.  It checks the estimate i = (t - first_done) / dur, then bisects
+    the side of i the answer is on, out to steps that double away from i."""
+    first, dur, n, _b = run
+    time = partial(_add_n, first, dur)
+    guess = (t - first) / dur if dur else 0.0
+    i = int(guess) if 0 <= guess < n else n if guess >= n else 0
+    past = i < n and side((time(i),), t)    # the answer is past i
+    j = i + 1 if past else i - 1
+    while 0 <= j < n and side((time(j),), t) == past:
+        i, j = j, j + 2 * (j - i)
+    lo, hi = (i + 1, min(j, n)) if past else (max(j + 1, 0), i)
+    return side(range(n), t, lo, hi, key=time)
 
 
 def _write(ts: Sequence[float], upto: Callable[[float, int, int], int],
@@ -530,7 +555,7 @@ def _take(run: list, cut: float) -> List[float]:
     """Take the done times before `cut` off the front of the run
     `[first_done, dur, count, bytes]`, expanding only those."""
     first, dur, n, _b = run
-    k = bisect_left(range(n), cut, key=partial(_add_n, first, dur))
+    k = _search(bisect_left, run, cut)
     run[0] = _add_n(first, dur, k)
     run[2] = n - k
     return _running(first, repeat(dur, k - 1)) if k else []

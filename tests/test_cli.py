@@ -685,6 +685,38 @@ def test_io_simulation_failure_exits_3(tmp_path, capsys, doc, text):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("doc,axis,point,text", [
+    # 64 two-threaded ranks per node fit; 128 single-threaded ones do not
+    (dict(WIDE_C1024, layout={"nodes": 192, "ranks_per_node": 64,
+                              "threads_per_rank": 2},
+          sweep={"threads": [2, 1]}),
+     "threads", "[1] = 1", "estimated 306.1 GiB per node exceeds 256.0 GiB"),
+    (dict(IO_RIG, sweep={"buffer_bytes": [1000, 2097152]}), "buffer_bytes",
+     "[0] = 1000",
+     "field share of 1048576 bytes exceeds the 1000-byte client buffer"),
+    # two pools stage 104857600 bytes at most, one pool 105906176
+    (edited(IO_RIG, io_scenario={"servers_level1": 4, "servers_level2": 4,
+                                 "base_write_rate": 4e6,
+                                 "server_memory_bytes": 105_000_000},
+            sweep={"pools": [2, 1]}),
+     "pools", "[1] = 1", "peak server staging of 105906176.0 bytes"),
+], ids=["threads", "buffer_bytes", "pools"])
+def test_failing_sweep_point_names_itself(tmp_path, capsys, doc, axis, point,
+                                          text):
+    """A point that fails to simulate exits 3, as a run of it would, with
+    its place in the sweep list and its value before the error; no CSV is
+    written."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", str(cfg), "--axis", axis,
+                   "--out", str(out)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: c.json.sweep.{axis}{point}: {text}")
+    assert not out.exists()
+
+
 def test_flat_layouts_ignore_the_staging_limit(tmp_path):
     # only level-2 servers stage data, so a flat layout runs as if the
     # limit were unset, however small it is

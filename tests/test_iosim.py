@@ -5,16 +5,18 @@ clients emit equal shares of each field, block when their buffer is
 full, and servers drain in FIFO order.
 """
 
+import bisect
 import contextlib
 import heapq
 import json
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from operator import add
+from operator import add, ne
 from pathlib import Path
 from unittest import mock
 
@@ -386,6 +388,12 @@ def test_sweeps_that_keep_stage_one_simulate_it_once(monkeypatch, tmp_path):
     buffer_bytes=2000, compute_rate=1000.0,
     schedule=make_schedule([(30, 1.0, 100), (10, 1.0, 60)], 2.0)),
     piece=iosim._PIECE, window=iosim._WINDOW, runs_from=iosim._RUNS_FROM)
+# two blocking clients whose every push differs in size from the push
+# before it, so that each push folds stage one's pending busy run
+@example(scenario=tiny(
+    clients=2, buffer_bytes=170, compute_rate=1.0, schedule=make_schedule(
+        [(1, 1.0, 200), (1, 1.0, 120), (1, 1.0, 202), (1, 1.0, 122)], 3.0)),
+    piece=iosim._PIECE, window=iosim._WINDOW, runs_from=0)
 def test_stages_equal_the_per_chunk_oracle(scenario, piece, window, runs_from):
     """Every float of both stages, and the metrics, equal the oracle's
     with ==, whatever the stage-two step (`_PIECE`) and the staging
@@ -458,6 +466,38 @@ def test_a_lone_client_takes_a_heap_event_per_output_hour():
     assert metrics.client_wait_s > 0
     assert len(events) <= 6
     assert metrics == _outcome(scenario, oracle=True)
+
+
+@pytest.mark.parametrize("clients,entries", [
+    (1, [(50, 1.0, 100)]), (3, [(50, 1.0, 300)]),
+    (1, [(30, 1.0, 100), (30, 2.0, 60)])], ids=["lone", "three", "two-sizes"])
+def test_stage_one_sums_its_busy_time_once_per_duration(clients, entries):
+    """Stage one batches and chains the pushes of chunks whose buffer holds
+    20, and adds their durations to its busy time by one `_add_n` per run
+    of equal durations in its push order, and none for each push: once
+    per change of size in the oracle's arrivals, plus once at the end."""
+    scenario = tiny(clients=clients, buffer_bytes=2000, compute_rate=10.0,
+                    schedule=make_schedule(entries, 6.0))
+    groups, chunks, keys = _stage_inputs(scenario)
+    args = (*keys[0], float(scenario.buffer_bytes), 10.0, True)
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(iosim, name)
+
+        def call(*call_args):
+            calls[name] += 1
+            return real(*call_args)
+        return call
+
+    with mock.patch.multiple(iosim, **{name: counted(name) for name in
+                                       ("_add_n", "_cycles", "_running")}):
+        ours = iosim._simulate_stage_one(groups, *args)
+    theirs = io_oracle.simulate_stage_one(chunks, *args)
+    sizes = [b for _t, b in theirs.arrivals]
+    assert ours.busy_s == theirs.busy_s
+    assert calls["_cycles"] and calls["_running"]   # chains and batches
+    assert calls["_add_n"] == 1 + sum(map(ne, sizes, sizes[1:]))
 
 
 def _outcome(scenario, oracle=False):
@@ -610,6 +650,70 @@ def test_add_n_is_n_additions(case):
         total = iosim._add_n(x, d, n)
     assert total == reduce(add, repeat(d, n), x)
     assert len(steps) <= 2 * (_binade(total) - _binade(x) + 1)
+
+
+@st.composite
+def _timelines(draw):
+    """One to three runs `[first_done, dur, count, bytes]` of one size in
+    time order, a time t, and the lo <= hi a writer clamps its search to.
+    A run has any duration, one a few ulps long that crosses the top of a
+    binade, or one below or at half an ulp of its start, so that its times
+    repeat.  t is a run's time, one float either side of it, or any time
+    about the runs."""
+    runs, last = [], draw(st.floats(0.0, 1e12))
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 300))
+        kind = draw(st.sampled_from(["any", "binade", "repeat"]))
+        if kind == "any":
+            first = last + draw(st.floats(0.0, 1e6))
+            dur = draw(st.floats(1e-9, 1e6))
+        elif kind == "binade":
+            top = math.ldexp(1.0, max(draw(st.integers(-20, 60)),
+                                      math.frexp(last)[1] + 1))
+            dur = math.ulp(top) * draw(st.integers(1, 64)) / draw(
+                st.sampled_from([1, 2, 4]))
+            first = max(last, top - dur * draw(st.integers(0, n)))
+        else:
+            first = last + draw(st.floats(0.0, 1e6))
+            dur = math.ulp(first) * draw(st.sampled_from([0, 0.125, 0.5]))
+        runs.append([first, dur, n, 64.0])
+        last = iosim._add_n(first, dur, n - 1)
+    times = [t for first, dur, n, _b in runs
+             for t in iosim._running(first, repeat(dur, n - 1))]
+    at = draw(st.sampled_from(times))
+    t = draw(st.one_of(
+        st.sampled_from([at, math.nextafter(at, -math.inf),
+                         math.nextafter(at, math.inf)]),
+        st.floats(runs[0][0] - 1.0, last + 1.0)))
+    hi = draw(st.integers(0, len(times)))
+    return runs, times, t, draw(st.integers(0, hi)), hi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_timelines())
+def test_run_searches_equal_bisect(case):
+    """Both stages' searches of a run's done times, which start at an
+    estimate, give what plain `bisect` gives over the expanded times, and
+    take a number of `_add_n` calls logarithmic in the run's length."""
+    runs, times, t, lo, hi = case
+    calls = []
+    real = iosim._add_n
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    start = 0
+    with mock.patch.object(iosim, "_add_n", counted):
+        for run in runs:
+            ts = times[start:start + run[2]]
+            start += run[2]
+            for side in (bisect.bisect_left, bisect.bisect_right):
+                calls.clear()
+                assert iosim._search(side, run, t) == side(ts, t)
+                assert len(calls) <= 2 * run[2].bit_length() + 1
+        assert iosim._Timeline(runs).upto(t, lo, hi) == \
+            bisect.bisect_right(times, t, lo, hi)
 
 
 def test_peak_staging_memory_is_bounded():
