@@ -12,8 +12,9 @@ from .workload import (DiagnosticSchedule, ScheduleEntry, emission_events,
                        make_schedule, total_bytes, total_fields)
 from .dyncore import (MemoryLimitError, Mode, RunSpec, SimulationError,
                       TimestepBreakdown, simulate)
-from .iosim import (IoMetrics, IoScenario, IoConfigError, ServerMemoryError,
-                    UnwritableFieldError, simulate_io, striping_compare)
+from .iosim import (IoMetrics, IoScenario, IoConfigError, IoSimulationError,
+                    ServerMemoryError, UnwritableFieldError, simulate_io,
+                    striping_compare)
 from .config import Scenario, load_scenario, parse_scenario
 
 __version__ = "1.0.0"
@@ -30,7 +31,8 @@ __all__ = [
     "make_schedule", "total_bytes", "total_fields",
     "MemoryLimitError", "Mode", "RunSpec", "SimulationError",
     "TimestepBreakdown", "simulate",
-    "IoMetrics", "IoScenario", "IoConfigError", "ServerMemoryError",
-    "UnwritableFieldError", "simulate_io", "striping_compare",
+    "IoMetrics", "IoScenario", "IoConfigError", "IoSimulationError",
+    "ServerMemoryError", "UnwritableFieldError", "simulate_io",
+    "striping_compare",
     "Scenario", "load_scenario", "parse_scenario",
 ]

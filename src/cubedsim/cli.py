@@ -103,11 +103,6 @@ def read_csv(path: Path) -> List[Dict[str, object]]:
     return rows
 
 
-def _bar(value: float, scale: float, width: int = 40) -> str:
-    filled = 0 if scale <= 0 else round(width * value / scale)
-    return "#" * min(width, filled)
-
-
 def _breakdown_summary(row: Dict[str, object]) -> str:
     parts = [("user", row["user_s"]), ("mpi p2p", row["p2p_s"]),
              ("mpi coll", row["coll_s"]), ("etc", row["etc_s"])]
@@ -116,9 +111,10 @@ def _breakdown_summary(row: Dict[str, object]) -> str:
              f"{row['threads']} threads on {row['nodes']} nodes "
              f"(panel size {row['panel_size']})", ""]
     for name, value in parts:
-        pct = 100.0 * value / total if total else 0.0
-        lines.append(f"  {name:<8} {value:10.6f} s {pct:5.1f}%  "
-                     f"{_bar(value, total)}")
+        # at most 1: a part never exceeds the float sum of parts >= 0
+        share = value / total if total else 0.0
+        lines.append(f"  {name:<8} {value:10.6f} s {100 * share:5.1f}%  "
+                     f"{'#' * round(40 * share)}")
     lines.append(f"  {'total':<8} {total:10.6f} s")
     return "\n".join(lines) + "\n"
 

@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from math import isqrt
+from math import isqrt, prod
 from operator import add
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
@@ -146,6 +146,16 @@ class Decomposition:
         return {CellId(panel, i, j) for panel, i0, i1, j0, j1
                 in self.rects(rank) for j in range(j0, j1)
                 for i in range(i0, i1)}
+
+    @property
+    def max_owned(self) -> int:
+        """The largest owned count: a span of the larger size, or the
+        widest block column times the tallest block row."""
+        if self.grid is None:
+            base, rem = self.spans
+            return base + (rem > 0)
+        return prod(max(b - a for a, b in zip(off, off[1:]))
+                    for off in self.grid)
 
     def owned_count(self, rank: int) -> int:
         return sum((i1 - i0) * (j1 - j0)
@@ -399,9 +409,6 @@ class HaloCounts(NamedTuple):
     worst_cells: int
     # every rank's rings from compute_halos, for ring sizes only, else empty
     halos: List[Rings]
-    # halo cells for `work`: of every rank (compute_halos), else of the
-    # spans crossing a row or near a cube corner, not their size's flat form
-    odd: Dict[int, int]
     # by span class (`_span_class`) not one rectangle: a span's rank and
     # its `_span_near`
     expanded: Dict[object, Tuple[int, Runs]]
@@ -421,24 +428,6 @@ class HaloCounts(NamedTuple):
     def halo_count(self, rank: int) -> int:
         return sum(self.ring_sizes(rank))
 
-    def work(self, redundant: bool) -> List[int]:
-        """Every rank's owned cells, plus its halo cells when `redundant`,
-        in rank order: a block grid's from one panel's table, which every
-        panel repeats, a span layout's from its two sizes and `odd`."""
-        decomp, depth = self.decomp, self.depth if redundant else 0
-        if decomp.grid is None:
-            base, rem = decomp.spans
-            work = [base + 1 + _halo_cells(base + 1, 1, depth)] * rem \
-                + [base + _halo_cells(base, 1, depth)] * (decomp.ranks - rem)
-            for rank, cells in self.odd.items() if redundant else ():
-                work[rank] = base + (rank < rem) + cells
-            return work
-        n, (i_off, j_off) = decomp.mesh.panel_size, decomp.grid
-        return [(i1 - i0) * (j1 - j0)
-                + _rect_halo(n, (0, i0, i1, j0, j1), depth)
-                for j0, j1 in zip(j_off, j_off[1:])
-                for i0, i1 in zip(i_off, i_off[1:])] * PANELS
-
 
 def compute_halos(mesh: CubedSphereMesh, decomp: Decomposition,
                   depth: int = 1) -> HaloCounts:
@@ -446,10 +435,9 @@ def compute_halos(mesh: CubedSphereMesh, decomp: Decomposition,
     check_halo_depth(mesh, depth)
     halos = [_rank_rings(mesh, decomp, rank, depth)
              for rank in range(decomp.ranks)]
-    odd = {rank: sum(map(len, rings)) for rank, rings in enumerate(halos)}
-    worst = max(decomp.owned_count(rank) + cells
-                for rank, cells in odd.items())
-    return HaloCounts(decomp, depth, worst, halos, odd, {})
+    worst = max(decomp.owned_count(rank) + sum(map(len, rings))
+                for rank, rings in enumerate(halos))
+    return HaloCounts(decomp, depth, worst, halos, {})
 
 
 def _shape_counts(mesh: CubedSphereMesh, decomp: Decomposition,
@@ -462,7 +450,6 @@ def _shape_counts(mesh: CubedSphereMesh, decomp: Decomposition,
     n = mesh.panel_size
     base, rem = decomp.spans
     owner = decomp.span_owner
-    odd: Dict[int, int] = {}
     expanded: Dict[object, Tuple[int, Runs]] = {}
     worst = 0
     widths = Counter({base + 1: rem, base: decomp.ranks - rem})
@@ -479,19 +466,19 @@ def _shape_counts(mesh: CubedSphereMesh, decomp: Decomposition,
         start, stop, _, rect, key = _span_class(decomp, depth, rank)
         widths[stop - start] -= 1
         if rect is not None:
-            odd[rank] = _rect_halo(n, rect, depth)
-        elif key in expanded:
-            odd[rank] = odd[expanded[key][0]]
+            cells = _rect_halo(n, rect, depth)
+        elif key in expanded:   # its class's size and halo are counted
+            continue
         else:
             near = _span_near(mesh, decomp.rects(rank), depth)
             expanded[key] = rank, near
-            odd[rank] = sum(b - a for row in near.values()
-                            for a, b in row) - (stop - start)
-        worst = max(worst, stop - start + odd[rank])
+            cells = sum(b - a for row in near.values()
+                        for a, b in row) - (stop - start)
+        worst = max(worst, stop - start + cells)
     for w, count in widths.items():
         if count:
             worst = max(worst, w + _halo_cells(w, 1, depth))
-    return HaloCounts(decomp, depth, worst, [], odd, expanded)
+    return HaloCounts(decomp, depth, worst, [], expanded)
 
 
 def _block_classes(decomp: Decomposition, depth: int) -> List[
@@ -531,7 +518,7 @@ def halo_counts(mesh: CubedSphereMesh, decomp: Decomposition,
         worst = max((rect[2] - rect[1]) * (rect[4] - rect[3])
                     + _rect_halo(n, rect, depth)
                     for _, _, rect in _block_classes(decomp, depth))
-        return HaloCounts(decomp, depth, worst, [], {}, {})
+        return HaloCounts(decomp, depth, worst, [], {})
     if mesh.panel_size <= _SPAN_WALK_MAX_PANEL:
         return compute_halos(mesh, decomp, depth)
     return _shape_counts(mesh, decomp, depth)

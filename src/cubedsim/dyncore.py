@@ -83,15 +83,13 @@ class TimestepBreakdown:
     """Per-timestep seconds split into the four profiler categories.
 
     The headline fields are per-rank maxima (the synchronizing step runs
-    at the speed of the slowest rank); means are carried alongside."""
+    at the speed of the slowest rank)."""
 
     user_s: float
     mpi_p2p_s: float
     mpi_coll_s: float
     etc_s: float
     total_s: float
-    user_mean_s: float
-    mpi_p2p_mean_s: float
 
 
 def simulate(run: RunSpec) -> TimestepBreakdown:
@@ -102,9 +100,7 @@ def simulate(run: RunSpec) -> TimestepBreakdown:
     not fit is rejected before any per-rank table, message or timing is
     built.  A breakdown term that overflows a float, from finite but
     extreme cost coefficients, raises SimulationError naming it."""
-    cost = run.cost_model
-    mesh = run.mesh
-    ranks = run.ranks
+    cost, mesh, ranks = run.cost_model, run.mesh, run.ranks
     threads = run.threads_per_rank
 
     decomposition = dc.partition(mesh, ranks)
@@ -120,31 +116,26 @@ def simulate(run: RunSpec) -> TimestepBreakdown:
             f"({run.ranks_per_node} ranks/node, {ranks} total ranks)")
 
     # redundant compute computes the halo cells instead of receiving them:
-    # no messages, and the halo joins each rank's work
-    redundant = run.mode is Mode.REDUNDANT_COMPUTE
-    # each message costs alpha + bytes / beta to both ends, added in
-    # message-key order, the (src, dst) order of `messages`
-    per_rank_msg_cost = [0.0] * ranks
-    if not redundant:
-        bytes_per_cell = run.bytes_per_cell
-        if bytes_per_cell is None:
-            bytes_per_cell = dc.default_bytes_per_cell(mesh)
+    # no messages, and the worst rank's halo joins its work.  Rounding is
+    # monotone and every factor >= 0, so the slowest rank's time is that
+    # of the most cells, and the largest p2p time that of the largest cost
+    if run.mode is Mode.REDUNDANT_COMPUTE:
+        user_cells, mpi_p2p_s = halos.worst_cells, 0.0
+    else:
+        user_cells = decomposition.max_owned
+        bytes_per_cell = run.bytes_per_cell or dc.default_bytes_per_cell(mesh)
         pattern = dc.exchange_pattern(halos, bytes_per_cell)
+        # each message costs alpha + bytes / beta to both ends, added in
+        # message-key order, the (src, dst) order of `messages`
+        per_rank_msg_cost = [0.0] * ranks
         alpha, beta = cost.p2p_alpha, cost.p2p_beta
         for key, cells in zip(pattern.keys, pattern.cells):
             c = alpha + cells * bytes_per_cell / beta
             per_rank_msg_cost[key // ranks] += c
             per_rank_msg_cost[key % ranks] += c
-
+        mpi_p2p_s = max(per_rank_msg_cost) * cost.halo_exchanges_per_step
     eff = cost.efficiency(threads)
-    user_times = [w * mesh.levels * cost.c_cell / (threads * eff)
-                  for w in halos.work(redundant)]
-    user_s = max(user_times)
-    user_mean_s = sum(user_times) / ranks
-
-    p2p_times = [c * cost.halo_exchanges_per_step for c in per_rank_msg_cost]
-    mpi_p2p_s = max(p2p_times)
-    mpi_p2p_mean_s = sum(p2p_times) / ranks
+    user_s = user_cells * mesh.levels * cost.c_cell / (threads * eff)
 
     stages = math.ceil(math.log2(ranks)) if ranks > 1 else 0
     mpi_coll_s = cost.allreduces_per_step * stages * \
@@ -156,8 +147,7 @@ def simulate(run: RunSpec) -> TimestepBreakdown:
     total_s = user_s + mpi_p2p_s + mpi_coll_s + etc_s
     result = TimestepBreakdown(user_s=user_s, mpi_p2p_s=mpi_p2p_s,
                                mpi_coll_s=mpi_coll_s, etc_s=etc_s,
-                               total_s=total_s, user_mean_s=user_mean_s,
-                               mpi_p2p_mean_s=mpi_p2p_mean_s)
+                               total_s=total_s)
     for term in fields(result):
         value = getattr(result, term.name)
         if not math.isfinite(value):

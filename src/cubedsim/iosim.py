@@ -52,11 +52,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial, reduce
 from heapq import heappop, heappushpop, merge
 from itertools import accumulate, chain, groupby, islice, repeat
-from math import inf, nextafter, ulp
+from math import inf, isfinite, nextafter, ulp
 from operator import add, itemgetter, lt, sub
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
@@ -87,6 +87,10 @@ class UnwritableFieldError(IoConfigError):
 
 class ServerMemoryError(CubedsimError, RuntimeError):
     """OUT_OF_MEMORY: aggregate server-side staging exceeds the limit."""
+
+
+class IoSimulationError(CubedsimError, ValueError):
+    """A metric left the floats: chunk times or their sums overflow."""
 
 
 @dataclass(frozen=True)
@@ -138,6 +142,19 @@ class IoScenario:
             raise IoConfigError(f"server_memory_bytes must be >= 1, got "
                                 f"{self.server_memory_bytes}",
                                 "server_memory_bytes")
+        # a rate that leaves the floats writes in no time or never; pool 0
+        # holds the most files per writer and the last pool the fewest
+        rates = [(self.writer_rate(p), "base_write_rate")
+                 for p in (0, self.pools - 1)]
+        if self.two_level:
+            rates.append((self.gather_rate, "gather_rate_factor"))
+        for rate, attr in rates:
+            if not 0 < rate < inf:
+                raise IoConfigError(f"{attr} gives a rate of {rate!r} "
+                                    f"bytes/s, not positive and finite", attr)
+        if not isfinite(self.schedule.run_hours * self.compute_rate):
+            raise IoConfigError("compute_rate times run_hours is not finite",
+                                "compute_rate")
 
     @property
     def two_level(self) -> bool:
@@ -813,9 +830,15 @@ def simulate_io(scenario: IoScenario,
     active = compute_s + wait_mean
     wait_pct = 100.0 * wait_mean / active if active > 0 else 0.0
     rate_mib = (total_bytes / busy_write) / MIB if busy_write > 0 else 0.0
-    return IoMetrics(wall_clock_s=wall, client_wait_s=wait_mean,
-                     client_wait_pct=wait_pct, server_write_rate=rate_mib,
-                     bytes_written=total_bytes)
+    metrics = IoMetrics(wall_clock_s=wall, client_wait_s=wait_mean,
+                        client_wait_pct=wait_pct, server_write_rate=rate_mib,
+                        bytes_written=total_bytes)
+    for term in fields(metrics):
+        value = getattr(metrics, term.name)
+        if not isfinite(value):
+            raise IoSimulationError(
+                f"{term.name} is {value}: the chunk times overflow")
+    return metrics
 
 
 def metrics_row(metrics: IoMetrics) -> Dict[str, object]:

@@ -746,6 +746,59 @@ def test_overflowing_breakdown_exits_3(tmp_path, capsys, costs, term):
     assert not (tmp_path / "o" / "dyncore.csv").exists()
 
 
+@pytest.mark.parametrize("cores,c_cell", [(1, 3e303), (54, 1e305)],
+                         ids=["one-rank", "54-ranks"])
+def test_huge_finite_breakdown_draws_its_summary(tmp_path, capsys, cores,
+                                                 c_cell):
+    # a user time near the top of the floats: 40 or 100 times it is not
+    # finite, but its share of the total is at most 1
+    doc = {"machine": {"name": "t", "cores_per_node": cores,
+                       "clock_ghz": 2.0, "max_nodes": 1},
+           "mesh": {"panel_size": 8, "levels": 10},
+           "layout": {"nodes": 1, "ranks_per_node": cores,
+                      "threads_per_rank": 1},
+           "cost_model": {"c_cell": c_cell}}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 0 and capsys.readouterr().err == ""
+    user = (tmp_path / "o" / "summary.txt").read_text().splitlines()[2]
+    assert user.endswith("%  " + "#" * 40) and "inf" not in user
+
+
+RATE_EDGES = [
+    # a writer rate over the floats would write in no time
+    ({"base_write_rate": 1e308, "striping_factor": 8}, 2, "base_write_rate"),
+    ({"base_write_rate": 1e308, "striping_factor": 8, "servers_level2": 2},
+     2, "base_write_rate"),
+    ({"gather_rate_factor": 1e308, "servers_level2": 2}, 2,
+     "gather_rate_factor"),
+    # ... and one under them never
+    ({"base_write_rate": 5e-324, "pool_penalty": 1e300}, 2,
+     "base_write_rate"),
+    ({"base_write_rate": 5e-324, "gather_rate_factor": 0.1,
+      "servers_level2": 2}, 2, "gather_rate_factor"),
+    ({"compute_rate": 1e308}, 2, "compute_rate"),
+    # a positive finite rate whose chunk times are not finite
+    ({"base_write_rate": 5e-324}, 3, "wall_clock_s"),
+]
+
+
+@pytest.mark.parametrize("keys,code,name", RATE_EDGES, ids=[
+    "write-inf-flat", "write-inf-two-level", "gather-inf", "write-zero",
+    "gather-zero", "compute-inf", "chunk-time-inf"])
+def test_rates_and_times_stay_in_the_floats(tmp_path, capsys, keys, code,
+                                            name):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(edited(IO_RIG, io_scenario=keys)))
+    out = tmp_path / "o"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: c.json.io_scenario." + name if code == 2
+                          else f"error: {name} is ")
+    assert not out.exists() and "Traceback" not in err
+
+
 @pytest.mark.parametrize("extra", [["--repeat", "0"], ["--repeat", "-1"],
                                    ["--repeat", "x"], ["--seed", "1"]])
 def test_argument_errors_exit_2(tmp_path, extra):
@@ -874,7 +927,7 @@ SMALL_SWEEP = {
 MUTABLE = [(MINIMAL, ["run"]), (IO_RIG, ["run"]), (SMALL_GRID, ["run"]),
            (SMALL_SWEEP, ["sweep", "--axis", "threads"]),
            (SMALL_SWEEP, ["sweep", "--axis", "nodes"])]
-ODD_VALUES = [-1, 0, 0.5, "x", True, None, [], {}]
+ODD_VALUES = [-1, 0, 0.5, 1e308, 5e-324, "x", True, None, [], {}]
 
 
 def _paths(node, prefix=()):

@@ -95,6 +95,21 @@ def test_partition_conservation_spans():
     assert max(sizes) - min(sizes) <= 1
 
 
+@given(n=st.integers(1, 16), blocks=st.booleans(), a=st.integers(1, 16),
+       b=st.integers(1, 1536))
+@example(n=10, blocks=True, a=4, b=3)     # uneven 2-3 x 3-4 blocks
+@example(n=6, blocks=False, a=1, b=8)     # 27-cell spans, none larger
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_max_owned_is_the_largest_domain(n, blocks, a, b):
+    # the widest block column times the tallest block row, or a span of
+    # the larger size, against every rank's own count
+    ranks = 6 * min(a, n) * min(b, n) if blocks else min(b, 6 * n * n)
+    decomposition = dc.partition(build_mesh(n, 1), ranks)
+    assert decomposition.grid is not None or not blocks
+    assert decomposition.max_owned == max(
+        map(decomposition.owned_count, range(ranks)))
+
+
 def test_owner_of_agrees_with_owned_cells():
     mesh = build_mesh(8, 1)
     for ranks in (24, 7):

@@ -5,6 +5,7 @@ and the published closed forms, bypassing the simulator internals.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -104,7 +105,6 @@ def test_redundant_compute_has_no_p2p():
     redundant_result = simulate(run)
     exchange_result = simulate(exchange)
     assert redundant_result.mpi_p2p_s == 0.0
-    assert redundant_result.mpi_p2p_mean_s == 0.0
     assert exchange_result.mpi_p2p_s > 0.0
     halos = dc.compute_halos(mesh, dc.partition(mesh, 24), depth=1)
     work = [16 + halos.halo_count(r) for r in range(24)]
@@ -112,8 +112,6 @@ def test_redundant_compute_has_no_p2p():
     c_cell = run.cost_model.c_cell
     assert exchange_result.user_s == 16 * mesh.levels * c_cell
     assert redundant_result.user_s == max(work) * mesh.levels * c_cell
-    assert redundant_result.user_mean_s == \
-        sum(w * mesh.levels * c_cell for w in work) / 24
 
 
 def test_run_spec_validation():
@@ -269,7 +267,7 @@ def test_span_run_walks_no_cells(monkeypatch):
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_span_run_builds_nothing_per_rank(monkeypatch, mode):
-    # C96 on 4,001 span ranks at depth 2: the work table comes from the
+    # C96 on 4,001 span ranks at depth 2: the worst cells come from the
     # two span sizes and the class halos, the messages from one owner
     # table per class and the owners along each panel edge, so no span's
     # rectangles and no row-run expansion per rank (it takes 45 of each)
@@ -296,12 +294,35 @@ def test_span_run_builds_nothing_per_rank(monkeypatch, mode):
     assert built["_span_rects"] <= 200 and built["_span_near"] <= 200, built
 
 
+def test_redundant_span_run_peak_memory_is_bounded():
+    """C1024 on 1,000,003 span ranks in redundant mode: the user time
+    comes from the worst rank's cells that the memory guard sized, with no
+    list per rank, about 0.3 MiB of traced allocation.  A work and a time
+    list over every rank took about 70 MiB."""
+    ranks = 1_000_003
+    machine = MachineConfig(name="one", cores_per_node=ranks, clock_ghz=2.0,
+                            max_nodes=1)
+    run = RunSpec(mesh=build_mesh(1024, 10), machine=machine, nodes=1,
+                  ranks_per_node=ranks, threads_per_rank=1,
+                  mode=Mode.REDUNDANT_COMPUTE,
+                  memory=MemoryModel(node_memory_bytes=2**60))
+    tracemalloc.start()
+    try:
+        result = simulate(run)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.mpi_p2p_s == 0.0 and result.user_s > 0
+    assert peak < 2 * 2**20
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 def test_block_grid_run_builds_nothing_per_rank(monkeypatch, mode):
     # C96 on 1152 ranks, a 16 x 12 grid on each panel at depth 2: the
-    # work table comes from one panel's offsets, and the messages from one
-    # owner table per rank class (9 of them) and the owners along each
-    # panel edge, with no domain per rank and no rectangle past an edge
+    # cells come from the grid offsets and the block classes, and the
+    # messages from one owner table per rank class (9 of them) and the
+    # owners along each panel edge, with no domain per rank and no
+    # rectangle past an edge
     built = Counter()
     edge_rects, rank_classes = dc._edge_rects, dc._rank_classes
 
@@ -379,14 +400,19 @@ def test_simulate_builds_no_message_tuple(monkeypatch, n, ranks):
 def folded_breakdown(run):
     """The breakdown with every rank's p2p cost folded over the
     `exchange_pattern(...).messages` tuple, message by message in its
-    order, and the other terms by simulate's own formulas."""
+    order, the user time from every rank's owned cells, plus its halo
+    cells when redundant, and the other terms by simulate's own
+    formulas."""
     cost, mesh, ranks = run.cost_model, run.mesh, run.ranks
     threads = run.threads_per_rank
-    halos = dc.halo_counts(mesh, dc.partition(mesh, ranks), run.halo_depth)
+    decomposition = dc.partition(mesh, ranks)
+    halos = dc.halo_counts(mesh, decomposition, run.halo_depth)
     redundant = run.mode is Mode.REDUNDANT_COMPUTE
     eff = cost.efficiency(threads)
-    user = [w * mesh.levels * cost.c_cell / (threads * eff)
-            for w in halos.work(redundant)]
+    user = [(decomposition.owned_count(r)
+             + (halos.halo_count(r) if redundant else 0))
+            * mesh.levels * cost.c_cell / (threads * eff)
+            for r in range(ranks)]
     per_rank = [0.0] * ranks
     for m in () if redundant else dc.exchange_pattern(
             halos, run.bytes_per_cell).messages:
@@ -401,8 +427,7 @@ def folded_breakdown(run):
         + cost.etc_fixed
     return TimestepBreakdown(
         user_s=max(user), mpi_p2p_s=max(p2p), mpi_coll_s=coll, etc_s=etc,
-        total_s=max(user) + max(p2p) + coll + etc,
-        user_mean_s=sum(user) / ranks, mpi_p2p_mean_s=sum(p2p) / ranks)
+        total_s=max(user) + max(p2p) + coll + etc)
 
 
 @given(n=st.integers(1, 12), blocks=st.booleans(), a=st.integers(1, 12),
